@@ -3,8 +3,17 @@
 One sweep updates A, then B, then C, each by solving the nonnegative least
 squares problem that keeps the other two factors fixed.  The normal
 equations are assembled from small Gram matrices via the Hadamard identity
-``(U kr V)^T (U kr V) = (U^T U) * (V^T V)``, so the only pass over the data
-per update is one unfolded-tensor-times-Khatri-Rao product.
+``(U kr V)^T (U kr V) = (U^T U) * (V^T V)``.  The right-hand sides (the
+unfolded-tensor-times-Khatri-Rao products) come from two passes over the
+C-ordered tensor, read through one flat ``(N*T) x D`` view and never
+unfolded into copies:
+
+* ``Y = X x_3 C`` (N x T x R) serves both the A and the B products, since C
+  does not change until the end of the sweep;
+* ``(A kr B)^T X_flat`` gives the C product from the updated A and B.
+
+This is the dimension-tree MTTKRP of Phan, Tichavsky & Cichocki (IEEE TSP
+2013).
 
 The squared misfit ``||X - Xhat||_F^2`` after each sweep is evaluated from
 the same products (no reconstruction), which keeps the per-sweep objective
@@ -65,25 +74,19 @@ class FitResult:
 
 
 class _Workspace:
-    """Per-tensor state reused across sweeps: contiguous unfoldings and norm."""
+    """Per-tensor state reused across sweeps: the flat data view and norm."""
 
     def __init__(self, x: DenseTensor3):
-        a = x.values
         self.dims = x.dims
-        self.norm2 = float(np.vdot(a, a))
-        self.unfold = tuple(
-            np.ascontiguousarray(
-                np.reshape(np.moveaxis(a, mode, 0), (a.shape[mode], -1), order="F")
-            )
-            for mode in range(3)
-        )
+        n, t, d = self.dims
+        self.flat = x.values.reshape(n * t, d)
+        self.norm2 = float(np.vdot(self.flat, self.flat))
 
 
-def _update_factor(unfolded: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """NNLS update of one factor given the other two (right varies fastest)."""
-    gram = (left.T @ left) * (right.T @ right)
+def _update_factor(proj: np.ndarray, gram_u: np.ndarray, gram_v: np.ndarray):
+    """NNLS update of one factor from its MTTKRP ``proj`` and the other two Grams."""
+    gram = gram_u * gram_v
     gram = 0.5 * (gram + gram.T)
-    proj = unfolded @ khatri_rao(left, right)
     tol = 1e-8 * max(1.0, float(np.abs(proj).max()) if proj.size else 0.0)
     sol = solve_nnls(NnlsProblem(gram, proj.T), tol=tol)
     if not sol.converged:
@@ -91,14 +94,19 @@ def _update_factor(unfolded: np.ndarray, left: np.ndarray, right: np.ndarray):
             f"NNLS update stalled (kkt residual {sol.kkt_residual:.3e} after "
             f"{sol.iterations} exchange rounds)"
         )
-    return sol.W, gram, proj
+    return sol.W, gram
 
 
 def _sweep(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray):
     """One A -> B -> C update cycle; returns factors and the post-sweep misfit."""
-    A, _, _ = _update_factor(ws.unfold[0], C, B)
-    B, _, _ = _update_factor(ws.unfold[1], C, A)
-    C, gram, proj = _update_factor(ws.unfold[2], B, A)
+    n, t, _ = ws.dims
+    gram_c = C.T @ C
+    y = (C.T @ ws.flat.T).reshape(C.shape[1], n, t)  # Y = X x_3 C, stored R x N x T
+    A, _ = _update_factor(np.einsum("rij,jr->ir", y, B), gram_c, B.T @ B)
+    gram_a = A.T @ A
+    B, _ = _update_factor(np.einsum("rij,ir->jr", y, A), gram_c, gram_a)
+    proj = (khatri_rao(A, B).T @ ws.flat).T
+    C, gram = _update_factor(proj, B.T @ B, gram_a)
     xhat2 = float(((C.T @ C) * gram).sum())
     inner = float((proj * C).sum())
     obj = max(ws.norm2 - 2.0 * inner + xhat2, 0.0)
@@ -169,19 +177,19 @@ def fit_restarts(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> list:
     """Run ``cfg.restarts`` independent fits; restart k uses seed ``cfg.seed + k``.
 
     Returns one entry per restart, in restart order: a FitResult, or None if
-    that restart failed.  The list is identical for any ``jobs`` value.
+    that restart failed.  The list is identical for any ``jobs`` value.  With
+    ``jobs > 1`` the tensor reaches each worker process once, through the
+    pool initializer, and each task carries only its seed.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [cfg.seed + k for k in range(cfg.restarts)]
-    results: list = []
-    if jobs <= 1:
-        for s in seeds:
-            results.append(_try_fit(x, cfg, s))
-        return results
-    payloads = [(x.values, x.semantics, cfg, s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for out in pool.map(_guarded_worker, payloads):
-            results.append(out)
-    return results
+    if jobs == 1:
+        return [_try_fit(x, cfg, s) for s in seeds]
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(x,)
+    ) as pool:
+        return list(pool.map(_worker_fit, [cfg] * len(seeds), seeds))
 
 
 def _try_fit(x: DenseTensor3, cfg: FitConfig, seed: int):
@@ -191,9 +199,17 @@ def _try_fit(x: DenseTensor3, cfg: FitConfig, seed: int):
         return None
 
 
-def _guarded_worker(payload):
-    values, semantics, cfg, seed = payload
-    return _try_fit(DenseTensor3(values, semantics), cfg, seed)
+# Set by the pool initializer inside each worker process, never in the parent.
+_worker_tensor: DenseTensor3 | None = None
+
+
+def _init_worker(x: DenseTensor3) -> None:
+    global _worker_tensor
+    _worker_tensor = x
+
+
+def _worker_fit(cfg: FitConfig, seed: int):
+    return _try_fit(_worker_tensor, cfg, seed)
 
 
 def fit_best(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> FitResult:

@@ -263,6 +263,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _fit_config(args, rank: int) -> FitConfig:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     return FitConfig(
         rank=rank,
         max_sweeps=args.max_sweeps,
@@ -291,8 +293,8 @@ def _restart_summary(results) -> list:
 
 def _cmd_fit(args) -> int:
     started = _time.perf_counter()
-    tensor = tfio.read_tensor(args.tensor)
     cfg = _fit_config(args, args.rank)
+    tensor = tfio.read_tensor(args.tensor)
     out = _out_dir(args)
     results = fit_restarts(tensor, cfg, jobs=args.jobs)
     ok = [r for r in results if r is not None]
@@ -324,8 +326,8 @@ def _cmd_corcondia(args) -> int:
     started = _time.perf_counter()
     if args.rmax < 1:
         raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
-    tensor = tfio.read_tensor(args.tensor)
     cfg = _fit_config(args, rank=1)
+    tensor = tfio.read_tensor(args.tensor)
     out = _out_dir(args)
     report = rank_scan(tensor, args.rmax, args.lcc, cfg, jobs=args.jobs)
     tfio.dump_json(out / "rank_scan.json", tfio.rank_scan_to_dict(report))

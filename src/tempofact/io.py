@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -51,24 +52,39 @@ def write_tensor(path, x: DenseTensor3) -> None:
         handle.write(np.ascontiguousarray(x.values, dtype="<f8").tobytes())
 
 
+def _bytes_left(handle) -> int:
+    return os.fstat(handle.fileno()).st_size - handle.tell()
+
+
+def _read_exact(handle, size: int, path, what: str) -> bytes:
+    # A corrupt length must not make read() allocate a buffer of that size.
+    data = handle.read(size) if size <= _bytes_left(handle) else b""
+    if len(data) != size:
+        raise FileFormatError(f"{path}: file ends inside the {what}")
+    return data
+
+
 def read_tensor(path) -> DenseTensor3:
     with open(path, "rb") as handle:
         magic = handle.read(8)
         if magic != TENSOR_MAGIC:
             raise FileFormatError(f"{path}: bad magic {magic!r}")
-        version, tag_len = struct.unpack("<II", handle.read(8))
+        version, tag_len = struct.unpack("<II", _read_exact(handle, 8, path, "header"))
         if version != TENSOR_FORMAT_VERSION:
             raise FileFormatError(f"{path}: unsupported format version {version}")
-        tag = handle.read(tag_len).decode("utf-8")
-        n, t, d = struct.unpack("<QQQ", handle.read(24))
-        payload = handle.read()
-    expected = 8 * n * t * d
-    if len(payload) != expected:
-        raise FileFormatError(
-            f"{path}: payload holds {len(payload)} bytes, dims {n}x{t}x{d} need {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape(n, t, d)
-    return DenseTensor3(values.astype(np.float64), tag)
+        tag = _read_exact(handle, tag_len, path, "semantics tag").decode("utf-8")
+        n, t, d = struct.unpack("<QQQ", _read_exact(handle, 24, path, "dimensions"))
+        expected = 8 * n * t * d
+        size = _bytes_left(handle)
+        if size != expected:
+            raise FileFormatError(
+                f"{path}: payload holds {size} bytes, dims {n}x{t}x{d} need {expected}"
+            )
+        # One buffer, filled in place: no intermediate bytes object.
+        values = np.empty(n * t * d, dtype="<f8")
+        if handle.readinto(values) != expected or handle.read(1):
+            raise FileFormatError(f"{path}: file changed size while being read")
+    return DenseTensor3(values.reshape(n, t, d), tag)
 
 
 def tensor_debug_dict(x: DenseTensor3) -> dict:

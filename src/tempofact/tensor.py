@@ -34,7 +34,7 @@ class DenseTensor3:
     semantics: str = "amount_meur"
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 3:
             raise ValueError(f"expected a 3-way array, got ndim={v.ndim}")
         if v.size:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from tempofact.als import FitConfig, als_sweep, fit_best, fit_once, fit_restarts
-from tempofact.tensor import DenseTensor3, KruskalTensor, reconstruct, relative_error
+from tempofact.tensor import (
+    DenseTensor3,
+    KruskalTensor,
+    khatri_rao,
+    matricize,
+    reconstruct,
+    relative_error,
+)
 from util import best_match, cosine, random_kruskal, random_tensor
 
 
@@ -156,3 +163,41 @@ def test_config_validation():
         FitConfig(rank=1, init="gaussian")
     with pytest.raises(ValueError):
         fit_once(DenseTensor3(np.zeros((0, 0, 0))), FitConfig(rank=1), seed=0)
+
+
+@pytest.mark.parametrize("rank", [1, 4])
+def test_two_pass_products_match_unfolded_oracle(monkeypatch, rank):
+    # Each update's right-hand side must equal the textbook MTTKRP
+    # X_(n) @ (khatri-rao of the other two factors), with the factors that
+    # are current at that point of the sweep.
+    import tempofact.als as als_mod
+
+    rng = np.random.default_rng(31 + rank)
+    x = random_tensor(rng, (7, 5, 9))
+    A0, B0, C0 = rng.random((7, rank)), rng.random((5, rank)), rng.random((9, rank))
+    seen = []
+    real_update = als_mod._update_factor
+
+    def recording_update(proj, gram_u, gram_v):
+        W, gram = real_update(proj, gram_u, gram_v)
+        seen.append((proj.copy(), gram, W))
+        return W, gram
+
+    monkeypatch.setattr(als_mod, "_update_factor", recording_update)
+    als_mod._sweep(als_mod._Workspace(x), A0, B0, C0)
+    (proj_a, gram_a, A1), (proj_b, gram_b, B1), (proj_c, gram_c, _) = seen
+    for mode, proj, gram, left, right in (
+        (1, proj_a, gram_a, C0, B0),
+        (2, proj_b, gram_b, C0, A1),
+        (3, proj_c, gram_c, B1, A1),
+    ):
+        kr = khatri_rao(left, right)
+        np.testing.assert_allclose(proj, matricize(x, mode) @ kr, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gram, kr.T @ kr, rtol=1e-12, atol=1e-12)
+
+
+def test_fit_restarts_rejects_nonpositive_jobs():
+    x = random_tensor(np.random.default_rng(32), (3, 3, 3))
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            fit_restarts(x, FitConfig(rank=1, restarts=2), jobs=jobs)

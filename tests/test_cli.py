@@ -118,6 +118,33 @@ def test_fit_missing_tensor(tmp_path):
     assert _run("fit", tmp_path / "no.bin", "--rank", 1, "--out", tmp_path / "o") == 2
 
 
+def test_fit_cut_header_is_one_line_error(tmp_path, capsys):
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    raw = tensor_path.read_bytes()
+    bad_magic = tmp_path / "magic.bin"
+    bad_magic.write_bytes(b"NOTMAGIC" + raw[8:])
+    bad_magic_code = _run("fit", bad_magic, "--rank", 1, "--out", tmp_path / "m")
+    capsys.readouterr()
+    for size in (10, 20, 30):  # inside the version, the tag and the dims
+        tensor_path.write_bytes(raw[:size])
+        code = _run("fit", tensor_path, "--rank", 1, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == bad_magic_code != 0
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err and "file ends inside" in err
+
+
+@pytest.mark.parametrize("command,extra", [("fit", ["--rank", 1]), ("corcondia", ["--rmax", 1])])
+def test_rejects_nonpositive_jobs_before_creating_out(tmp_path, command, extra):
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    for jobs in (0, -2):
+        out = tmp_path / f"out{jobs}"
+        assert _run(command, tensor_path, *extra, "--jobs", jobs, "--out", out) == 1
+        assert not out.exists()
+
+
 def test_corcondia_small_scan(tmp_path, capsys):
     tensor_path = tmp_path / "t.bin"
     _write_rank_one_tensor(tensor_path)

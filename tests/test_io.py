@@ -45,6 +45,32 @@ def test_tensor_binary_rejects_corruption(tmp_path):
         tfio.read_tensor(bad_version)
 
 
+def test_tensor_binary_rejects_every_cut_header_and_trailing_bytes(tmp_path):
+    x = DenseTensor3(np.ones((2, 1, 3)), "count")
+    path = tmp_path / "t.bin"
+    tfio.write_tensor(path, x)
+    raw = path.read_bytes()
+    header_len = len(raw) - 8 * 6
+    cut = tmp_path / "cut.bin"
+    for size in range(header_len + 1):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(tfio.FileFormatError):
+            tfio.read_tensor(cut)
+    cut.write_bytes(raw[:12] + b"\xff\xff\xff\xff" + raw[16:])  # tag length past the end
+    with pytest.raises(tfio.FileFormatError, match="semantics tag"):
+        tfio.read_tensor(cut)
+    cut.write_bytes(raw + b"\0")
+    with pytest.raises(tfio.FileFormatError, match="payload"):
+        tfio.read_tensor(cut)
+
+
+def test_tensor_binary_round_trip_empty(tmp_path):
+    path = tmp_path / "e.bin"
+    tfio.write_tensor(path, DenseTensor3(np.zeros((0, 4, 0))))
+    back = tfio.read_tensor(path)
+    assert back.dims == (0, 4, 0)
+
+
 def test_tensor_debug_json_round_trip(tmp_path):
     rng = np.random.default_rng(83)
     x = random_tensor(rng, (3, 2, 4), semantics="amount_meur")

@@ -149,6 +149,16 @@ def test_dense_tensor_rejects_bad_values():
         DenseTensor3(np.zeros((2, 2)))
 
 
+def test_dense_tensor_stores_contiguous_values():
+    base = np.arange(24.0).reshape(2, 3, 4)
+    x = DenseTensor3(base.transpose(2, 1, 0))
+    assert x.values.flags.c_contiguous
+    assert np.array_equal(x.values, base.transpose(2, 1, 0))
+    # Contiguous float64 input is kept as is, not copied.
+    y = np.ones((2, 3, 4))
+    assert DenseTensor3(y).values is y
+
+
 def test_kruskal_validation():
     with pytest.raises(ValueError):
         KruskalTensor(-np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
