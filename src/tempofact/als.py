@@ -212,14 +212,21 @@ def _worker_fit(cfg: FitConfig, seed: int):
     return _try_fit(_worker_tensor, cfg, seed)
 
 
-def fit_best(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> FitResult:
-    """Best-of-restarts fit: the restart with the smallest relative error wins.
+def best_restart(results: list) -> FitResult:
+    """The restart with the smallest relative error; ties go to the smaller seed.
 
-    Ties go to the earliest restart, so the outcome does not depend on the
-    degree of parallelism.
+    ``results`` is the list :func:`fit_restarts` returns; raises
+    :class:`FitError` when every restart failed.
     """
-    results = fit_restarts(x, cfg, jobs)
     ok = [r for r in results if r is not None]
     if not ok:
-        raise FitError(f"all {cfg.restarts} restarts failed")
+        raise FitError(f"all {len(results)} restarts failed")
     return min(ok, key=lambda r: (r.rel_error, r.seed))
+
+
+def fit_best(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> FitResult:
+    """Best-of-restarts fit, chosen by :func:`best_restart`.
+
+    The outcome does not depend on the degree of parallelism.
+    """
+    return best_restart(fit_restarts(x, cfg, jobs))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from tempofact.ingest import TensorIndex, TransactionRecord
 from tempofact.tensor import KruskalTensor
@@ -157,14 +157,23 @@ def attribute_frequencies(records, index: TensorIndex, members) -> RoleFrequenci
     if used.size == 0:
         raise ValueError("no member bank has any transaction")
     per_bank = counts[used] / counts[used].sum(axis=1, keepdims=True)
-    mean = per_bank.mean(axis=0)
-    n = used.size
-    if n >= 2:
-        half = student_t.ppf(0.975, n - 1) * per_bank.std(axis=0, ddof=1) / math.sqrt(n)
-    else:
-        half = np.zeros(len(ROLES))
+    mean, half = mean_ci95(per_bank)
     ci = np.stack([mean - half, mean + half], axis=1)
     return RoleFrequencies(ROLES, used, per_bank, mean, ci, excluded)
+
+
+def mean_ci95(values):
+    """Mean along axis 0 and the half-width of its Student-t 95% interval.
+
+    Works on 1-D and 2-D input; with fewer than two samples the half-width
+    is zero.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    n = v.shape[0]
+    mean = v.mean(axis=0)
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    return mean, stdtrit(n - 1, 0.975) * v.std(axis=0, ddof=1) / math.sqrt(n)
 
 
 def binomial_quantile(q: float, n: int, p: float) -> int:

@@ -5,7 +5,8 @@ manifest records the resolved configuration, input digests, seed and
 output digests; rerunning the same command on the same inputs reproduces
 every output byte for byte (only the manifest's duration field varies).
 
-Exit codes: 0 success, 1 usage/validation, 2 I/O, 3 numerical failure.
+Exit codes: 0 success, 1 usage/validation, 2 I/O (a malformed input file
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from tempofact import __version__, analysis, io as tfio
-from tempofact.als import FitConfig, FitError, fit_restarts
+from tempofact.als import FitConfig, FitError, best_restart, fit_restarts
 from tempofact.corcondia import rank_scan
 from tempofact.ingest import (
     LedgerFormatError,
@@ -110,7 +111,6 @@ def _build_parser() -> _Parser:
                    help="use raw density values instead of peak rescaling")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--ledger", action="store_true", help="also write the trade log CSV")
-    p.add_argument("--debug-json", action="store_true", help="also write the JSON tensor variant")
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("ingest",
@@ -166,6 +166,9 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (tfio.FileFormatError, LedgerFormatError) as err:
+        print(f"i/o error: {err}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -208,9 +211,6 @@ def _cmd_synth(args) -> int:
         )
         tfio.write_index(out / "index.json", index)
         outputs.append("index.json")
-    if args.debug_json:
-        tfio.dump_json(out / "tensor_debug.json", tfio.tensor_debug_dict(tensor))
-        outputs.append("tensor_debug.json")
     config = tfio.ground_truth_to_dict(truth, cfg)["config"]
     _write_manifest(out, "synth", config, {}, cfg.seed, started, outputs)
     print(f"synthetic market written to {out} "
@@ -229,14 +229,10 @@ def _synth_dates(days: int):
 
 def _cmd_ingest(args) -> int:
     started = _time.perf_counter()
-    out = _out_dir(args)
-    try:
-        loaded = load_transactions(args.ledger)
-    except LedgerFormatError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
+    loaded = load_transactions(args.ledger)
     overnight = filter_overnight(loaded.records)
     tensor, index, excluded = build_tensor(overnight, args.delta)
+    out = _out_dir(args)
     tfio.write_tensor(out / "tensor.bin", tensor)
     tfio.write_index(out / "index.json", index)
     report = {
@@ -295,12 +291,9 @@ def _cmd_fit(args) -> int:
     started = _time.perf_counter()
     cfg = _fit_config(args, args.rank)
     tensor = tfio.read_tensor(args.tensor)
-    out = _out_dir(args)
     results = fit_restarts(tensor, cfg, jobs=args.jobs)
-    ok = [r for r in results if r is not None]
-    if not ok:
-        raise FitError(f"all {cfg.restarts} restarts failed")
-    best = min(ok, key=lambda r: (r.rel_error, r.seed))
+    best = best_restart(results)
+    out = _out_dir(args)
     tfio.dump_json(out / "fit.json", tfio.fit_result_to_dict(best))
     tfio.dump_json(out / "restarts.json", _restart_summary(results))
     _write_manifest(out, "fit", _cfg_dict(cfg, args.jobs), {"tensor": args.tensor},
@@ -344,17 +337,10 @@ def _cmd_corcondia(args) -> int:
     return EXIT_OK
 
 
-def _csv_cell(value) -> str:
-    if value is None or (isinstance(value, float) and np.isnan(value)):
-        return ""
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (str, int)) else _csv_cell(c) for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _day_rows(index, *blocks) -> list:
+    """One row per day: the ISO date, then row j of every (days x k) block."""
+    table = np.hstack(blocks)
+    return [[day.isoformat()] + list(row) for day, row in zip(index.day_dates, table)]
 
 
 def _cmd_analyze(args) -> int:
@@ -367,55 +353,37 @@ def _cmd_analyze(args) -> int:
             f"index describes {len(index.bank_ids)} banks x {index.intervals} intervals "
             f"x {len(index.day_dates)} days but the fit has {n}x{t}x{d}"
         )
-    out = _out_dir(args)
     inputs = {"fit": args.fit, "index": args.index}
+    loaded = None
+    if args.ledger is not None:
+        inputs["ledger"] = args.ledger
+        loaded = load_transactions(args.ledger)
 
     window = analysis.morning_window(index.delta)
     order = analysis.order_components(fit.factors, window)
     k = fit.factors.permute(order).normalize()
     rank = k.rank
-    comp_names = [f"component_{r + 1}" for r in range(rank)]
+    names = [f"component_{r + 1}" for r in range(rank)]
+    with_smoothed = ["date"] + names + [f"{c}_smoothed" for c in names]
 
-    outputs = []
-
-    _write_csv(out / "intraday_profiles.csv",
-               ["interval_start"] + comp_names,
-               ([index.interval_label(j)] + list(k.B[j]) for j in range(t)))
-    outputs.append("intraday_profiles.csv")
+    def smooth(m):
+        return np.column_stack([moving_average(m[:, r], args.smooth_window) for r in range(rank)])
 
     cw = k.weighted_C
-    smooth = np.column_stack([moving_average(cw[:, r], args.smooth_window) for r in range(rank)])
-    _write_csv(out / "interday_activity.csv",
-               ["date"] + comp_names + [f"{c}_smoothed" for c in comp_names],
-               ([index.day_dates[j].isoformat()] + list(cw[j]) + list(smooth[j])
-                for j in range(d)))
-    outputs.append("interday_activity.csv")
-
     shares = analysis.component_share(k)
-    shares_smooth = np.column_stack(
-        [moving_average(shares[:, r], args.smooth_window) for r in range(rank)]
-    )
-    _write_csv(out / "component_shares.csv",
-               ["date"] + comp_names + [f"{c}_smoothed" for c in comp_names],
-               ([index.day_dates[j].isoformat()] + list(shares[j]) + list(shares_smooth[j])
-                for j in range(d)))
-    outputs.append("component_shares.csv")
-
     members = analysis.affiliate_banks(k, args.percentile)
-    _write_csv(out / "affiliation_sizes.csv", ["component", "n_banks"],
-               ([comp_names[r], len(members[r])] for r in range(rank)))
-    outputs.append("affiliation_sizes.csv")
-
     jac = analysis.jaccard_matrix(members)
-    _write_csv(out / "jaccard.csv", ["component"] + comp_names,
-               ([comp_names[r]] + list(jac[r]) for r in range(rank)))
-    outputs.append("jaccard.csv")
-
     means = np.column_stack([analysis.membership_mean(k, r, members[r]) for r in range(rank)])
-    _write_csv(out / "membership_means.csv", ["date"] + comp_names,
-               ([index.day_dates[j].isoformat()] + list(means[j]) for j in range(d)))
-    outputs.append("membership_means.csv")
-
+    reports = [
+        ("intraday_profiles.csv", ["interval_start"] + names,
+         [[index.interval_label(j)] + list(k.B[j]) for j in range(t)]),
+        ("interday_activity.csv", with_smoothed, _day_rows(index, cw, smooth(cw))),
+        ("component_shares.csv", with_smoothed, _day_rows(index, shares, smooth(shares))),
+        ("affiliation_sizes.csv", ["component", "n_banks"],
+         [[c, len(m)] for c, m in zip(names, members)]),
+        ("jaccard.csv", ["component"] + names, [[c] + list(row) for c, row in zip(names, jac)]),
+        ("membership_means.csv", ["date"] + names, _day_rows(index, means)),
+    ]
     bundle = {
         "format": "analysis",
         "version": 1,
@@ -423,17 +391,13 @@ def _cmd_analyze(args) -> int:
         "morning_window_intervals": [int(j) for j in window],
         "percentile": args.percentile,
         "smooth_window": args.smooth_window,
-        "affiliation": {
-            comp_names[r]: [index.bank_ids[i] for i in members[r]] for r in range(rank)
-        },
+        "affiliation": {c: [index.bank_ids[i] for i in m] for c, m in zip(names, members)},
         "jaccard": [[float(v) for v in row] for row in jac],
         "roles": None,
         "nationality": None,
     }
 
-    if args.ledger is not None:
-        inputs["ledger"] = args.ledger
-        loaded = load_transactions(args.ledger)
+    if loaded is not None:
         overnight = filter_overnight(loaded.records)
         known = set(index.bank_ids)
         usable = [r for r in overnight if r.lender_id in known and r.borrower_id in known]
@@ -441,41 +405,42 @@ def _cmd_analyze(args) -> int:
         p_domestic = float(flags.mean())
         role_rows, nat_rows = [], []
         roles_bundle, nat_bundle = {}, {}
-        for r in range(rank):
-            stats = analysis.attribute_frequencies(usable, index, members[r])
-            for j, role in enumerate(stats.roles):
-                role_rows.append([comp_names[r], role, stats.mean[j],
-                                  stats.ci95[j][0], stats.ci95[j][1]])
-            roles_bundle[comp_names[r]] = {
+        for c, m in zip(names, members):
+            stats = analysis.attribute_frequencies(usable, index, m)
+            role_rows += [[c, role, stats.mean[j], *stats.ci95[j]]
+                          for j, role in enumerate(stats.roles)]
+            roles_bundle[c] = {
                 "mean": [float(v) for v in stats.mean],
                 "ci95": [[float(a), float(b)] for a, b in stats.ci95],
                 "n_banks": int(stats.bank_indices.size),
                 "excluded": [index.bank_ids[i] for i in stats.excluded],
             }
-            band = analysis.nationality_test(members[r], flags, p_domestic)
-            nat_rows.append([comp_names[r], band.n_members, band.observed_share,
+            band = analysis.nationality_test(m, flags, p_domestic)
+            nat_rows.append([c, band.n_members, band.observed_share,
                              band.band[0], band.band[1], str(band.outside).lower(), band.p])
-            nat_bundle[comp_names[r]] = {
+            nat_bundle[c] = {
                 "n_members": band.n_members,
                 "observed_share": band.observed_share,
                 "band": [band.band[0], band.band[1]],
                 "outside": band.outside,
             }
-        _write_csv(out / "role_frequencies.csv",
-                   ["component", "role", "mean", "ci_lo", "ci_hi"], role_rows)
-        _write_csv(out / "nationality.csv",
-                   ["component", "n_members", "observed_share", "band_lo", "band_hi",
-                    "outside", "p"], nat_rows)
-        outputs += ["role_frequencies.csv", "nationality.csv"]
+        reports += [
+            ("role_frequencies.csv", ["component", "role", "mean", "ci_lo", "ci_hi"], role_rows),
+            ("nationality.csv", ["component", "n_members", "observed_share", "band_lo",
+                                 "band_hi", "outside", "p"], nat_rows),
+        ]
         bundle["roles"] = roles_bundle
         bundle["nationality"] = {"p": p_domestic, "flag_conflicts": conflicts,
                                  "components": nat_bundle}
 
+    out = _out_dir(args)
+    for name, header, rows in reports:
+        tfio.write_csv(out / name, header, rows)
     tfio.dump_json(out / "analysis.json", bundle)
-    outputs.append("analysis.json")
     config = {"percentile": args.percentile, "smooth_window": args.smooth_window,
               "ledger_provided": args.ledger is not None}
-    _write_manifest(out, "analyze", config, inputs, None, started, outputs)
+    _write_manifest(out, "analyze", config, inputs, None, started,
+                    [name for name, _, _ in reports] + ["analysis.json"])
     print(f"analysis reports written to {out} ({rank} components)")
     return EXIT_OK
 

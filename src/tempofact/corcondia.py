@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from tempofact.als import FitConfig, fit_restarts
+from tempofact.analysis import mean_ci95
 from tempofact.tensor import DenseTensor3, KruskalTensor
 
 _COND_LIMIT = 1e12
@@ -52,7 +52,7 @@ class CoreTensor:
     source_rank: int
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.G, dtype=np.float64)
+        g = np.asarray(self.G, dtype=np.float64).view()
         r = self.source_rank
         if g.shape != (r, r, r):
             raise ValueError(f"core must have shape ({r}, {r}, {r}), got {g.shape}")
@@ -124,15 +124,6 @@ class RankScanReport:
     seed: int
 
 
-def _mean_ci95(values: list) -> tuple[float, tuple[float, float]]:
-    n = len(values)
-    mean = float(np.mean(values))
-    if n < 2:
-        return mean, (mean, mean)
-    half = float(student_t.ppf(0.975, n - 1) * np.std(values, ddof=1) / np.sqrt(n))
-    return mean, (mean - half, mean + half)
-
-
 def rank_scan(
     x: DenseTensor3, r_max: int, l_cc: float, cfg: FitConfig, jobs: int = 1
 ) -> RankScanReport:
@@ -166,10 +157,10 @@ def rank_scan(
                 ccs.append(None)
                 n_failed += 1
         ok = [c for c in ccs if c is not None]
+        mean, ci = None, None
         if ok:
-            mean, ci = _mean_ci95(ok)
-        else:
-            mean, ci = None, None
+            mean, half = (float(v) for v in mean_ci95(ok))
+            ci = (mean - half, mean + half)
         records.append(
             RankScanRecord(rank, tuple(ccs), tuple(rels), mean, ci, n_failed)
         )

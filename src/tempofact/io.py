@@ -87,22 +87,6 @@ def read_tensor(path) -> DenseTensor3:
     return DenseTensor3(values.reshape(n, t, d), tag)
 
 
-def tensor_debug_dict(x: DenseTensor3) -> dict:
-    return {
-        "format": "tensor3",
-        "version": TENSOR_FORMAT_VERSION,
-        "semantics": x.semantics,
-        "dims": list(x.dims),
-        "values": [float(v) for v in x.values.ravel()],
-    }
-
-
-def tensor_from_debug_dict(data: dict) -> DenseTensor3:
-    dims = tuple(data["dims"])
-    values = np.asarray(data["values"], dtype=np.float64).reshape(dims)
-    return DenseTensor3(values, data["semantics"])
-
-
 def _sanitize(obj):
     """Make a structure JSON-safe: numpy scalars to Python, NaN to None."""
     if isinstance(obj, dict):
@@ -196,15 +180,25 @@ def rank_scan_to_dict(report: RankScanReport) -> dict:
     }
 
 
-def write_rank_scan_csv(path, report: RankScanReport) -> None:
-    lines = ["R,cc_mean,cc_lo,cc_hi"]
-    for rec in report.records:
-        if rec.cc_mean is None:
-            lines.append(f"{rec.rank},,,")
-        else:
-            lo, hi = rec.cc_ci95
-            lines.append(f"{rec.rank},{rec.cc_mean!r},{lo!r},{hi!r}")
+def _csv_cell(value) -> str:
+    if isinstance(value, (str, int)):
+        return str(value)
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    return repr(float(value))
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write a plot-ready CSV: floats as ``repr``, None and NaN as empty cells."""
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(c) for c in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_rank_scan_csv(path, report: RankScanReport) -> None:
+    write_csv(path, ["R", "cc_mean", "cc_lo", "cc_hi"],
+              ([rec.rank, rec.cc_mean, *(rec.cc_ci95 or (None, None))]
+               for rec in report.records))
 
 
 def ground_truth_to_dict(truth: GroundTruth, cfg: SyntheticConfig) -> dict:

@@ -107,7 +107,7 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         for name in ("groups", "fitness_profiles", "participation"):
-            arr = np.asarray(getattr(self, name))
+            arr = np.asarray(getattr(self, name)).view()
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 

@@ -24,17 +24,18 @@ import numpy as np
 class DenseTensor3:
     """Nonnegative banks x intervals x days activity tensor.
 
-    ``values`` is stored as a contiguous float64 array and frozen after
-    construction, so instances can be shared freely across workers.  The
-    ``semantics`` tag records what an entry means ("amount_meur" for traded
-    volume, "count" for trade counts) and travels with the exchange format.
+    ``values`` is a read-only view of a contiguous float64 array, so
+    instances can be shared freely across workers; contiguous float64 input
+    is neither copied nor frozen.  The ``semantics`` tag records what an
+    entry means ("amount_meur" for traded volume, "count" for trade counts)
+    and travels with the exchange format.
     """
 
     values: np.ndarray
     semantics: str = "amount_meur"
 
     def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = np.ascontiguousarray(self.values, dtype=np.float64).view()
         if v.ndim != 3:
             raise ValueError(f"expected a 3-way array, got ndim={v.ndim}")
         if v.size:
@@ -74,7 +75,7 @@ class KruskalTensor:
     def __post_init__(self) -> None:
         mats = []
         for name in ("A", "B", "C"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
+            m = np.asarray(getattr(self, name), dtype=np.float64).view()
             if m.ndim != 2:
                 raise ValueError(f"factor {name} must be 2-D, got ndim={m.ndim}")
             if m.size and m.min() < 0.0:
@@ -85,7 +86,7 @@ class KruskalTensor:
         if mats[1].shape[1] != r or mats[2].shape[1] != r:
             raise ValueError("factor matrices must share the same column count")
         w = self.weights
-        w = np.ones(r) if w is None else np.asarray(w, dtype=np.float64)
+        w = np.ones(r) if w is None else np.asarray(w, dtype=np.float64).view()
         if w.shape != (r,):
             raise ValueError(f"weights must have shape ({r},), got {w.shape}")
         if w.size and w.min() < 0.0:

@@ -1,7 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tempofact.als import FitConfig, als_sweep, fit_best, fit_once, fit_restarts
+from tempofact.als import (
+    FitConfig,
+    FitError,
+    als_sweep,
+    best_restart,
+    fit_best,
+    fit_once,
+    fit_restarts,
+)
 from tempofact.tensor import (
     DenseTensor3,
     KruskalTensor,
@@ -118,6 +128,18 @@ def test_fit_best_aggregate_failure(monkeypatch):
     monkeypatch.setattr(als_mod, "_try_fit", lambda *args: None)
     with pytest.raises(als_mod.FitError, match="all 3 restarts"):
         als_mod.fit_best(x, FitConfig(rank=1, restarts=3))
+
+
+def test_best_restart_breaks_ties_by_seed():
+    rng = np.random.default_rng(98)
+    x = random_tensor(rng, (4, 4, 4))
+    fits = [fit_once(x, FitConfig(rank=1, max_sweeps=5), seed=s) for s in (5, 3, 4)]
+    tied = [fits[0], None, replace(fits[1], rel_error=fits[0].rel_error), None]
+    best = best_restart(tied)
+    assert best.seed == 3 and best.rel_error == fits[0].rel_error
+    assert best_restart(fits) is min(fits, key=lambda r: r.rel_error)
+    with pytest.raises(FitError, match="all 2 restarts failed"):
+        best_restart([None, None])
 
 
 def test_normalized_result_reconstructs_identically():

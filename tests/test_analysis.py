@@ -3,6 +3,7 @@ from datetime import date, datetime
 import numpy as np
 import pytest
 from scipy.stats import binom
+from scipy.stats import t as student_t
 
 from tempofact.analysis import (
     ROLES,
@@ -14,6 +15,7 @@ from tempofact.analysis import (
     domestic_flags_from_records,
     jaccard_matrix,
     jaccard_overlap,
+    mean_ci95,
     membership_level,
     membership_mean,
     morning_window,
@@ -267,3 +269,18 @@ def test_domestic_flags_first_seen_and_conflicts():
     flags, conflicts = domestic_flags_from_records(records, index)
     assert flags.tolist() == [True, False, False]
     assert conflicts == ["B"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 20])
+def test_mean_ci95_matches_scipy_interval(n):
+    rng = np.random.default_rng(n)
+    for values in (rng.random(n), rng.random((n, 3))):
+        mean, half = mean_ci95(values)
+        assert np.array_equal(mean, values.mean(axis=0))
+        if n == 1:
+            assert np.array_equal(half, np.zeros_like(mean))
+            continue
+        sem = values.std(axis=0, ddof=1) / np.sqrt(n)
+        lo, hi = student_t.interval(0.95, n - 1, loc=mean, scale=sem)
+        np.testing.assert_allclose(mean - half, lo, rtol=1e-13)
+        np.testing.assert_allclose(mean + half, hi, rtol=1e-13)

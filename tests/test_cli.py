@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,3 +225,70 @@ def test_analyze_detects_index_mismatch(tmp_path):
                 "--seed", 4, "--out", other) == 0
     assert _run("analyze", fit_dir / "fit.json", "--index", other / "index.json",
                 "--out", tmp_path / "rep") == 1
+
+
+def test_synth_debug_json_flag_is_gone(tmp_path):
+    assert _run("synth", "--days", 3, "--debug-json", "--out", tmp_path / "o") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_cut_header_exits_io(tmp_path):
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    tensor_path.write_bytes(tensor_path.read_bytes()[:20])
+    assert _run("fit", tensor_path, "--rank", 1, "--out", tmp_path / "o") == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_analyze_bad_ledger_exits_io_without_creating_out(tmp_path, capsys):
+    synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)
+    ledger = tmp_path / "bad.csv"
+    ledger.write_text("when,who,whom\n2008-09-15T09:10,AAA,BBB\n")
+    rep = tmp_path / "rep"
+    capsys.readouterr()
+    code = _run("analyze", fit_dir / "fit.json", "--index", synth_dir / "index.json",
+                "--ledger", ledger, "--out", rep)
+    assert code == 2
+    assert "bad header" in capsys.readouterr().err
+    assert not rep.exists()
+    # ingest maps the same file to the same exit code
+    assert _run("ingest", ledger, "--out", tmp_path / "ing") == 2
+    assert not (tmp_path / "ing").exists()
+
+
+def test_analyze_foreign_fit_json_exits_io(tmp_path):
+    synth_dir, _ = _small_pipeline(tmp_path, with_ledger=False)
+    rep = tmp_path / "rep"
+    code = _run("analyze", synth_dir / "ground_truth.json", "--index",
+                synth_dir / "index.json", "--out", rep)
+    assert code == 2
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("option,value", [("--smooth-window", 0), ("--percentile", 150)])
+def test_analyze_bad_argument_creates_no_out(tmp_path, option, value):
+    synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)
+    rep = tmp_path / "rep"
+    assert _run("analyze", fit_dir / "fit.json", "--index", synth_dir / "index.json",
+                option, value, "--out", rep) == 1
+    assert not rep.exists()
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    code = "import sys, tempofact.cli; print('scipy.stats' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_fit_all_restarts_failed_exits_numerical_without_out(tmp_path, monkeypatch):
+    from tempofact import cli
+
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    monkeypatch.setattr(cli, "fit_restarts", lambda x, cfg, jobs: [None] * cfg.restarts)
+    out = tmp_path / "o"
+    assert _run("fit", tensor_path, "--rank", 1, "--restarts", 2, "--out", out) == 3
+    assert not out.exists()

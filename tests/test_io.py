@@ -6,7 +6,7 @@ import pytest
 
 from tempofact import io as tfio
 from tempofact.als import FitConfig, fit_once
-from tempofact.corcondia import rank_scan
+from tempofact.corcondia import RankScanRecord, RankScanReport, rank_scan
 from tempofact.synthetic import SyntheticConfig, generate
 from tempofact.tensor import DenseTensor3, reconstruct
 from util import random_kruskal, random_tensor
@@ -71,16 +71,6 @@ def test_tensor_binary_round_trip_empty(tmp_path):
     assert back.dims == (0, 4, 0)
 
 
-def test_tensor_debug_json_round_trip(tmp_path):
-    rng = np.random.default_rng(83)
-    x = random_tensor(rng, (3, 2, 4), semantics="amount_meur")
-    path = tmp_path / "t.json"
-    tfio.dump_json(path, tfio.tensor_debug_dict(x))
-    back = tfio.tensor_from_debug_dict(tfio.load_json(path))
-    assert np.array_equal(back.values, x.values)
-    assert back.semantics == x.semantics
-
-
 def test_fit_result_round_trip(tmp_path):
     rng = np.random.default_rng(84)
     x = reconstruct(random_kruskal(rng, (5, 4, 6), 2))
@@ -116,6 +106,25 @@ def test_rank_scan_serialization(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == pytest.approx(report.records[0].cc_mean)
+
+
+def test_rank_scan_csv_leaves_failed_rank_empty(tmp_path):
+    records = (
+        RankScanRecord(1, (99.5, 100.0), (0.1, 0.1), 99.75, (96.5, 103.0), 0),
+        RankScanRecord(2, (None, None), (None, None), None, None, 2),
+    )
+    path = tmp_path / "scan.csv"
+    tfio.write_rank_scan_csv(path, RankScanReport(records, 1, 85.0, 2, 0))
+    assert path.read_text() == "R,cc_mean,cc_lo,cc_hi\n1,99.75,96.5,103.0\n2,,,\n"
+
+
+def test_write_csv_cell_rules(tmp_path):
+    path = tmp_path / "x.csv"
+    rows = [["a", 3, 0.1, np.float64(1 / 3), None, float("nan"), np.float64("nan"), True]]
+    tfio.write_csv(path, ["s", "i", "f", "g", "none", "nan", "npnan", "b"], rows)
+    lines = path.read_text().split("\n")
+    assert lines[1] == f"a,3,0.1,{1 / 3!r},,,,True"
+    assert lines[2:] == [""]  # one trailing newline
 
 
 def test_dump_json_serializes_nan_as_null(tmp_path):

@@ -156,7 +156,22 @@ def test_dense_tensor_stores_contiguous_values():
     assert np.array_equal(x.values, base.transpose(2, 1, 0))
     # Contiguous float64 input is kept as is, not copied.
     y = np.ones((2, 3, 4))
-    assert DenseTensor3(y).values is y
+    assert DenseTensor3(y).values.base is y
+
+
+def test_constructors_leave_caller_arrays_writable():
+    y = np.ones((2, 3, 4))
+    x = DenseTensor3(y)
+    a, b, c, w = np.ones((2, 1)), np.ones((3, 1)), np.ones((4, 1)), np.ones(1)
+    k = KruskalTensor(a, b, c, w)
+    for arr in (y, a, b, c, w):
+        assert arr.flags.writeable
+        arr[...] = 2.0
+    assert x.values[0, 0, 0] == 2.0  # shared, not copied
+    for stored in (x.values, k.A, k.B, k.C, k.weights):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[...] = 0.0
 
 
 def test_kruskal_validation():
