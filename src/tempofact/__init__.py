@@ -32,6 +32,7 @@ from tempofact.corcondia import (
 )
 from tempofact.synthetic import GroundTruth, SyntheticConfig, generate, generate_with_log
 from tempofact.ingest import (
+    Ledger,
     TensorIndex,
     TransactionRecord,
     build_tensor,
@@ -71,6 +72,7 @@ __all__ = [
     "SyntheticConfig",
     "generate",
     "generate_with_log",
+    "Ledger",
     "TensorIndex",
     "TransactionRecord",
     "build_tensor",

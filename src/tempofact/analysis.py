@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from tempofact.ingest import TensorIndex, TransactionRecord
+from tempofact.ingest import Ledger, TensorIndex, TransactionRecord
 from tempofact.tensor import KruskalTensor
 
 #: Transaction roles, crossing trade side with which side posted the quote.
@@ -137,18 +137,23 @@ def attribute_frequencies(records, index: TensorIndex, members) -> RoleFrequenci
     """Role mix of each member bank, averaged across the member set.
 
     Every transaction of a member bank (either side) is classified into one
-    of :data:`ROLES`; per-bank frequencies are averaged across banks with a
-    Student-t 95% confidence interval per role.  Member banks that never
-    transact are excluded and reported.
+    of :data:`ROLES`, as :func:`classify_role` does; per-bank frequencies
+    are averaged across banks with a Student-t 95% confidence interval per
+    role.  Member banks that never transact are excluded and reported.
     """
+    ledger = Ledger.of(records)
+    labels, lender, borrower = ledger.bank_codes
+    by_borrower = ledger.proposer == "borrower"
+    # Codes label * 4 + role, in ROLES order: the lender aggresses when the
+    # borrower quoted, the borrower aggresses when the lender quoted.
+    codes = np.concatenate([lender * 4 + np.where(by_borrower, 0, 3),
+                            borrower * 4 + np.where(by_borrower, 1, 2)])
+    by_label = np.bincount(codes, minlength=4 * len(labels)).reshape(len(labels), 4)
+    label_pos = {bank: i for i, bank in enumerate(labels)}
     counts = np.zeros((len(index.bank_ids), len(ROLES)))
-    bank_pos = {b: i for i, b in enumerate(index.bank_ids)}
-    role_pos = {name: j for j, name in enumerate(ROLES)}
-    for r in records:
-        for side in (r.lender_id, r.borrower_id):
-            pos = bank_pos.get(side)
-            if pos is not None:
-                counts[pos, role_pos[classify_role(r, side)]] += 1.0
+    for i, bank in enumerate(index.bank_ids):
+        if bank in label_pos:
+            counts[i] = by_label[label_pos[bank]]
 
     members = np.asarray(members, dtype=int)
     totals = counts[members].sum(axis=1)
@@ -222,18 +227,19 @@ def nationality_test(members, domestic_flags, p: float) -> NationalityBand:
 def domestic_flags_from_records(records, index: TensorIndex):
     """Per-bank domestic flag derived from the ledger (first occurrence wins).
 
-    Returns (flags, conflicts) where conflicts lists banks whose records
-    disagree; banks absent from the ledger default to False.
+    Occurrences run through the ledger row by row, the lender before the
+    borrower.  Returns (flags, conflicts) where conflicts lists, sorted, the
+    banks whose records disagree; banks absent from the ledger default to
+    False.
     """
-    flags = np.zeros(len(index.bank_ids), dtype=bool)
-    seen: dict = {}
-    conflicts = set()
-    for r in records:
-        for bank, flag in ((r.lender_id, r.lender_domestic), (r.borrower_id, r.borrower_domestic)):
-            if bank not in seen:
-                seen[bank] = flag
-            elif seen[bank] != flag:
-                conflicts.add(bank)
-    for i, bank in enumerate(index.bank_ids):
-        flags[i] = seen.get(bank, False)
-    return flags, sorted(conflicts)
+    ledger = Ledger.of(records)
+    labels, lender, borrower = ledger.bank_codes
+    banks = np.column_stack([lender, borrower]).ravel()
+    seen = np.column_stack([ledger.lender_domestic, ledger.borrower_domestic]).ravel()
+    _, first = np.unique(banks, return_index=True)
+    domestic = np.bincount(banks, weights=seen, minlength=len(labels))
+    total = np.bincount(banks, minlength=len(labels))
+    first_flag = dict(zip(labels, seen[first].tolist()))
+    flags = np.array([first_flag.get(bank, False) for bank in index.bank_ids], dtype=bool)
+    conflicts = [labels[i] for i in np.flatnonzero((domestic > 0) & (domestic < total))]
+    return flags, conflicts

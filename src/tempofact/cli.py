@@ -27,6 +27,7 @@ from tempofact.ingest import (
     LedgerFormatError,
     TensorIndex,
     build_tensor,
+    check_delta,
     filter_overnight,
     load_transactions,
     moving_average,
@@ -193,14 +194,16 @@ def _cmd_synth(args) -> int:
         rescale=not args.raw_pdf,
         seed=args.seed,
     )
-    out = _out_dir(args)
     outputs = ["tensor.bin", "ground_truth.json"]
     if args.ledger:
         tensor, truth, log = generate_with_log(cfg)
-        save_transactions(out / "ledger.csv", log_to_records(log, cfg))
+        ledger = log_to_records(log, cfg)
+        out = _out_dir(args)
+        save_transactions(out / "ledger.csv", ledger)
         outputs.append("ledger.csv")
     else:
         tensor, truth = generate(cfg)
+        out = _out_dir(args)
     tfio.write_tensor(out / "tensor.bin", tensor)
     tfio.dump_json(out / "ground_truth.json", tfio.ground_truth_to_dict(truth, cfg))
     if 600 % cfg.intervals == 0:
@@ -229,6 +232,7 @@ def _synth_dates(days: int):
 
 def _cmd_ingest(args) -> int:
     started = _time.perf_counter()
+    check_delta(args.delta)
     loaded = load_transactions(args.ledger)
     overnight = filter_overnight(loaded.records)
     tensor, index, excluded = build_tensor(overnight, args.delta)
@@ -321,8 +325,8 @@ def _cmd_corcondia(args) -> int:
         raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
     cfg = _fit_config(args, rank=1)
     tensor = tfio.read_tensor(args.tensor)
-    out = _out_dir(args)
     report = rank_scan(tensor, args.rmax, args.lcc, cfg, jobs=args.jobs)
+    out = _out_dir(args)
     tfio.dump_json(out / "rank_scan.json", tfio.rank_scan_to_dict(report))
     tfio.write_rank_scan_csv(out / "rank_scan.csv", report)
     config = _cfg_dict(cfg, args.jobs)
@@ -398,9 +402,7 @@ def _cmd_analyze(args) -> int:
     }
 
     if loaded is not None:
-        overnight = filter_overnight(loaded.records)
-        known = set(index.bank_ids)
-        usable = [r for r in overnight if r.lender_id in known and r.borrower_id in known]
+        usable = filter_overnight(loaded.records).between(index.bank_ids)
         flags, conflicts = analysis.domestic_flags_from_records(usable, index)
         p_domestic = float(flags.mean())
         role_rows, nat_rows = [], []

@@ -12,18 +12,23 @@ Input ledgers are comma-separated with a mandatory header row::
 * ``maturity``         maturity label; overnight trades are "ON" or "ONL"
 * ``*_domestic``       true/false (also accepts 1/0, yes/no)
 
-Binning covers the 08:00-18:00 trading window split into equal intervals of
-``delta`` minutes, half-open on the right except that a trade stamped at
-exactly 18:00 lands in the last interval.  Every trade adds its amount to
-both the lender row and the borrower row of the same (interval, day) fiber,
-so total tensor mass is exactly twice the summed trade volume.
+A parsed ledger is a :class:`Ledger`: one array per column, so filtering,
+binning and export work on whole columns instead of one record object per
+trade.  Binning covers the 08:00-18:00 trading window split into equal
+intervals of ``delta`` minutes, half-open on the right except that a trade
+stamped at exactly 18:00 lands in the last interval.  Every trade adds its
+amount to both the lender row and the borrower row of the same
+(interval, day) fiber, so total tensor mass is exactly twice the summed
+trade volume.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -51,9 +56,24 @@ _WINDOW_MINUTES = 600
 _TRUE_WORDS = frozenset({"true", "1", "t", "yes", "y"})
 _FALSE_WORDS = frozenset({"false", "0", "f", "no", "n"})
 
+# Rows parsed per batch: large enough to amortize the per-column passes,
+# small enough that the raw rows of one batch stay a small share of memory.
+_CHUNK_ROWS = 65536
+
 
 class LedgerFormatError(ValueError):
     """The ledger file as a whole does not match the documented schema."""
+
+
+def _record_problem(amount, lender_id, borrower_id, proposer) -> str | None:
+    """Why a trade with these fields is invalid, or None: the one copy of the rules."""
+    if not amount > 0:
+        return f"amount must be positive, got {amount!r}"
+    if lender_id == borrower_id:
+        return f"lender and borrower coincide: {lender_id!r}"
+    if proposer not in ("lender", "borrower"):
+        return f"proposer must be 'lender' or 'borrower', got {proposer!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -70,12 +90,105 @@ class TransactionRecord:
     borrower_domestic: bool
 
     def __post_init__(self) -> None:
-        if not self.amount > 0:
-            raise ValueError(f"amount must be positive, got {self.amount!r}")
-        if self.lender_id == self.borrower_id:
-            raise ValueError(f"lender and borrower coincide: {self.lender_id!r}")
-        if self.proposer not in ("lender", "borrower"):
-            raise ValueError(f"proposer must be 'lender' or 'borrower', got {self.proposer!r}")
+        problem = _record_problem(self.amount, self.lender_id, self.borrower_id, self.proposer)
+        if problem is not None:
+            raise ValueError(problem)
+
+
+_FIELDS = tuple(f.name for f in fields(TransactionRecord))
+_DTYPES = {"amount": np.float64, "lender_domestic": np.bool_, "borrower_domestic": np.bool_}
+
+
+@dataclass(frozen=True, eq=False)
+class Ledger:
+    """Trades as equal-length, read-only columns, in ledger order.
+
+    The columns carry the :class:`TransactionRecord` field names: ``amount``
+    is float64, the two domestic flags are bool and the other columns hold
+    Python objects (datetimes and strings).  ``len()`` counts trades;
+    iterating or indexing yields ``TransactionRecord`` views.  The columns
+    are not validated again: build a ledger from records or parsed rows.
+    """
+
+    timestamp: np.ndarray
+    lender_id: np.ndarray
+    borrower_id: np.ndarray
+    amount: np.ndarray
+    proposer: np.ndarray
+    maturity: np.ndarray
+    lender_domestic: np.ndarray
+    borrower_domestic: np.ndarray
+
+    def __post_init__(self) -> None:
+        lengths = set()
+        for name in _FIELDS:
+            column = np.asarray(getattr(self, name), dtype=_DTYPES.get(name, object)).view()
+            if column.ndim != 1:
+                raise ValueError(f"ledger column {name} must be one-dimensional")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+            lengths.add(column.size)
+        if len(lengths) > 1:
+            raise ValueError(f"ledger columns differ in length: {sorted(lengths)}")
+
+    @classmethod
+    def of(cls, records) -> "Ledger":
+        """The ledger of a record sequence; a ``Ledger`` is returned as is."""
+        if isinstance(records, Ledger):
+            return records
+        records = list(records)
+        return cls(*([getattr(r, name) for r in records] for name in _FIELDS))
+
+    def __len__(self) -> int:
+        return self.amount.size
+
+    def __iter__(self):
+        return map(TransactionRecord, *(getattr(self, name).tolist() for name in _FIELDS))
+
+    def __getitem__(self, i: int) -> TransactionRecord:
+        (record,) = self.take([i])
+        return record
+
+    def take(self, rows) -> "Ledger":
+        """The trades at the given positions, or where a boolean mask is true."""
+        return Ledger(*(getattr(self, name)[rows] for name in _FIELDS))
+
+    def between(self, banks) -> "Ledger":
+        """The trades whose lender and borrower both belong to ``banks``."""
+        labels, lender, borrower = self.bank_codes
+        known = np.fromiter(map(set(banks).__contains__, labels), bool, len(labels))
+        return self.take(known[lender] & known[borrower])
+
+    @cached_property
+    def bank_codes(self):
+        """``(labels, lender, borrower)``: the sorted distinct bank ids and,
+        per trade, the positions of its lender and its borrower in them."""
+        labels = tuple(sorted(set(self.lender_id.tolist()).union(self.borrower_id.tolist())))
+        pos = {bank: i for i, bank in enumerate(labels)}.__getitem__
+        n = len(self)
+        return (labels,
+                np.fromiter(map(pos, self.lender_id.tolist()), np.intp, n),
+                np.fromiter(map(pos, self.borrower_id.tolist()), np.intp, n))
+
+
+def _concat(parts) -> Ledger:
+    if not parts:
+        return Ledger.of([])
+    return Ledger(*(np.concatenate([getattr(p, name) for p in parts]) for name in _FIELDS))
+
+
+def _per_object(fn, objects: np.ndarray) -> list:
+    """``[fn(o) for o in objects]``, calling ``fn`` once per distinct object.
+
+    Distinct means distinct identity, not equality, so the result is exact
+    for any ``fn`` (equal aware datetimes may carry different UTC offsets).
+    The parser and the synthetic export share one datetime object among all
+    trades with the same stamp, which is what makes this cheap.
+    """
+    objects = objects.tolist()
+    keys = list(map(id, objects))
+    done = {key: fn(o) for key, o in dict(zip(keys, objects)).items()}
+    return list(map(done.__getitem__, keys))
 
 
 @dataclass(frozen=True)
@@ -88,12 +201,25 @@ class RowIssue:
 
 @dataclass
 class LoadResult:
-    records: list = field(default_factory=list)
+    records: Ledger
     issues: list = field(default_factory=list)
 
 
+def _parse_timestamp(text: str) -> datetime:
+    return datetime.fromisoformat(text.strip())
+
+
+def _parse_amount(text: str) -> float:
+    return float(text.strip())
+
+
+def _parse_proposer(text: str) -> str:
+    return text.strip().lower()
+
+
 def _parse_bool(text: str) -> bool:
-    word = text.strip().lower()
+    text = text.strip()
+    word = text.lower()
     if word in _TRUE_WORDS:
         return True
     if word in _FALSE_WORDS:
@@ -123,55 +249,115 @@ def _parse_stream(handle) -> LoadResult:
         raise LedgerFormatError(
             f"bad header {header!r}; expected {','.join(LEDGER_COLUMNS)}"
         )
-    out = LoadResult()
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(LEDGER_COLUMNS):
-            out.issues.append(RowIssue(line_no, f"expected {len(LEDGER_COLUMNS)} fields, got {len(row)}"))
-            continue
-        raw = dict(zip(LEDGER_COLUMNS, (cell.strip() for cell in row)))
+    parts, issues = [], []
+    line = 2
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        parts.append(_parse_rows(rows, line, issues))
+        line += len(rows)
+    return LoadResult(_concat(parts), issues)
+
+
+def _blank(row) -> bool:
+    return all(not cell.strip() for cell in row)
+
+
+def _convert(parse, cells, problems: dict, fill) -> list:
+    """``parse`` applied to every cell, once per distinct cell text.
+
+    A cell that ``parse`` rejects becomes ``fill``, and its position enters
+    ``problems`` with the error message unless an earlier column already
+    put one there: a row reports its first failing check.
+    """
+    done, errors = {}, {}
+    for cell in dict.fromkeys(cells):
         try:
-            record = TransactionRecord(
-                timestamp=datetime.fromisoformat(raw["timestamp"]),
-                lender_id=raw["lender_id"],
-                borrower_id=raw["borrower_id"],
-                amount=float(raw["amount_mEUR"]),
-                proposer=raw["proposer"].lower(),
-                maturity=raw["maturity"],
-                lender_domestic=_parse_bool(raw["lender_domestic"]),
-                borrower_domestic=_parse_bool(raw["borrower_domestic"]),
-            )
+            done[cell] = parse(cell)
         except ValueError as err:
-            out.issues.append(RowIssue(line_no, str(err)))
-            continue
-        out.records.append(record)
-    return out
+            done[cell], errors[cell] = fill, str(err)
+    values = list(map(done.__getitem__, cells))
+    if errors:
+        for k in np.flatnonzero(np.fromiter(map(errors.__contains__, cells), bool, len(cells))):
+            problems.setdefault(int(k), errors[cells[k]])
+    return values
+
+
+def _parse_rows(rows: list, first_line: int, issues: list) -> Ledger:
+    """Parse one batch of CSV rows; rejected rows are appended to ``issues``."""
+    width = len(LEDGER_COLUMNS)
+    rejected = {}  # line -> message
+    lines = range(first_line, first_line + len(rows))
+    if set(map(len, rows)) != {width}:
+        kept = [k for k, row in enumerate(rows) if len(row) == width]
+        for line, row in zip(lines, rows):
+            if len(row) != width and not _blank(row):
+                rejected[line] = f"expected {width} fields, got {len(row)}"
+        rows, lines = [rows[k] for k in kept], [lines[k] for k in kept]
+
+    problems = {}  # row position -> message, in the order the checks run
+    cells = [[row[k] for row in rows] for k in range(width)]
+    columns = {
+        "timestamp": _convert(_parse_timestamp, cells[0], problems, None),
+        "lender_id": _convert(str.strip, cells[1], problems, None),
+        "borrower_id": _convert(str.strip, cells[2], problems, None),
+        "amount": _convert(_parse_amount, cells[3], problems, float("nan")),
+        "proposer": _convert(_parse_proposer, cells[4], problems, None),
+        "maturity": _convert(str.strip, cells[5], problems, None),
+        "lender_domestic": _convert(_parse_bool, cells[6], problems, False),
+        "borrower_domestic": _convert(_parse_bool, cells[7], problems, False),
+    }
+    batch = Ledger(**columns)
+
+    # The record rules, as masks over whole columns; the message of each
+    # flagged row comes from the scalar rule check, which runs last.
+    proposer = batch.proposer
+    flagged = (~(batch.amount > 0) | (batch.lender_id == batch.borrower_id)
+               | ((proposer != "lender") & (proposer != "borrower")))
+    for k in np.flatnonzero(flagged).tolist():
+        problem = _record_problem(float(batch.amount[k]), batch.lender_id[k],
+                                  batch.borrower_id[k], proposer[k])
+        if problem is not None:
+            problems.setdefault(k, problem)
+
+    keep = np.ones(len(rows), dtype=bool)
+    for k, message in problems.items():
+        keep[k] = False
+        if not _blank(rows[k]):  # a blank row fails the timestamp check; skip it silently
+            rejected[lines[k]] = message
+    issues.extend(RowIssue(line, rejected[line]) for line in sorted(rejected))
+    return batch.take(keep)
 
 
 def save_transactions(path, records) -> None:
     """Write records back out in the documented ledger schema."""
+    ledger = Ledger.of(records)
+    columns = (
+        _per_object(lambda ts: ts.isoformat(sep="T"), ledger.timestamp),
+        ledger.lender_id.tolist(),
+        ledger.borrower_id.tolist(),
+        list(map(repr, ledger.amount.tolist())),
+        ledger.proposer.tolist(),
+        ledger.maturity.tolist(),
+        np.where(ledger.lender_domestic, "true", "false").tolist(),
+        np.where(ledger.borrower_domestic, "true", "false").tolist(),
+    )
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(LEDGER_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.timestamp.isoformat(sep="T"),
-                    r.lender_id,
-                    r.borrower_id,
-                    repr(float(r.amount)),
-                    r.proposer,
-                    r.maturity,
-                    "true" if r.lender_domestic else "false",
-                    "true" if r.borrower_domestic else "false",
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
-def filter_overnight(records) -> list:
+def filter_overnight(records) -> Ledger:
     """Keep exactly the trades with overnight maturity labels (ON, ONL)."""
-    return [r for r in records if r.maturity in OVERNIGHT_MATURITIES]
+    ledger = Ledger.of(records)
+    maturity = ledger.maturity.tolist()
+    return ledger.take(np.fromiter(map(OVERNIGHT_MATURITIES.__contains__, maturity),
+                                   bool, len(maturity)))
+
+
+def check_delta(delta: int) -> None:
+    """Raise ValueError unless ``delta`` minutes divide the trading window."""
+    if delta < 1 or _WINDOW_MINUTES % delta != 0:
+        raise ValueError(f"delta must be a divisor of {_WINDOW_MINUTES}, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +370,7 @@ class TensorIndex:
     window: tuple = (WINDOW_OPEN, WINDOW_CLOSE)
 
     def __post_init__(self) -> None:
-        if _WINDOW_MINUTES % self.delta != 0:
-            raise ValueError(f"delta={self.delta} does not divide the {_WINDOW_MINUTES}-minute window")
+        check_delta(self.delta)
         if len(set(self.bank_ids)) != len(self.bank_ids):
             raise ValueError("bank_ids contains duplicates")
         if any(b <= a for a, b in zip(self.day_dates, self.day_dates[1:])):
@@ -223,6 +408,14 @@ def _second_of_day(ts: datetime) -> int:
     return ts.hour * 3600 + ts.minute * 60 + ts.second
 
 
+def _day_codes(timestamps):
+    """Sorted distinct calendar days of the stamps and each stamp's position in them."""
+    day_of = _per_object(datetime.date, timestamps)
+    days = tuple(sorted(set(day_of)))
+    pos = {d: i for i, d in enumerate(days)}.__getitem__
+    return days, np.fromiter(map(pos, day_of), np.intp, len(day_of))
+
+
 def build_tensor(records, delta: int):
     """Bin trades into a banks x intervals x days volume tensor.
 
@@ -231,54 +424,40 @@ def build_tensor(records, delta: int):
     Banks and days enter the index only if they occur in the kept records,
     sorted lexicographically / chronologically.
     """
-    if delta < 1 or _WINDOW_MINUTES % delta != 0:
-        raise ValueError(f"delta must be a divisor of {_WINDOW_MINUTES}, got {delta}")
-    kept = []
-    excluded = []
-    for r in records:
-        sec = _second_of_day(r.timestamp)
-        if sec < _WINDOW_OPEN_S or sec > _WINDOW_CLOSE_S:
-            excluded.append((r, f"timestamp {r.timestamp.time()} outside 08:00-18:00 window"))
-        else:
-            kept.append(r)
+    check_delta(delta)
+    ledger = Ledger.of(records)
+    seconds = np.fromiter(_per_object(_second_of_day, ledger.timestamp), np.intp, len(ledger))
+    inside = (seconds >= _WINDOW_OPEN_S) & (seconds <= _WINDOW_CLOSE_S)
+    excluded = [(r, f"timestamp {r.timestamp.time()} outside 08:00-18:00 window")
+                for r in ledger.take(~inside)]
 
-    banks = sorted({r.lender_id for r in kept} | {r.borrower_id for r in kept})
-    days = sorted({r.timestamp.date() for r in kept})
-    bank_pos = {b: i for i, b in enumerate(banks)}
-    day_pos = {d: i for i, d in enumerate(days)}
+    kept = ledger.take(inside)
+    banks, lender_rows, borrower_rows = kept.bank_codes
+    days, slabs = _day_codes(kept.timestamp)
     t_count = _WINDOW_MINUTES // delta
+    cols = np.minimum((seconds[inside] - _WINDOW_OPEN_S) // (delta * 60), t_count - 1)
+    # One bincount over the lender entries, then the borrower entries, adds
+    # every cell's amounts in the same order as a per-record loop would.
+    cell = cols * len(days) + slabs
+    slab_size = t_count * len(days)
+    flat = np.concatenate([lender_rows * slab_size + cell, borrower_rows * slab_size + cell])
+    size = len(banks) * slab_size
+    values = np.bincount(flat, weights=np.concatenate([kept.amount, kept.amount]),
+                         minlength=size).reshape(len(banks), t_count, len(days))
 
-    values = np.zeros((len(banks), t_count, len(days)))
-    if kept:
-        lender_rows = np.fromiter((bank_pos[r.lender_id] for r in kept), dtype=np.intp)
-        borrower_rows = np.fromiter((bank_pos[r.borrower_id] for r in kept), dtype=np.intp)
-        cols = np.fromiter(
-            (min((_second_of_day(r.timestamp) - _WINDOW_OPEN_S) // (delta * 60), t_count - 1)
-             for r in kept),
-            dtype=np.intp,
-        )
-        slabs = np.fromiter((day_pos[r.timestamp.date()] for r in kept), dtype=np.intp)
-        amounts = np.fromiter((r.amount for r in kept), dtype=np.float64)
-        np.add.at(values, (lender_rows, cols, slabs), amounts)
-        np.add.at(values, (borrower_rows, cols, slabs), amounts)
-
-    index = TensorIndex(tuple(banks), tuple(days), delta)
+    index = TensorIndex(banks, days, delta)
     return DenseTensor3(values, "amount_meur"), index, excluded
 
 
 def daily_series(records):
     """Per-day activity counts: (dates, distinct active banks, trade counts)."""
-    by_day: dict = {}
-    for r in records:
-        day = r.timestamp.date()
-        banks, trades = by_day.setdefault(day, (set(), [0]))
-        banks.add(r.lender_id)
-        banks.add(r.borrower_id)
-        trades[0] += 1
-    days = sorted(by_day)
-    active = np.array([len(by_day[d][0]) for d in days], dtype=int)
-    trades = np.array([by_day[d][1][0] for d in days], dtype=int)
-    return days, active, trades
+    ledger = Ledger.of(records)
+    days, day = _day_codes(ledger.timestamp)
+    banks, lender, borrower = ledger.bank_codes
+    trades = np.bincount(day, minlength=len(days))
+    pairs = np.unique(np.concatenate([day, day]) * len(banks) + np.concatenate([lender, borrower]))
+    active = np.bincount(pairs // max(len(banks), 1), minlength=len(days))
+    return list(days), active.astype(int), trades.astype(int)
 
 
 def moving_average(series, window: int = 20) -> np.ndarray:

@@ -111,7 +111,14 @@ def dump_json(path, obj) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise FileFormatError(f"{path}: not a JSON document ({err})") from None
+
+
+def _malformed(what: str, err: Exception) -> FileFormatError:
+    return FileFormatError(f"malformed {what} ({type(err).__name__}: {err})")
 
 
 def _matrix_rows(m: np.ndarray) -> list:
@@ -140,22 +147,26 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 
 
 def fit_result_from_dict(data: dict) -> FitResult:
-    if data.get("format") != "fit_result" or data.get("version") != FIT_SCHEMA_VERSION:
+    if (not isinstance(data, dict) or data.get("format") != "fit_result"
+            or data.get("version") != FIT_SCHEMA_VERSION):
         raise FileFormatError("not a supported fit_result document")
-    factors = KruskalTensor(
-        np.asarray(data["factors"]["bank"], dtype=np.float64),
-        np.asarray(data["factors"]["intraday"], dtype=np.float64),
-        np.asarray(data["factors"]["interday"], dtype=np.float64),
-        np.asarray(data["weights"], dtype=np.float64),
-    )
-    return FitResult(
-        factors=factors,
-        rel_error=float(data["rel_error"]),
-        sweeps_used=int(data["sweeps_used"]),
-        converged=bool(data["converged"]),
-        objective_trace=tuple(float(v) for v in data["objective_trace"]),
-        seed=int(data["seed"]),
-    )
+    try:
+        factors = KruskalTensor(
+            np.asarray(data["factors"]["bank"], dtype=np.float64),
+            np.asarray(data["factors"]["intraday"], dtype=np.float64),
+            np.asarray(data["factors"]["interday"], dtype=np.float64),
+            np.asarray(data["weights"], dtype=np.float64),
+        )
+        return FitResult(
+            factors=factors,
+            rel_error=float(data["rel_error"]),
+            sweeps_used=int(data["sweeps_used"]),
+            converged=bool(data["converged"]),
+            objective_trace=tuple(float(v) for v in data["objective_trace"]),
+            seed=int(data["seed"]),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise _malformed("fit_result document", err) from None
 
 
 def rank_scan_to_dict(report: RankScanReport) -> dict:
@@ -227,4 +238,8 @@ def write_index(path, index: TensorIndex) -> None:
 
 
 def read_index(path) -> TensorIndex:
-    return TensorIndex.from_dict(load_json(path))
+    data = load_json(path)
+    try:
+        return TensorIndex.from_dict(data)
+    except (KeyError, TypeError, ValueError) as err:
+        raise _malformed(f"tensor index {path}", err) from None

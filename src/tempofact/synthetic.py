@@ -25,7 +25,7 @@ from datetime import date, datetime, time, timedelta
 
 import numpy as np
 
-from tempofact.ingest import TransactionRecord
+from tempofact.ingest import Ledger
 from tempofact.tensor import DenseTensor3
 
 # Calendar anchor for exported trade logs: synthetic day 0 maps to this date.
@@ -161,7 +161,7 @@ def _simulate(cfg: SyntheticConfig, collect_log: bool):
     fitness = truth.fitness_profiles[truth.groups]      # (N, T)
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros((n, t_count, d_count))
-    log: list[tuple[int, int, int, int]] = []
+    log = []
     for day in range(d_count):
         entered = rng.random(n) < truth.participation[truth.groups, day]
         ids = np.nonzero(entered)[0]
@@ -176,8 +176,8 @@ def _simulate(cfg: SyntheticConfig, collect_log: bool):
         x[ids, :, day] += counts.T
         if collect_log:
             t_idx, i_idx, j_idx = np.nonzero(trades)
-            for tt, ii, jj in zip(t_idx, i_idx, j_idx):
-                log.append((day, int(tt), int(ids[ii]), int(ids[jj])))
+            log.append(np.column_stack([np.full(t_idx.size, day), t_idx, ids[i_idx], ids[j_idx]]))
+    log = np.concatenate(log) if log else np.empty((0, 4), dtype=np.intp)
     return DenseTensor3(x, "count"), truth, log
 
 
@@ -188,7 +188,8 @@ def generate(cfg: SyntheticConfig) -> tuple[DenseTensor3, GroundTruth]:
 
 
 def generate_with_log(cfg: SyntheticConfig):
-    """Like :func:`generate`, but also return every trade as (day, interval, i, j).
+    """Like :func:`generate`, but also return the trade log: an ``(n, 4)``
+    integer array with one ``(day, interval, i, j)`` row per trade, ``i < j``.
 
     The same random draws are consumed either way, so the tensor is
     bit-identical to the one from :func:`generate`.
@@ -202,9 +203,7 @@ def bank_label(index: int, n_banks: int) -> str:
     return f"B{index:0{width}d}"
 
 
-def log_to_records(
-    log: list[tuple[int, int, int, int]], cfg: SyntheticConfig
-) -> list[TransactionRecord]:
+def log_to_records(log, cfg: SyntheticConfig) -> Ledger:
     """Express simulated trades in the transaction-log schema.
 
     Timestamps sit at interval midpoints of the 08:00-18:00 trading window
@@ -212,30 +211,32 @@ def log_to_records(
     bank is written as the proposing lender, volumes are 1.0 and all banks
     are flagged domestic.  Intended for pipeline testing: binning these
     records at the matching resolution rebuilds the generated tensor.
+    Trades with the same stamp share one datetime object.
     """
     if 600 % cfg.intervals != 0:
         raise ValueError(
             f"cannot place {cfg.intervals} intervals on a 600-minute trading window"
         )
     delta_s = 600 * 60 // cfg.intervals
-    records = []
-    for day, interval, i, j in log:
-        stamp_s = 8 * 3600 + interval * delta_s + delta_s // 2
-        ts = datetime.combine(
-            LOG_START_DATE + timedelta(days=day),
+    log = np.asarray(log, dtype=np.intp).reshape(-1, 4)
+    day, interval, i, j = log.T
+    slots, slot_of = np.unique(day * cfg.intervals + interval, return_inverse=True)
+    stamps = np.empty(slots.size, dtype=object)
+    for k, slot in enumerate(slots.tolist()):
+        stamp_s = 8 * 3600 + (slot % cfg.intervals) * delta_s + delta_s // 2
+        stamps[k] = datetime.combine(
+            LOG_START_DATE + timedelta(days=slot // cfg.intervals),
             time(stamp_s // 3600, stamp_s % 3600 // 60, stamp_s % 60),
         )
-        lo, hi = (i, j) if i < j else (j, i)
-        records.append(
-            TransactionRecord(
-                timestamp=ts,
-                lender_id=bank_label(lo, cfg.n_banks),
-                borrower_id=bank_label(hi, cfg.n_banks),
-                amount=1.0,
-                proposer="lender",
-                maturity="ON",
-                lender_domestic=True,
-                borrower_domestic=True,
-            )
-        )
-    return records
+    labels = np.array([bank_label(b, cfg.n_banks) for b in range(cfg.n_banks)], dtype=object)
+    n = len(log)
+    return Ledger(
+        timestamp=stamps[slot_of],
+        lender_id=labels[np.minimum(i, j)],
+        borrower_id=labels[np.maximum(i, j)],
+        amount=np.ones(n),
+        proposer=np.full(n, "lender", dtype=object),
+        maturity=np.full(n, "ON", dtype=object),
+        lender_domestic=np.ones(n, dtype=bool),
+        borrower_domestic=np.ones(n, dtype=bool),
+    )

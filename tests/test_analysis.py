@@ -271,6 +271,52 @@ def test_domestic_flags_first_seen_and_conflicts():
     assert conflicts == ["B"]
 
 
+def _random_trades(rng, banks, n):
+    out = []
+    for _ in range(n):
+        i, j = rng.choice(len(banks), size=2, replace=False)
+        out.append(TransactionRecord(datetime(2008, 9, 15, 9, 0), banks[i], banks[j], 1.0,
+                                     str(rng.choice(["lender", "borrower"])), "ON",
+                                     bool(rng.random() < 0.8), bool(rng.random() < 0.8)))
+    return out
+
+
+def test_domestic_flags_match_row_reference():
+    rng = np.random.default_rng(23)
+    banks = [f"K{i}" for i in range(7)]
+    index = _toy_index(banks[:5] + ["absent"])
+    for n in (0, 1, 3, 40):
+        records = _random_trades(rng, banks, n)
+        seen, conflicts = {}, set()
+        for r in records:  # the lender before the borrower within a row
+            for bank, flag in ((r.lender_id, r.lender_domestic),
+                               (r.borrower_id, r.borrower_domestic)):
+                if bank not in seen:
+                    seen[bank] = flag
+                elif seen[bank] != flag:
+                    conflicts.add(bank)
+        flags, got_conflicts = domestic_flags_from_records(records, index)
+        assert flags.tolist() == [seen.get(b, False) for b in index.bank_ids]
+        assert got_conflicts == sorted(conflicts)
+
+
+def test_role_counts_match_classify_role():
+    rng = np.random.default_rng(29)
+    banks = [f"K{i}" for i in range(6)]
+    records = _random_trades(rng, banks, 60)
+    index = _toy_index(banks[:5])  # K5 trades but is not in the index
+    counts = np.zeros((5, len(ROLES)))
+    for r in records:
+        for side in (r.lender_id, r.borrower_id):
+            if side in index.bank_ids:
+                counts[index.bank_ids.index(side), ROLES.index(classify_role(r, side))] += 1
+    members = np.flatnonzero(counts.sum(axis=1) > 0)
+    stats = attribute_frequencies(records, index, members)
+    assert stats.bank_indices.tolist() == members.tolist()
+    assert np.array_equal(stats.per_bank,
+                          counts[members] / counts[members].sum(axis=1, keepdims=True))
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 20])
 def test_mean_ci95_matches_scipy_interval(n):
     rng = np.random.default_rng(n)

@@ -292,3 +292,54 @@ def test_fit_all_restarts_failed_exits_numerical_without_out(tmp_path, monkeypat
     out = tmp_path / "o"
     assert _run("fit", tensor_path, "--rank", 1, "--restarts", 2, "--out", out) == 3
     assert not out.exists()
+
+
+def test_analyze_malformed_json_inputs_exit_io(tmp_path, capsys):
+    synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)
+    index = json.loads((synth_dir / "index.json").read_text())
+    del index["window"]
+    (tmp_path / "no_window.json").write_text(json.dumps(index))
+    fit = json.loads((fit_dir / "fit.json").read_text())
+    del fit["weights"]
+    (tmp_path / "no_weights.json").write_text(json.dumps(fit))
+    (tmp_path / "not_json.json").write_text("{ this is not JSON")
+    cases = {
+        "KeyError: 'window'": (fit_dir / "fit.json", tmp_path / "no_window.json"),
+        "KeyError: 'weights'": (tmp_path / "no_weights.json", synth_dir / "index.json"),
+        "not a JSON document": (tmp_path / "not_json.json", synth_dir / "index.json"),
+    }
+    for k, (expected, (fit_path, index_path)) in enumerate(cases.items()):
+        rep = tmp_path / f"rep{k}"
+        capsys.readouterr()
+        assert _run("analyze", fit_path, "--index", index_path, "--out", rep) == 2, expected
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert expected in err
+        assert not rep.exists()
+
+
+def test_synth_unplaceable_ledger_creates_no_out(tmp_path):
+    out = tmp_path / "o"
+    assert _run("synth", "--intervals", 7, "--days", 3, "--ledger", "--out", out) == 1
+    assert not out.exists()
+
+
+def test_ingest_checks_delta_before_reading(tmp_path):
+    out = tmp_path / "o"
+    assert _run("ingest", tmp_path / "missing.csv", "--delta", 7, "--out", out) == 1
+    assert not out.exists()
+
+
+def test_corcondia_failure_creates_no_out(tmp_path, monkeypatch):
+    from tempofact import cli
+    from tempofact.als import FitError
+
+    def fail(*args, **kwargs):
+        raise FitError("every restart failed")
+
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    monkeypatch.setattr(cli, "rank_scan", fail)
+    out = tmp_path / "o"
+    assert _run("corcondia", tensor_path, "--rmax", 1, "--out", out) == 3
+    assert not out.exists()

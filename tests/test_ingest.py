@@ -1,11 +1,18 @@
+import csv
+import dataclasses
 import io
 from datetime import date, datetime
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tempofact import ingest
 from tempofact.ingest import (
     LEDGER_COLUMNS,
+    Ledger,
     LedgerFormatError,
     TensorIndex,
     TransactionRecord,
@@ -28,7 +35,7 @@ def _rec(ts="2008-09-15T09:10", lender="AAA", borrower="BBB", amount=7.0,
 
 def test_empty_file_with_header():
     result = load_transactions(io.StringIO(HEADER + "\n"))
-    assert result.records == []
+    assert len(result.records) == 0
     assert result.issues == []
 
 
@@ -54,7 +61,7 @@ def test_single_row_round_trips(tmp_path):
     path = tmp_path / "ledger.csv"
     save_transactions(path, result.records)
     again = load_transactions(path)
-    assert again.records == result.records
+    assert list(again.records) == list(result.records)
 
 
 def test_bad_rows_reported_with_line_numbers():
@@ -78,7 +85,7 @@ def test_filter_overnight():
     records = [_rec(maturity=m) for m in ("ON", "ONL", "1W", "3M", "ON")]
     kept = filter_overnight(records)
     assert [r.maturity for r in kept] == ["ON", "ONL", "ON"]
-    assert filter_overnight([]) == []
+    assert len(filter_overnight([])) == 0
 
 
 def test_filter_matches_constructed_share():
@@ -239,3 +246,132 @@ def test_index_validation_and_round_trip():
         TensorIndex(("A",), (date(2008, 1, 3), date(2008, 1, 2)), 15)
     with pytest.raises(ValueError):
         TensorIndex(("A",), (date(2008, 1, 2),), 7)
+
+
+def test_ledger_views_and_subsets():
+    records = [_rec(lender="AAA", borrower="BBB", amount=1.5),
+               _rec(lender="CCC", borrower="AAA", ld=False, bd=True),
+               _rec(ts="2008-09-16T11:00", lender="BBB", borrower="DDD", proposer="borrower")]
+    ledger = Ledger.of(records)
+    assert Ledger.of(ledger) is ledger
+    assert len(ledger) == 3
+    assert list(ledger) == records
+    assert ledger[1] == records[1] and ledger[-1] == records[-1]
+    assert type(ledger[0].amount) is float and type(ledger[0].lender_domestic) is bool
+    assert list(ledger.take([2, 0])) == [records[2], records[0]]
+    assert list(ledger.between(["AAA", "BBB", "CCC"])) == records[:2]
+    labels, lender, borrower = ledger.bank_codes
+    assert labels == ("AAA", "BBB", "CCC", "DDD")
+    assert lender.tolist() == [0, 2, 1] and borrower.tolist() == [1, 0, 3]
+    with pytest.raises(ValueError):
+        ledger.amount[0] = 2.0  # columns are read-only
+    with pytest.raises(IndexError):
+        ledger[3]
+    columns = [getattr(ledger, f.name) for f in dataclasses.fields(Ledger)]
+    with pytest.raises(ValueError):
+        Ledger(*columns[:3], columns[3][:2], *columns[4:])
+
+
+# -- the columnar reader against the row-at-a-time reader it replaced ------
+
+def _reference_bool(text):
+    word = text.strip().lower()
+    if word in {"true", "1", "t", "yes", "y"}:
+        return True
+    if word in {"false", "0", "f", "no", "n"}:
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _reference_parse(text):
+    """Parse a ledger one row at a time: records and (line, message) issues."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    records, issues = [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(LEDGER_COLUMNS):
+            issues.append((line_no, f"expected {len(LEDGER_COLUMNS)} fields, got {len(row)}"))
+            continue
+        raw = dict(zip(LEDGER_COLUMNS, (cell.strip() for cell in row)))
+        try:
+            record = TransactionRecord(
+                timestamp=datetime.fromisoformat(raw["timestamp"]),
+                lender_id=raw["lender_id"],
+                borrower_id=raw["borrower_id"],
+                amount=float(raw["amount_mEUR"]),
+                proposer=raw["proposer"].lower(),
+                maturity=raw["maturity"],
+                lender_domestic=_reference_bool(raw["lender_domestic"]),
+                borrower_domestic=_reference_bool(raw["borrower_domestic"]),
+            )
+        except ValueError as err:
+            issues.append((line_no, str(err)))
+            continue
+        records.append(record)
+    return records, issues
+
+
+_FLAGS = st.sampled_from(["true", "false", "1", "0", " YES ", "n", "T", "maybe", ""])
+_BANKS = st.sampled_from(["AAA", "BBB", " AAA ", "CCC", ""])
+_ROW = st.tuples(
+    st.sampled_from(["2008-09-15T09:10", " 2008-09-16T17:59:30 ", "2008-09-15 08:00",
+                     "2008-09-15T12:00+01:00", "2008-09-15T12:00:00.250", "not-a-time", ""]),
+    _BANKS,
+    _BANKS,
+    st.sampled_from(["7.25", "0.1", " 1e-3 ", "-1", "0", "nan", "inf", "abc", ""]),
+    st.sampled_from(["lender", "borrower", " Borrower ", "LENDER", "middle", ""]),
+    st.sampled_from(["ON", "ONL", "1W", " ON "]),
+    _FLAGS,
+    _FLAGS,
+).map(list)
+_ODD_ROW = st.one_of(
+    st.just([]),
+    st.just([""] * len(LEDGER_COLUMNS)),
+    st.just(["  "] * 3),
+    st.lists(st.sampled_from(["x", "2008-09-15T09:10", "", "a,b"]), min_size=1, max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.one_of(_ROW, _ROW, _ROW, _ODD_ROW), max_size=40),
+       chunk=st.integers(1, 9))
+def test_columnar_reader_matches_row_reference(rows, chunk):
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(LEDGER_COLUMNS)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+        result = load_transactions(io.StringIO(text, newline=""))
+    records, issues = _reference_parse(text)
+    assert list(result.records) == records
+    assert [(i.line, i.message) for i in result.issues] == issues
+
+
+def test_build_tensor_adds_like_a_per_record_loop():
+    # Non-dyadic amounts round differently under another summation order:
+    # the reference adds every lender entry in ledger order, then every
+    # borrower entry, as the binning has always done.
+    rng = np.random.default_rng(17)
+    banks = ["A", "B", "C", "D"]
+    records = []
+    for _ in range(500):
+        i, j = rng.choice(len(banks), size=2, replace=False)
+        minute = int(rng.integers(0, 601))
+        stamp = datetime(2010, 3, 1 + int(rng.integers(0, 3)), 8 + minute // 60, minute % 60)
+        amount = float(rng.choice([0.1, 0.7, 1e-3]))
+        records.append(TransactionRecord(stamp, banks[i], banks[j], amount,
+                                         "lender", "ON", True, True))
+    tensor, index, excluded = build_tensor(records, 30)
+    assert not excluded
+    bank_pos = {b: k for k, b in enumerate(index.bank_ids)}
+    day_pos = {d: k for k, d in enumerate(index.day_dates)}
+    expected = np.zeros(tensor.dims)
+    for side in ("lender_id", "borrower_id"):
+        for r in records:
+            minute = r.timestamp.hour * 60 + r.timestamp.minute - 8 * 60
+            expected[bank_pos[getattr(r, side)], min(minute // 30, 19),
+                     day_pos[r.timestamp.date()]] += r.amount
+    assert np.array_equal(tensor.values, expected)

@@ -1,9 +1,11 @@
+import csv
 import math
+from datetime import datetime, time, timedelta
 
 import numpy as np
 import pytest
 
-from tempofact.ingest import build_tensor, filter_overnight
+from tempofact.ingest import LEDGER_COLUMNS, build_tensor, filter_overnight, save_transactions
 from tempofact.synthetic import (
     LOG_START_DATE,
     SyntheticConfig,
@@ -201,3 +203,25 @@ def test_log_export_requires_divisible_window():
     _, _, log = generate_with_log(cfg)
     with pytest.raises(ValueError):
         log_to_records(log, cfg)
+
+
+def test_ledger_export_matches_per_trade_writer(tmp_path):
+    cfg = SyntheticConfig(n_banks=12, intervals=10, days=9, seed=5)
+    _, _, log = generate_with_log(cfg)
+    save_transactions(tmp_path / "ledger.csv", log_to_records(log, cfg))
+
+    delta_s = 600 * 60 // cfg.intervals
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(LEDGER_COLUMNS)
+        for day, interval, i, j in log.tolist():
+            stamp_s = 8 * 3600 + interval * delta_s + delta_s // 2
+            ts = datetime.combine(LOG_START_DATE + timedelta(days=day),
+                                  time(stamp_s // 3600, stamp_s % 3600 // 60, stamp_s % 60))
+            writer.writerow([ts.isoformat(sep="T"), bank_label(min(i, j), cfg.n_banks),
+                             bank_label(max(i, j), cfg.n_banks), repr(1.0), "lender", "ON",
+                             "true", "true"])
+    data = (tmp_path / "ledger.csv").read_bytes()
+    assert len(log) > 100
+    assert data == (tmp_path / "reference.csv").read_bytes()
+    assert data.count(b"\r\n") == len(log) + 1

@@ -9,14 +9,41 @@ import importlib
 import sys
 from pathlib import Path
 
+from tempofact.ingest import load_transactions, save_transactions
+from tempofact.synthetic import SyntheticConfig, generate_with_log, log_to_records
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_every_traced_layer_resolves(monkeypatch):
+def _layers(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.delitem(sys.modules, "layers", raising=False)
-    layers = importlib.import_module("layers")
+    return importlib.import_module("layers")
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    layers = _layers(monkeypatch)
     assert layers.LAYERS
     for module_name, attr, _, _ in layers.LAYERS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_ledger_counters_read_real_results(tmp_path, monkeypatch):
+    # The counters run on what the wrapped calls return; a result type they
+    # cannot size would only fail inside a traced benchmark pass.
+    layers = _layers(monkeypatch)
+    cfg = SyntheticConfig(n_banks=9, intervals=10, days=6, seed=4)
+    _, _, log = generate_with_log(cfg)
+    ledger = log_to_records(log, cfg)
+    assert layers._count_trades((log, cfg), {}, ledger, None) == {"trades": len(log)}
+
+    path = tmp_path / "ledger.csv"
+    save_transactions(path, ledger)
+    size = path.stat().st_size
+    assert layers._count_write((path, ledger), {}, None, None) == {"bytes_written": size}
+
+    loaded = load_transactions(path)
+    assert len(loaded.records) == len(log) > 0
+    assert layers._count_load((path,), {}, loaded, None) == {"bytes_read": size,
+                                                              "rows": len(log)}
