@@ -15,6 +15,11 @@ unfolded into copies:
 This is the dimension-tree MTTKRP of Phan, Tichavsky & Cichocki (IEEE TSP
 2013).
 
+Each NNLS update is warm-started from the support (``> 0`` pattern) of the
+factor it replaces, which barely changes from one sweep to the next (Kim,
+He & Park, J. Global Optim. 2014).  The first sweep starts from the random
+initial factors, so a restart remains a function of its seed alone.
+
 The squared misfit ``||X - Xhat||_F^2`` after each sweep is evaluated from
 the same products (no reconstruction), which keeps the per-sweep objective
 trace cheap and exactly consistent with the updates.
@@ -83,12 +88,18 @@ class _Workspace:
         self.norm2 = float(np.vdot(self.flat, self.flat))
 
 
-def _update_factor(proj: np.ndarray, gram_u: np.ndarray, gram_v: np.ndarray):
-    """NNLS update of one factor from its MTTKRP ``proj`` and the other two Grams."""
+def _update_factor(
+    proj: np.ndarray, gram_u: np.ndarray, gram_v: np.ndarray, passive: np.ndarray
+):
+    """NNLS update of one factor from its MTTKRP ``proj`` and the other two Grams.
+
+    ``passive`` is the ``> 0`` pattern of the factor being replaced; the
+    solve starts from it.
+    """
     gram = gram_u * gram_v
     gram = 0.5 * (gram + gram.T)
     tol = 1e-8 * max(1.0, float(np.abs(proj).max()) if proj.size else 0.0)
-    sol = solve_nnls(NnlsProblem(gram, proj.T), tol=tol)
+    sol = solve_nnls(NnlsProblem(gram, proj.T), tol=tol, passive=passive)
     if not sol.converged:
         raise FitError(
             f"NNLS update stalled (kkt residual {sol.kkt_residual:.3e} after "
@@ -102,11 +113,11 @@ def _sweep(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray):
     n, t, _ = ws.dims
     gram_c = C.T @ C
     y = (C.T @ ws.flat.T).reshape(C.shape[1], n, t)  # Y = X x_3 C, stored R x N x T
-    A, _ = _update_factor(np.einsum("rij,jr->ir", y, B), gram_c, B.T @ B)
+    A, _ = _update_factor(np.einsum("rij,jr->ir", y, B), gram_c, B.T @ B, A > 0)
     gram_a = A.T @ A
-    B, _ = _update_factor(np.einsum("rij,ir->jr", y, A), gram_c, gram_a)
+    B, _ = _update_factor(np.einsum("rij,ir->jr", y, A), gram_c, gram_a, B > 0)
     proj = (khatri_rao(A, B).T @ ws.flat).T
-    C, gram = _update_factor(proj, B.T @ B, gram_a)
+    C, gram = _update_factor(proj, B.T @ B, gram_a, C > 0)
     xhat2 = float(((C.T @ C) * gram).sum())
     inner = float((proj * C).sum())
     obj = max(ws.norm2 - 2.0 * inner + xhat2, 0.0)

@@ -7,7 +7,7 @@ Input ledgers are comma-separated with a mandatory header row::
 * ``timestamp``        ISO-8601 date-time (minute precision or finer), market-local clock
 * ``lender_id`` /
   ``borrower_id``      opaque bank identifiers, must differ
-* ``amount_mEUR``      positive traded volume in million EUR
+* ``amount_mEUR``      positive, finite traded volume in million EUR
 * ``proposer``         "lender" or "borrower": which side posted the quote
 * ``maturity``         maturity label; overnight trades are "ON" or "ONL"
 * ``*_domestic``       true/false (also accepts 1/0, yes/no)
@@ -25,6 +25,7 @@ trade volume.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time
 from functools import cached_property
@@ -69,6 +70,8 @@ def _record_problem(amount, lender_id, borrower_id, proposer) -> str | None:
     """Why a trade with these fields is invalid, or None: the one copy of the rules."""
     if not amount > 0:
         return f"amount must be positive, got {amount!r}"
+    if not amount < math.inf:
+        return f"amount must be finite, got {amount!r}"
     if lender_id == borrower_id:
         return f"lender and borrower coincide: {lender_id!r}"
     if proposer not in ("lender", "borrower"):
@@ -310,7 +313,8 @@ def _parse_rows(rows: list, first_line: int, issues: list) -> Ledger:
     # The record rules, as masks over whole columns; the message of each
     # flagged row comes from the scalar rule check, which runs last.
     proposer = batch.proposer
-    flagged = (~(batch.amount > 0) | (batch.lender_id == batch.borrower_id)
+    flagged = (~((batch.amount > 0) & (batch.amount < np.inf))
+               | (batch.lender_id == batch.borrower_id)
                | ((proposer != "lender") & (proposer != "borrower")))
     for k in np.flatnonzero(flagged).tolist():
         problem = _record_problem(float(batch.amount[k]), batch.lender_id[k],

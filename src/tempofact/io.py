@@ -72,7 +72,7 @@ def read_tensor(path) -> DenseTensor3:
         version, tag_len = struct.unpack("<II", _read_exact(handle, 8, path, "header"))
         if version != TENSOR_FORMAT_VERSION:
             raise FileFormatError(f"{path}: unsupported format version {version}")
-        tag = _read_exact(handle, tag_len, path, "semantics tag").decode("utf-8")
+        tag = _read_exact(handle, tag_len, path, "semantics tag")
         n, t, d = struct.unpack("<QQQ", _read_exact(handle, 24, path, "dimensions"))
         expected = 8 * n * t * d
         size = _bytes_left(handle)
@@ -84,7 +84,10 @@ def read_tensor(path) -> DenseTensor3:
         values = np.empty(n * t * d, dtype="<f8")
         if handle.readinto(values) != expected or handle.read(1):
             raise FileFormatError(f"{path}: file changed size while being read")
-    return DenseTensor3(values.reshape(n, t, d), tag)
+    try:
+        return DenseTensor3(values.reshape(n, t, d), tag.decode("utf-8"))
+    except ValueError as err:  # a tag that is not UTF-8, or values DenseTensor3 refuses
+        raise FileFormatError(f"{path}: {err}") from None
 
 
 def _sanitize(obj):
@@ -113,7 +116,7 @@ def dump_json(path, obj) -> None:
 def load_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise FileFormatError(f"{path}: not a JSON document ({err})") from None
 
 
@@ -165,7 +168,7 @@ def fit_result_from_dict(data: dict) -> FitResult:
             objective_trace=tuple(float(v) for v in data["objective_trace"]),
             seed=int(data["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise _malformed("fit_result document", err) from None
 
 
@@ -241,5 +244,5 @@ def read_index(path) -> TensorIndex:
     data = load_json(path)
     try:
         return TensorIndex.from_dict(data)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise _malformed(f"tensor index {path}", err) from None

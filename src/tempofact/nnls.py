@@ -3,14 +3,20 @@
 Solves ``min_{W >= 0} ||H W^T - Y^T||_F^2`` for many right-hand sides at
 once, given only the normal-equation products ``gram = H^T H`` (R x R) and
 ``crossterm = H^T Y^T`` (R x m).  Each of the m columns is an independent
-R-variable problem; the solver iterates all of them together, grouping
-columns that share a passive set so that one Cholesky factorization serves
-the whole group.
+R-variable problem; the solver iterates all of them together.  Each round
+pads every active column's passive-set system to R x R (the passive block
+of ``gram``, the identity on inactive variables, a zero right-hand side
+there) and solves the whole stack with one batched ``numpy.linalg`` call, so
+no column's result depends on which other columns share its batch.
 
 The pivoting rule is full block exchange with an anti-cycling safeguard:
 a column that goes three consecutive exchanges without reducing its
 infeasibility count falls back to flipping only its highest-index
 infeasible variable until the count drops again.
+
+A solve may be warm-started from an initial passive set, such as the
+support of the previous iterate in an alternating fit.  That set is solved
+once before the first exchange; ``iterations`` counts exchange rounds only.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 @dataclass(frozen=True)
@@ -91,25 +96,34 @@ def kkt_residual(gram: np.ndarray, crossterm: np.ndarray, W: np.ndarray) -> floa
 
 
 def solve_nnls(
-    problem: NnlsProblem, tol: float = 1e-8, max_iter: int | None = None
+    problem: NnlsProblem,
+    tol: float = 1e-8,
+    max_iter: int | None = None,
+    passive: np.ndarray | None = None,
 ) -> NnlsSolution:
     """Solve every column of ``problem`` to KKT tolerance ``tol``.
 
-    ``max_iter`` bounds the number of exchange rounds any single column may
-    take (default ``5 * R``).  Columns that exhaust the budget are clamped
-    to their best iterate and the solution is flagged unconverged; the
-    reported KKT residual always describes the returned W.
+    ``passive`` is an optional m x R boolean initial passive set, laid out
+    like W (for instance the ``W > 0`` pattern of a previous solution); the
+    default starts every column from the empty set.  ``max_iter`` bounds
+    the number of exchange rounds any single column may take (default
+    ``5 * R``); the solve of the initial set is not an exchange round.
+    Columns that exhaust the budget are clamped to their best iterate and
+    the solution is flagged unconverged; the reported KKT residual always
+    describes the returned W.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     gram, ct = problem.gram, problem.crossterm
     r, m = problem.n_vars, problem.n_rhs
+    if passive is not None:
+        passive = np.asarray(passive, dtype=bool)
+        if passive.shape != (m, r):
+            raise ValueError(f"passive set shape {passive.shape} must be {(m, r)}")
     if max_iter is None:
         max_iter = 5 * r
     if r == 0 or m == 0:
         return NnlsSolution(np.zeros((m, r)), 0.0, 0, True)
-    if r >= 63:
-        raise ValueError("solver supports at most 62 variables per problem")
 
     # Pivot-feasibility threshold: well above roundoff, far below signal.
     scale = max(1.0, float(np.abs(gram).max()), float(np.abs(ct).max()) if ct.size else 0.0)
@@ -118,10 +132,12 @@ def solve_nnls(
     X = np.zeros((r, m))
     Y = -ct.copy()
     F = np.zeros((r, m), dtype=bool)
+    if passive is not None and passive.any():
+        F[:] = passive.T
+        _solve_passive(gram, ct, F, X, Y, np.arange(m), problem.ridge)
     alpha = np.full(m, 3, dtype=int)
     best_inf = np.full(m, r + 1, dtype=int)
     col_iters = np.zeros(m, dtype=int)
-    bits = 1 << np.arange(r, dtype=np.int64)
     passes = 0
 
     while True:
@@ -150,7 +166,7 @@ def solve_nnls(
             F[top, single_cols] = ~F[top, single_cols]
 
         col_iters[cols] += 1
-        _solve_passive(gram, ct, F, X, Y, cols, problem.ridge, bits)
+        _solve_passive(gram, ct, F, X, Y, cols, problem.ridge)
 
     all_feasible = not bool((n_inf > 0).any())
     W = np.maximum(X, 0.0).T
@@ -166,41 +182,42 @@ def _solve_passive(
     Y: np.ndarray,
     cols: np.ndarray,
     ridge: float,
-    bits: np.ndarray,
 ) -> None:
-    """Re-solve the passive-set least squares for the given columns in place."""
+    """Re-solve the passive-set least squares for the given columns in place.
+
+    Column j's system is padded to R x R: ``gram`` where both variables are
+    passive, the identity on inactive variables and zeros between the two,
+    with the right-hand side zeroed on inactive variables.  Inactive
+    entries of X are set to 0 and passive entries of the gradient Y to 0.
+    """
     r = gram.shape[0]
-    codes = bits @ F[:, cols]
-    for code in np.unique(codes):
-        grp = cols[codes == code]
-        if code == 0:
-            X[:, grp] = 0.0
-            Y[:, grp] = -ct[:, grp]
-            continue
-        idx = np.nonzero(F[:, grp[0]])[0]
-        comp = np.nonzero(~F[:, grp[0]])[0]
-        sub = gram[np.ix_(idx, idx)]
-        rhs = ct[np.ix_(idx, grp)]
-        try:
-            sol = cho_solve(cho_factor(sub, lower=True, check_finite=False), rhs,
-                            check_finite=False)
-        except np.linalg.LinAlgError:
-            sol = _ridge_solve(gram, sub, rhs, ridge, r)
-        X[:, grp] = 0.0
-        X[np.ix_(idx, grp)] = sol
-        Y[np.ix_(idx, grp)] = 0.0
-        if comp.size:
-            Y[np.ix_(comp, grp)] = gram[np.ix_(comp, idx)] @ sol - ct[np.ix_(comp, grp)]
+    passive = F[:, cols].T  # k x R
+    systems = np.where(passive[:, :, None] & passive[:, None, :], gram, 0.0)
+    diag = np.arange(r)
+    systems[:, diag, diag] = np.where(passive, gram[diag, diag], 1.0)
+    rhs = np.where(passive, ct[:, cols].T, 0.0)[:, :, None]
+    try:
+        np.linalg.cholesky(systems)  # the positive-definiteness test
+        sol = np.linalg.solve(systems, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.stack([_solve_one(s, b, gram, ridge) for s, b in zip(systems, rhs)])
+    x = np.where(passive.T, sol[:, :, 0].T, 0.0)
+    X[:, cols] = x
+    y = gram @ x - ct[:, cols]
+    y[passive.T] = 0.0
+    Y[:, cols] = y
 
 
-def _ridge_solve(
-    gram: np.ndarray, sub: np.ndarray, rhs: np.ndarray, ridge: float, r: int
-) -> np.ndarray:
+def _solve_one(system: np.ndarray, rhs: np.ndarray, gram: np.ndarray, ridge: float):
+    """One padded system; a ridge is added to it when it is not positive definite."""
+    r = gram.shape[0]
     if ridge <= 0.0:
         ridge = 1e-12 * float(np.trace(gram)) / r
-    damped = sub + ridge * np.eye(sub.shape[0])
-    try:
-        return cho_solve(cho_factor(damped, lower=True, check_finite=False), rhs,
-                         check_finite=False)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(damped, rhs, rcond=None)[0]
+    damped = system + ridge * np.eye(r)
+    for candidate in (system, damped):
+        try:
+            np.linalg.cholesky(candidate)
+            return np.linalg.solve(candidate, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(damped, rhs, rcond=None)[0]

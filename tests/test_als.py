@@ -200,8 +200,8 @@ def test_two_pass_products_match_unfolded_oracle(monkeypatch, rank):
     seen = []
     real_update = als_mod._update_factor
 
-    def recording_update(proj, gram_u, gram_v):
-        W, gram = real_update(proj, gram_u, gram_v)
+    def recording_update(proj, gram_u, gram_v, passive):
+        W, gram = real_update(proj, gram_u, gram_v, passive)
         seen.append((proj.copy(), gram, W))
         return W, gram
 

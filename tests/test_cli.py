@@ -98,6 +98,23 @@ def test_ingest_reports_rejected_rows(tmp_path):
     assert [r["line"] for r in report["rows_rejected"]] == [3]
 
 
+@pytest.mark.parametrize("amount", ["inf", "1e400"])
+def test_ingest_rejects_infinite_amount_as_row_issue(tmp_path, amount):
+    ledger = tmp_path / "inf.csv"
+    ledger.write_text(
+        "timestamp,lender_id,borrower_id,amount_mEUR,proposer,maturity,"
+        "lender_domestic,borrower_domestic\n"
+        "2008-09-15T09:10,AAA,BBB,5.0,lender,ON,true,false\n"
+        f"2008-09-15T09:11,AAA,BBB,{amount},lender,ON,true,false\n"
+        "2008-09-15T09:12,BBB,AAA,2.5,borrower,ON,false,true\n"
+    )
+    assert _run("ingest", ledger, "--out", tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out/ingest_report.json").read_text())
+    assert report["rows_parsed"] == 2
+    assert report["rows_rejected"] == [{"line": 3, "message": "amount must be finite, got inf"}]
+    assert tfio.read_tensor(tmp_path / "out/tensor.bin").values.sum() == 15.0
+
+
 def _write_rank_one_tensor(path):
     rng = np.random.default_rng(5)
     k = KruskalTensor(rng.random((6, 1)), rng.random((5, 1)), rng.random((7, 1)))
@@ -274,13 +291,32 @@ def test_analyze_bad_argument_creates_no_out(tmp_path, option, value):
     assert not rep.exists()
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    code = "import sys, tempofact.cli; print('scipy.stats' in sys.modules)"
+def _loaded_scipy_modules(code):
+    """The scipy modules in ``sys.modules`` after running ``code`` in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    code += "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    loaded = _loaded_scipy_modules("import sys, tempofact.cli")
+    assert "scipy.stats" not in loaded
+    assert "scipy.linalg" not in loaded
+
+
+def test_nnls_module_loads_no_scipy():
+    # The module file alone: importing it as tempofact.nnls first runs the
+    # package __init__, which reaches scipy.special through corcondia.
+    nnls_py = Path(__file__).resolve().parent.parent / "src" / "tempofact" / "nnls.py"
+    code = ("import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('nnls', {str(nnls_py)!r})\n"
+            "module = sys.modules['nnls'] = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "assert module.solve_nnls")
+    assert _loaded_scipy_modules(code) == set()
 
 
 def test_fit_all_restarts_failed_exits_numerical_without_out(tmp_path, monkeypatch):

@@ -1,8 +1,13 @@
+import contextlib
+import copy
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tempofact import io as tfio
 from tempofact.als import FitConfig, fit_once
@@ -146,3 +151,96 @@ def test_ground_truth_dict_shape():
     assert len(data["participation"][0]) == 3
     assert data["config"]["group_sizes"] == [2, 2, 2]
     assert not math.isnan(data["config"]["sigma"])
+
+
+# Fuzzing the three readers of outside files: whatever the input, a reader
+# returns or raises FileFormatError, which the CLI maps to exit 2.
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+_VALID_FIT = {
+    "format": "fit_result", "version": 1, "dims": [2, 1, 1], "rank": 1,
+    "factors": {"bank": [[0.6], [0.8]], "intraday": [[1.0]], "interday": [[1.0]]},
+    "weights": [2.0], "rel_error": 0.1, "sweeps_used": 3, "converged": True,
+    "objective_trace": [1.0, 0.5], "seed": 4,
+}
+_VALID_INDEX = {"bank_ids": ["DE001", "IT001"], "day_dates": ["2008-09-15", "2008-09-16"],
+                "delta_minutes": 30, "window": ["08:00", "18:00"]}
+
+
+@st.composite
+def _mutated(draw, valid):
+    """``valid`` with a few keys, at the top or one level down, replaced or deleted."""
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        if not doc:
+            break
+        nested = [v for v in doc.values() if isinstance(v, dict) and v]
+        target = draw(st.sampled_from([doc, *nested]))
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(_JSON)
+    return doc
+
+
+@st.composite
+def _tensor_files(draw):
+    """Bytes behind a valid magic: fuzzed header fields, tag and payload."""
+    tag = draw(st.binary(max_size=6))
+    dims = draw(st.one_of(st.tuples(*[st.integers(0, 3)] * 3),
+                          st.tuples(*[st.integers(0, 2**64 - 1)] * 3)))
+    n_values = dims[0] * dims[1] * dims[2] if max(dims) <= 3 else 0
+    values = draw(st.lists(st.floats(), min_size=n_values, max_size=n_values))
+    raw = (tfio.TENSOR_MAGIC
+           + struct.pack("<II", draw(st.sampled_from([1, 1, 0, 2])),
+                         draw(st.one_of(st.just(len(tag)), st.integers(0, 2**32 - 1))))
+           + tag + struct.pack("<QQQ", *dims) + struct.pack(f"<{n_values}d", *values))
+    return raw[:draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=80), _tensor_files()))
+@example(raw=tfio.TENSOR_MAGIC + struct.pack("<II", 1, 1) + b"\xff" + struct.pack("<QQQ", 0, 0, 0))
+@example(raw=tfio.TENSOR_MAGIC + struct.pack("<IIQQQd", 1, 0, 1, 1, 1, -1.0))
+@example(raw=tfio.TENSOR_MAGIC + struct.pack("<IIQQQd", 1, 0, 1, 1, 1, math.nan))
+@example(raw=tfio.TENSOR_MAGIC + struct.pack("<IIQQQ", 1, 0, 2**64 - 1, 0, 5))
+def test_read_tensor_returns_or_raises_file_format_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz-tensor.bin"
+    path.write_bytes(raw)
+    with contextlib.suppress(tfio.FileFormatError):
+        tfio.read_tensor(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_JSON, _mutated(_VALID_FIT)))
+@example(doc={**_VALID_FIT, "sweeps_used": math.inf})
+@example(doc={**_VALID_FIT, "weights": [10**400]})
+def test_fit_result_from_dict_returns_or_raises_file_format_error(doc):
+    with contextlib.suppress(tfio.FileFormatError):
+        tfio.fit_result_from_dict(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=80),
+                     st.one_of(_JSON, _mutated(_VALID_INDEX)).map(
+                         lambda doc: json.dumps(doc).encode("utf-8"))))
+@example(raw=json.dumps({**_VALID_INDEX, "delta_minutes": math.inf}).encode())
+@example(raw=b"[" * 100_000)
+def test_read_index_returns_or_raises_file_format_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz-index.json"
+    path.write_bytes(raw)
+    with contextlib.suppress(tfio.FileFormatError):
+        tfio.read_index(path)
+
+
+def test_valid_fuzz_seeds_are_accepted(tmp_path):
+    assert tfio.fit_result_from_dict(copy.deepcopy(_VALID_FIT)).seed == 4
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(_VALID_INDEX))
+    assert tfio.read_index(path).delta == 30

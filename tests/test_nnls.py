@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tempofact import nnls as nnls_mod
 from tempofact.nnls import NnlsProblem, kkt_residual, solve_nnls
 from util import nnls_objective, nnls_oracle_objective
 
@@ -23,18 +24,27 @@ def test_interior_solution_equals_unconstrained():
     assert sol.W.tolist() == [[2.0, 3.0, 5.0]]
 
 
+def _initial_passive_sets(rng, problem):
+    """No initial set, then warm starts from all-false, all-true and random sets."""
+    shape = (problem.n_rhs, problem.n_vars)
+    return [None, np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool),
+            rng.random(shape) < 0.5]
+
+
 def test_matches_exhaustive_active_set_oracle():
     rng = np.random.default_rng(17)
+    start_rng = np.random.default_rng(41)
     for _ in range(100):
         problem = _random_problem(rng)
-        sol = solve_nnls(problem)
-        assert sol.converged
-        assert sol.W.min() >= 0.0
-        assert sol.kkt_residual <= 1e-8
-        for col in range(problem.n_rhs):
-            got = nnls_objective(problem.gram, problem.crossterm[:, col], sol.W[col])
-            want = nnls_oracle_objective(problem.gram, problem.crossterm[:, col])
-            assert abs(got - want) < 1e-8
+        for passive in _initial_passive_sets(start_rng, problem):
+            sol = solve_nnls(problem, passive=passive)
+            assert sol.converged
+            assert sol.W.min() >= 0.0
+            assert sol.kkt_residual <= 1e-8
+            for col in range(problem.n_rhs):
+                got = nnls_objective(problem.gram, problem.crossterm[:, col], sol.W[col])
+                want = nnls_oracle_objective(problem.gram, problem.crossterm[:, col])
+                assert abs(got - want) < 1e-8
 
 
 def test_objective_dominates_trivial_candidates():
@@ -76,11 +86,14 @@ def test_partition_of_right_hand_sides_is_identical():
     h = rng.standard_normal((10, 4))
     gram = h.T @ h
     ct = h.T @ rng.standard_normal((10, 61))
-    whole = solve_nnls(NnlsProblem(gram, ct)).W
-    split = np.vstack(
-        [solve_nnls(NnlsProblem(gram, ct[:, :23])).W, solve_nnls(NnlsProblem(gram, ct[:, 23:])).W]
-    )
-    assert np.array_equal(whole, split)
+    for passive in (None, rng.random((61, 4)) < 0.5):
+        whole = solve_nnls(NnlsProblem(gram, ct), passive=passive).W
+        split = np.vstack([
+            solve_nnls(NnlsProblem(gram, ct[:, part]),
+                       passive=None if passive is None else passive[part]).W
+            for part in (slice(None, 23), slice(23, None))
+        ])
+        assert np.array_equal(whole, split)
 
 
 def test_non_convergence_reports_best_iterate():
@@ -117,3 +130,53 @@ def test_problem_validation():
         NnlsProblem(np.eye(2), np.zeros((2, 1)), ridge=-1.0)
     with pytest.raises(ValueError):
         solve_nnls(NnlsProblem(np.eye(2), np.zeros((2, 1))), tol=0.0)
+    with pytest.raises(ValueError, match="passive"):
+        solve_nnls(NnlsProblem(np.eye(2), np.zeros((2, 3))), passive=np.ones((2, 3), dtype=bool))
+
+
+def test_empty_initial_passive_set_is_the_cold_start():
+    rng = np.random.default_rng(43)
+    problem = _random_problem(rng, r=5, m=30)
+    cold = solve_nnls(problem)
+    warm = solve_nnls(problem, passive=np.zeros((30, 5), dtype=bool))
+    assert np.array_equal(cold.W, warm.W)
+    assert cold.iterations == warm.iterations > 0
+
+
+def test_optimal_initial_support_needs_no_exchange_round():
+    # The solve of the initial passive set is not counted in iterations.
+    rng = np.random.default_rng(47)
+    problem = _random_problem(rng, r=5, m=30)
+    cold = solve_nnls(problem)
+    warm = solve_nnls(problem, passive=cold.W > 0)
+    assert warm.converged
+    assert warm.iterations == 0
+    np.testing.assert_allclose(warm.W, cold.W, rtol=1e-10, atol=1e-12)
+
+
+def test_non_positive_definite_column_alone_takes_the_ridge_path(monkeypatch):
+    # Variables 0 and 1 have identical columns in H, with integer entries, so
+    # the padded system of a passive set holding both is exactly singular.
+    # Only column 0 starts from such a set; in every other column one of the
+    # two variables has a right-hand side that keeps it out of the support.
+    h = np.array([[1, 1, 0], [2, 2, 1], [2, 2, 0], [0, 0, 2], [0, 0, 2]], dtype=float)
+    gram = h.T @ h
+    ct = np.array([[0.4, 0.2, -0.2, 0.3, -0.4, -0.1],
+                   [0.4, -0.3, -0.1, -0.5, 0.1, -0.2],
+                   [0.1, 0.1, 0.5, 0.2, 0.6, -0.3]])
+    passive = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1], [0, 0, 0]],
+                       dtype=bool)
+    per_column = []
+    real_solve_one = nnls_mod._solve_one
+    monkeypatch.setattr(nnls_mod, "_solve_one", lambda *args: per_column.append(1)
+                        or real_solve_one(*args))
+    mixed = solve_nnls(NnlsProblem(gram, ct), passive=passive)
+    assert per_column  # the batch fell back to one solve per column
+    assert mixed.W.min() >= 0.0
+    want = nnls_oracle_objective(gram, ct[:, 0])
+    assert abs(nnls_objective(gram, ct[:, 0], mixed.W[0]) - want) < 1e-8
+    per_column.clear()
+    for col in range(1, 6):
+        alone = solve_nnls(NnlsProblem(gram, ct[:, [col]]), passive=passive[[col]])
+        assert np.array_equal(alone.W[0], mixed.W[col])
+    assert not per_column
