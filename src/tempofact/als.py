@@ -17,8 +17,11 @@ This is the dimension-tree MTTKRP of Phan, Tichavsky & Cichocki (IEEE TSP
 
 Each NNLS update is warm-started from the support (``> 0`` pattern) of the
 factor it replaces, which barely changes from one sweep to the next (Kim,
-He & Park, J. Global Optim. 2014).  The first sweep starts from the random
-initial factors, so a restart remains a function of its seed alone.
+He & Park, J. Global Optim. 2014).  The rows of a factor share a handful
+of distinct supports, and the solver factors one system per distinct
+support, so most updates cost a few small factorizations and one batched
+product.  The first sweep starts from the random initial factors, so a
+restart remains a function of its seed alone.
 
 The squared misfit ``||X - Xhat||_F^2`` after each sweep is evaluated from
 the same products (no reconstruction), which keeps the per-sweep objective

@@ -209,7 +209,11 @@ class LoadResult:
 
 
 def _parse_timestamp(text: str) -> datetime:
-    return datetime.fromisoformat(text.strip())
+    text = text.strip()
+    stamp = datetime.fromisoformat(text)
+    if stamp.tzinfo is not None:
+        raise ValueError(f"timestamp must not carry a UTC offset, got {text!r}")
+    return stamp
 
 
 def _parse_amount(text: str) -> float:
@@ -400,12 +404,31 @@ class TensorIndex:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TensorIndex":
+        """Decode ``to_dict`` output; a field of the wrong JSON type raises TypeError."""
+        delta = data["delta_minutes"]
+        if type(delta) is not int:  # JSON true is a bool, which is an int subclass
+            raise TypeError(f"delta_minutes must be an integer, got {type(delta).__name__}")
+        window = _strings(data, "window")
+        if len(window) != 2:
+            raise ValueError(f"window must hold 2 times, got {len(window)}")
         return cls(
-            bank_ids=tuple(data["bank_ids"]),
-            day_dates=tuple(date.fromisoformat(d) for d in data["day_dates"]),
-            delta=int(data["delta_minutes"]),
-            window=tuple(time.fromisoformat(t) for t in data["window"]),
+            bank_ids=tuple(_strings(data, "bank_ids")),
+            day_dates=tuple(date.fromisoformat(d) for d in _strings(data, "day_dates")),
+            delta=delta,
+            window=tuple(time.fromisoformat(t) for t in window),
         )
+
+
+def _strings(data: dict, key: str) -> list:
+    """``data[key]``, which must be a JSON list of strings."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a list of strings, got {type(value).__name__}")
+    for item in value:
+        if not isinstance(item, str):
+            raise TypeError(f"{key} must be a list of strings, got an item of type "
+                            f"{type(item).__name__}")
+    return value
 
 
 def _second_of_day(ts: datetime) -> int:

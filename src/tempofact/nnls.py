@@ -3,11 +3,22 @@
 Solves ``min_{W >= 0} ||H W^T - Y^T||_F^2`` for many right-hand sides at
 once, given only the normal-equation products ``gram = H^T H`` (R x R) and
 ``crossterm = H^T Y^T`` (R x m).  Each of the m columns is an independent
-R-variable problem; the solver iterates all of them together.  Each round
-pads every active column's passive-set system to R x R (the passive block
-of ``gram``, the identity on inactive variables, a zero right-hand side
-there) and solves the whole stack with one batched ``numpy.linalg`` call, so
-no column's result depends on which other columns share its batch.
+R-variable problem; the solver iterates all of them together (Kim & Park,
+SIAM J. Sci. Comput. 2011).
+
+Columns that share a passive set share its least-squares system, and the
+columns of one solve share few distinct sets: at most ``min(2^R, k)`` of k
+columns, and a handful in an alternating fit.  So each round groups its
+columns by passive pattern (Van Benthem & Keenan, J. Chemometrics 2004),
+pads each distinct pattern's system to R x R (the passive block of
+``gram``, the identity on inactive variables), tests those few systems for
+positive definiteness and inverts them, one batched ``numpy.linalg`` call
+each, then applies every inverse to all columns of its pattern in one
+gather-and-product.  The product runs entry by entry in a fixed order, and
+a pattern whose system is not positive definite is solved column by column
+with a ridge, so a column's passive-set solution depends only on
+``gram``, its own pattern and its own right-hand side, never on which other
+columns share its batch.
 
 The pivoting rule is full block exchange with an anti-cycling safeguard:
 a column that goes three consecutive exchanges without reducing its
@@ -83,16 +94,8 @@ def kkt_residual(gram: np.ndarray, crossterm: np.ndarray, W: np.ndarray) -> floa
     ``|g| <= tol`` where w > 0 and ``g >= -tol`` where w == 0; the returned
     value is the smallest tol for which that holds.
     """
-    if W.size == 0:
-        return 0.0
     g = gram @ W.T - crossterm
-    pos = W.T > 0
-    res = 0.0
-    if pos.any():
-        res = float(np.abs(g[pos]).max())
-    if (~pos).any():
-        res = max(res, float(np.maximum(-g[~pos], 0.0).max()))
-    return res
+    return float(np.where(W.T > 0, np.abs(g), -g).max(initial=0.0))
 
 
 def solve_nnls(
@@ -129,21 +132,19 @@ def solve_nnls(
     scale = max(1.0, float(np.abs(gram).max()), float(np.abs(ct).max()) if ct.size else 0.0)
     eps = 1e-12 * scale
 
-    X = np.zeros((r, m))
-    Y = -ct.copy()
-    F = np.zeros((r, m), dtype=bool)
-    if passive is not None and passive.any():
-        F[:] = passive.T
-        _solve_passive(gram, ct, F, X, Y, np.arange(m), problem.ridge)
+    F = np.zeros((r, m), dtype=bool) if passive is None else passive.T.copy()
+    X, Y = _solve_passive(gram, ct, F, problem.ridge)
     alpha = np.full(m, 3, dtype=int)
     best_inf = np.full(m, r + 1, dtype=int)
     col_iters = np.zeros(m, dtype=int)
     passes = 0
 
     while True:
-        infeas = (F & (X < -eps)) | (~F & (Y < -eps))
+        # X is 0 off the passive set and Y is 0 on it.
+        infeas = np.minimum(X, Y) < -eps
         n_inf = infeas.sum(axis=0)
-        active = (n_inf > 0) & (col_iters < max_iter)
+        infeasible = n_inf > 0
+        active = infeasible & (col_iters < max_iter)
         if not active.any():
             break
         cols = np.nonzero(active)[0]
@@ -166,58 +167,64 @@ def solve_nnls(
             F[top, single_cols] = ~F[top, single_cols]
 
         col_iters[cols] += 1
-        _solve_passive(gram, ct, F, X, Y, cols, problem.ridge)
+        X[:, cols], Y[:, cols] = _solve_passive(gram, ct[:, cols], F[:, cols], problem.ridge)
 
-    all_feasible = not bool((n_inf > 0).any())
+    all_feasible = not infeasible.any()
     W = np.maximum(X, 0.0).T
     res = kkt_residual(gram, ct, W)
     return NnlsSolution(W, res, passes, all_feasible and res <= tol)
 
 
-def _solve_passive(
-    gram: np.ndarray,
-    ct: np.ndarray,
-    F: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
-    cols: np.ndarray,
-    ridge: float,
-) -> None:
-    """Re-solve the passive-set least squares for the given columns in place.
+def _solve_passive(gram: np.ndarray, ct: np.ndarray, passive: np.ndarray, ridge: float):
+    """Passive-set least squares of each column of ``ct``: returns X and the gradient Y.
 
     Column j's system is padded to R x R: ``gram`` where both variables are
-    passive, the identity on inactive variables and zeros between the two,
-    with the right-hand side zeroed on inactive variables.  Inactive
-    entries of X are set to 0 and passive entries of the gradient Y to 0.
+    in ``passive[:, j]``, the identity on inactive variables and zeros
+    between the two, with the right-hand side zeroed on inactive variables.
+    Inactive entries of X are 0, and so are passive entries of Y.
     """
     r = gram.shape[0]
-    passive = F[:, cols].T  # k x R
-    systems = np.where(passive[:, :, None] & passive[:, None, :], gram, 0.0)
-    diag = np.arange(r)
-    systems[:, diag, diag] = np.where(passive, gram[diag, diag], 1.0)
-    rhs = np.where(passive, ct[:, cols].T, 0.0)[:, :, None]
+    columns = passive.T  # k x R
+    # Bit codes in the narrowest type that holds them (Python ints past 64 bits).
+    weights = np.array([1 << i for i in range(r)], dtype=np.min_scalar_type((1 << r) - 1))
+    _, first, which = np.unique(columns @ weights, return_index=True, return_inverse=True)
+    patterns = columns[first]  # p x R, p <= min(2^R, k)
+    systems = np.where(patterns[:, :, None] & patterns[:, None, :], gram, np.eye(r))
     try:
         np.linalg.cholesky(systems)  # the positive-definiteness test
-        sol = np.linalg.solve(systems, rhs)
+        inverses, ridged = np.linalg.inv(systems), ()
     except np.linalg.LinAlgError:
-        sol = np.stack([_solve_one(s, b, gram, ridge) for s, b in zip(systems, rhs)])
-    x = np.where(passive.T, sol[:, :, 0].T, 0.0)
-    X[:, cols] = x
-    y = gram @ x - ct[:, cols]
-    y[passive.T] = 0.0
-    Y[:, cols] = y
+        definite = np.array([_positive_definite(s) for s in systems])
+        inverses = np.linalg.inv(np.where(definite[:, None, None], systems, np.eye(r)))
+        ridged = np.flatnonzero(~definite[which])
+
+    rhs = np.where(columns, ct.T, 0.0)  # k x R
+    gathered = inverses[which]
+    sol = gathered[:, :, 0] * rhs[:, :1]
+    for b in range(1, r):  # entrywise in a fixed order, whatever the batch
+        sol += gathered[:, :, b] * rhs[:, b : b + 1]
+    for j in ridged:
+        sol[j] = _solve_one(systems[which[j]], rhs[j], gram, ridge)
+    x = np.where(passive, sol.T, 0.0)
+    y = gram @ x - ct
+    y[passive] = 0.0
+    return x, y
+
+
+def _positive_definite(system: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _solve_one(system: np.ndarray, rhs: np.ndarray, gram: np.ndarray, ridge: float):
-    """One padded system; a ridge is added to it when it is not positive definite."""
+    """One column whose padded system is not positive definite, solved with a ridge."""
     r = gram.shape[0]
     if ridge <= 0.0:
         ridge = 1e-12 * float(np.trace(gram)) / r
     damped = system + ridge * np.eye(r)
-    for candidate in (system, damped):
-        try:
-            np.linalg.cholesky(candidate)
-            return np.linalg.solve(candidate, rhs)
-        except np.linalg.LinAlgError:
-            pass
+    if _positive_definite(damped):
+        return np.linalg.solve(damped, rhs)
     return np.linalg.lstsq(damped, rhs, rcond=None)[0]

@@ -81,6 +81,24 @@ def test_bad_rows_reported_with_line_numbers():
     assert [i.line for i in result.issues] == [3, 4, 5, 6, 7, 8]
 
 
+def test_timestamp_with_utc_offset_is_a_row_issue():
+    # Stamps are local wall-clock times; an offset is refused, not binned
+    # by its own clock.  A bad amount later in the row is not reported:
+    # the first failing check wins.
+    rows = [
+        HEADER,
+        "2008-09-15T09:10,AAA,BBB,7.0,lender,ON,true,false",
+        " 2008-09-16T12:00+01:00 ,AAA,BBB,5.0,lender,ON,true,false",
+        "2008-09-16T12:00Z,AAA,BBB,-1.0,lender,ON,true,false",
+    ]
+    result = load_transactions(io.StringIO("\n".join(rows) + "\n"))
+    assert len(result.records) == 1
+    assert [(i.line, i.message) for i in result.issues] == [
+        (3, "timestamp must not carry a UTC offset, got '2008-09-16T12:00+01:00'"),
+        (4, "timestamp must not carry a UTC offset, got '2008-09-16T12:00Z'"),
+    ]
+
+
 def test_filter_overnight():
     records = [_rec(maturity=m) for m in ("ON", "ONL", "1W", "3M", "ON")]
     kept = filter_overnight(records)
@@ -283,6 +301,13 @@ def _reference_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _reference_timestamp(text):
+    stamp = datetime.fromisoformat(text)
+    if stamp.tzinfo is not None:
+        raise ValueError(f"timestamp must not carry a UTC offset, got {text!r}")
+    return stamp
+
+
 def _reference_parse(text):
     """Parse a ledger one row at a time: records and (line, message) issues."""
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -297,7 +322,7 @@ def _reference_parse(text):
         raw = dict(zip(LEDGER_COLUMNS, (cell.strip() for cell in row)))
         try:
             record = TransactionRecord(
-                timestamp=datetime.fromisoformat(raw["timestamp"]),
+                timestamp=_reference_timestamp(raw["timestamp"]),
                 lender_id=raw["lender_id"],
                 borrower_id=raw["borrower_id"],
                 amount=float(raw["amount_mEUR"]),

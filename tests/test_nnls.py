@@ -180,3 +180,70 @@ def test_non_positive_definite_column_alone_takes_the_ridge_path(monkeypatch):
         alone = solve_nnls(NnlsProblem(gram, ct[:, [col]]), passive=passive[[col]])
         assert np.array_equal(alone.W[0], mixed.W[col])
     assert not per_column
+
+
+def test_only_the_columns_of_a_singular_pattern_take_the_ridge_path(monkeypatch):
+    # Columns 0 and 1 share the exactly singular pattern {0, 1}; the other
+    # patterns are positive definite.  max_iter=0 keeps the solve to the
+    # initial passive set, so exactly two columns may reach _solve_one.
+    h = np.array([[1, 1, 0], [2, 2, 1], [2, 2, 0], [0, 0, 2], [0, 0, 2]], dtype=float)
+    gram = h.T @ h
+    rng = np.random.default_rng(53)
+    ct = rng.standard_normal((3, 8))
+    passive = np.array([[1, 1, 0], [1, 1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1],
+                        [0, 0, 0], [1, 0, 1]], dtype=bool)
+    seen = []
+    real_solve_one = nnls_mod._solve_one
+    monkeypatch.setattr(nnls_mod, "_solve_one", lambda system, rhs, *rest: seen.append(rhs)
+                        or real_solve_one(system, rhs, *rest))
+    mixed = solve_nnls(NnlsProblem(gram, ct), max_iter=0, passive=passive)
+    assert len(seen) == 2
+    for rhs, col in zip(seen, (0, 1)):
+        assert np.array_equal(rhs, np.where(passive[col], ct[:, col], 0.0))
+    seen.clear()
+    for col in range(2, 8):
+        alone = solve_nnls(NnlsProblem(gram, ct[:, [col]]), max_iter=0, passive=passive[[col]])
+        assert np.array_equal(alone.W[0], mixed.W[col])
+    assert not seen
+
+
+def test_columns_sharing_a_few_patterns_match_their_solves_alone():
+    rng = np.random.default_rng(59)
+    h = rng.standard_normal((9, 4))
+    gram = h.T @ h
+    ct = h.T @ rng.standard_normal((9, 240))
+    patterns = np.array([[1, 1, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
+    passive = patterns[rng.integers(0, len(patterns), 240)]
+    batch = solve_nnls(NnlsProblem(gram, ct), passive=passive)
+    assert batch.converged
+    for col in range(240):
+        alone = solve_nnls(NnlsProblem(gram, ct[:, [col]]), passive=passive[[col]])
+        assert np.array_equal(alone.W[0], batch.W[col])
+
+
+@pytest.mark.parametrize("r, m", [(1, 40), (12, 5)])
+def test_one_variable_and_more_patterns_than_columns_match_the_oracle(r, m):
+    # R = 12 allows 4096 patterns for 5 columns: every column its own group.
+    rng = np.random.default_rng(61 + r)
+    start_rng = np.random.default_rng(67)
+    for _ in range(3):
+        problem = _random_problem(rng, r=r, m=m)
+        want = [nnls_oracle_objective(problem.gram, h) for h in problem.crossterm.T]
+        for passive in _initial_passive_sets(start_rng, problem):
+            sol = solve_nnls(problem, passive=passive)
+            assert sol.converged
+            for col in range(m):
+                got = nnls_objective(problem.gram, problem.crossterm[:, col], sol.W[col])
+                assert abs(got - want[col]) < 1e-8
+
+
+def test_pattern_codes_wider_than_64_bits():
+    # With a diagonal gram each variable is its own problem: w = max(h / g, 0).
+    rng = np.random.default_rng(71)
+    r, m = 70, 6
+    diag = rng.uniform(0.5, 2.0, r)
+    ct = rng.standard_normal((r, m))
+    for passive in (None, rng.random((m, r)) < 0.5):
+        sol = solve_nnls(NnlsProblem(np.diag(diag), ct), passive=passive)
+        assert sol.converged
+        np.testing.assert_allclose(sol.W, np.maximum(ct / diag[:, None], 0.0).T, rtol=1e-12)
