@@ -5,15 +5,18 @@ squares problem that keeps the other two factors fixed.  The normal
 equations are assembled from small Gram matrices via the Hadamard identity
 ``(U kr V)^T (U kr V) = (U^T U) * (V^T V)``.  The right-hand sides (the
 unfolded-tensor-times-Khatri-Rao products) come from two passes over the
-C-ordered tensor, read through one flat ``(N*T) x D`` view and never
-unfolded into copies:
+C-ordered tensor, never unfolded into copies:
 
 * ``Y = X x_3 C`` (N x T x R) serves both the A and the B products, since C
   does not change until the end of the sweep;
-* ``(A kr B)^T X_flat`` gives the C product from the updated A and B.
+* ``sum_i (A kr B)_i^T X[i]`` gives the C product from the updated A and B.
 
 This is the dimension-tree MTTKRP of Phan, Tichavsky & Cichocki (IEEE TSP
-2013).
+2013).  Each pass is one small product per bank slab ``X[i]`` (T x D), not
+one product over the whole ``(N*T) x D`` view: with R columns a GEMM packs
+its large operand into a buffer and then reads it only once, so a skinny
+whole-tensor product pays for two trips through memory, while a slab is
+packed while it is still in cache.
 
 Each NNLS update is warm-started from the support (``> 0`` pattern) of the
 factor it replaces, which barely changes from one sweep to the next (Kim,
@@ -82,13 +85,17 @@ class FitResult:
 
 
 class _Workspace:
-    """Per-tensor state reused across sweeps: the flat data view and norm."""
+    """Per-tensor state reused across sweeps: the 3-way data array and its norm.
+
+    The sweep multiplies the array one bank slab at a time (``np.matmul``):
+    a GEMM with R columns over the whole tensor would pack that large
+    operand into a buffer only to read it once.
+    """
 
     def __init__(self, x: DenseTensor3):
         self.dims = x.dims
-        n, t, d = self.dims
-        self.flat = x.values.reshape(n * t, d)
-        self.norm2 = float(np.vdot(self.flat, self.flat))
+        self.values = x.values
+        self.norm2 = float(np.vdot(x.values, x.values))
 
 
 def _update_factor(
@@ -115,11 +122,12 @@ def _sweep(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray):
     """One A -> B -> C update cycle; returns factors and the post-sweep misfit."""
     n, t, _ = ws.dims
     gram_c = C.T @ C
-    y = (C.T @ ws.flat.T).reshape(C.shape[1], n, t)  # Y = X x_3 C, stored R x N x T
-    A, _ = _update_factor(np.einsum("rij,jr->ir", y, B), gram_c, B.T @ B, A > 0)
+    y = np.matmul(ws.values, C)  # Y = X x_3 C, N x T x R, one product per slab
+    A, _ = _update_factor(np.einsum("ijr,jr->ir", y, B), gram_c, B.T @ B, A > 0)
     gram_a = A.T @ A
-    B, _ = _update_factor(np.einsum("rij,ir->jr", y, A), gram_c, gram_a, B > 0)
-    proj = (khatri_rao(A, B).T @ ws.flat).T
+    B, _ = _update_factor(np.einsum("ijr,ir->jr", y, A), gram_c, gram_a, B > 0)
+    kr = khatri_rao(A, B).reshape(n, t, -1).transpose(0, 2, 1)  # slab i: (B * A[i])^T
+    proj = np.matmul(kr, ws.values).sum(axis=0).T
     C, gram = _update_factor(proj, B.T @ B, gram_a, C > 0)
     xhat2 = float(((C.T @ C) * gram).sum())
     inner = float((proj * C).sum())

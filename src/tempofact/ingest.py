@@ -383,6 +383,8 @@ class TensorIndex:
             raise ValueError("bank_ids contains duplicates")
         if any(b <= a for a, b in zip(self.day_dates, self.day_dates[1:])):
             raise ValueError("day_dates must be strictly increasing")
+        if tuple(self.window) != (WINDOW_OPEN, WINDOW_CLOSE):
+            raise ValueError("window must be 08:00-18:00, the only window binning covers")
         object.__setattr__(self, "bank_ids", tuple(self.bank_ids))
         object.__setattr__(self, "day_dates", tuple(self.day_dates))
 
@@ -404,18 +406,20 @@ class TensorIndex:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TensorIndex":
-        """Decode ``to_dict`` output; a field of the wrong JSON type raises TypeError."""
+        """Decode ``to_dict`` output; a field of the wrong JSON type raises TypeError.
+
+        ``window`` must be ``["08:00", "18:00"]``, the only window binning uses.
+        """
         delta = data["delta_minutes"]
         if type(delta) is not int:  # JSON true is a bool, which is an int subclass
             raise TypeError(f"delta_minutes must be an integer, got {type(delta).__name__}")
         window = _strings(data, "window")
-        if len(window) != 2:
-            raise ValueError(f"window must hold 2 times, got {len(window)}")
+        if window != ["08:00", "18:00"]:
+            raise ValueError(f"window must be ['08:00', '18:00'], got {window}")
         return cls(
             bank_ids=tuple(_strings(data, "bank_ids")),
             day_dates=tuple(date.fromisoformat(d) for d in _strings(data, "day_dates")),
             delta=delta,
-            window=tuple(time.fromisoformat(t) for t in window),
         )
 
 

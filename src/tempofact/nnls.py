@@ -18,7 +18,9 @@ gather-and-product.  The product runs entry by entry in a fixed order, and
 a pattern whose system is not positive definite is solved column by column
 with a ridge, so a column's passive-set solution depends only on
 ``gram``, its own pattern and its own right-hand side, never on which other
-columns share its batch.
+columns share its batch.  The pivot threshold that decides which variables
+are infeasible is also taken per column, so a column's whole pivoting
+sequence, and its W, are the same in any batch.
 
 The pivoting rule is full block exchange with an anti-cycling safeguard:
 a column that goes three consecutive exchanges without reducing its
@@ -128,9 +130,9 @@ def solve_nnls(
     if r == 0 or m == 0:
         return NnlsSolution(np.zeros((m, r)), 0.0, 0, True)
 
-    # Pivot-feasibility threshold: well above roundoff, far below signal.
-    scale = max(1.0, float(np.abs(gram).max()), float(np.abs(ct).max()) if ct.size else 0.0)
-    eps = 1e-12 * scale
+    # Pivot-feasibility threshold of each column: well above roundoff, far
+    # below signal, and a function of that column's own right-hand side.
+    eps = 1e-12 * np.maximum(max(1.0, float(np.abs(gram).max())), np.abs(ct).max(axis=0))
 
     F = np.zeros((r, m), dtype=bool) if passive is None else passive.T.copy()
     X, Y = _solve_passive(gram, ct, F, problem.ridge)

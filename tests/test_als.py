@@ -187,16 +187,21 @@ def test_config_validation():
         fit_once(DenseTensor3(np.zeros((0, 0, 0))), FitConfig(rank=1), seed=0)
 
 
-@pytest.mark.parametrize("rank", [1, 4])
-def test_two_pass_products_match_unfolded_oracle(monkeypatch, rank):
+@pytest.mark.parametrize("shape,rank", [
+    pytest.param((7, 5, 9), 1, id="1"), pytest.param((7, 5, 9), 4, id="4"),
+    # Degenerate slabs: one bank, one interval, one day; and R > T.
+    ((1, 5, 9), 3), ((7, 1, 9), 3), ((7, 5, 1), 3), ((7, 5, 9), 6),
+])
+def test_two_pass_products_match_unfolded_oracle(monkeypatch, shape, rank):
     # Each update's right-hand side must equal the textbook MTTKRP
     # X_(n) @ (khatri-rao of the other two factors), with the factors that
     # are current at that point of the sweep.
     import tempofact.als as als_mod
 
     rng = np.random.default_rng(31 + rank)
-    x = random_tensor(rng, (7, 5, 9))
-    A0, B0, C0 = rng.random((7, rank)), rng.random((5, rank)), rng.random((9, rank))
+    n, t, d = shape
+    x = random_tensor(rng, shape)
+    A0, B0, C0 = rng.random((n, rank)), rng.random((t, rank)), rng.random((d, rank))
     seen = []
     real_update = als_mod._update_factor
 
@@ -216,6 +221,26 @@ def test_two_pass_products_match_unfolded_oracle(monkeypatch, rank):
         kr = khatri_rao(left, right)
         np.testing.assert_allclose(proj, matricize(x, mode) @ kr, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gram, kr.T @ kr, rtol=1e-12, atol=1e-12)
+
+
+def test_sweep_never_copies_the_tensor():
+    # The slab products must take the read-only tensor as it is; a strided
+    # operand that numpy had to copy would allocate the whole tensor again.
+    import tracemalloc
+
+    import tempofact.als as als_mod
+
+    rng = np.random.default_rng(33)
+    x = random_tensor(rng, (40, 10, 300))
+    ws = als_mod._Workspace(x)
+    A, B, C = rng.random((40, 3)), rng.random((10, 3)), rng.random((300, 3))
+    tracemalloc.start()
+    try:
+        als_mod._sweep(ws, A, B, C)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.values.nbytes, (peak, x.values.nbytes)
 
 
 def test_fit_restarts_rejects_nonpositive_jobs():

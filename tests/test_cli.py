@@ -370,6 +370,22 @@ def test_analyze_index_with_a_string_delta_exits_io(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_analyze_index_with_another_window_exits_io(tmp_path, capsys):
+    # Binning always covers 08:00-18:00, so another window would be mislabelled.
+    synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)
+    index = json.loads((synth_dir / "index.json").read_text())
+    index["window"] = ["09:00", "17:00"]
+    (tmp_path / "index.json").write_text(json.dumps(index))
+    rep = tmp_path / "rep"
+    capsys.readouterr()
+    assert _run("analyze", fit_dir / "fit.json", "--index", tmp_path / "index.json",
+                "--out", rep) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "window must be ['08:00', '18:00']" in err
+    assert not rep.exists()
+
+
 def test_synth_unplaceable_ledger_creates_no_out(tmp_path):
     out = tmp_path / "o"
     assert _run("synth", "--intervals", 7, "--days", 3, "--ledger", "--out", out) == 1

@@ -238,6 +238,7 @@ def test_fit_result_from_dict_returns_or_raises_file_format_error(doc):
 @example(raw=json.dumps({**_VALID_INDEX, "delta_minutes": "15"}).encode())
 @example(raw=json.dumps({**_VALID_INDEX, "delta_minutes": 30.0}).encode())
 @example(raw=json.dumps({**_VALID_INDEX, "window": ["08:00", "12:00", "18:00"]}).encode())
+@example(raw=json.dumps({**_VALID_INDEX, "window": ["09:00", "17:00"]}).encode())
 def test_read_index_returns_or_raises_file_format_error(tmp_path_factory, raw):
     """An index that is read back holds the document's own JSON values."""
     path = tmp_path_factory.getbasetemp() / "fuzz-index.json"
@@ -249,7 +250,7 @@ def test_read_index_returns_or_raises_file_format_error(tmp_path_factory, raw):
         assert all(type(b) is str for b in index.bank_ids)
         assert type(doc["delta_minutes"]) is int and doc["delta_minutes"] == index.delta
         assert len(doc["day_dates"]) == len(index.day_dates)
-        assert type(doc["window"]) is list and len(doc["window"]) == 2
+        assert doc["window"] == ["08:00", "18:00"]
 
 
 def test_valid_fuzz_seeds_are_accepted(tmp_path):

@@ -84,16 +84,21 @@ def test_kkt_residual_reproducible():
 def test_partition_of_right_hand_sides_is_identical():
     rng = np.random.default_rng(37)
     h = rng.standard_normal((10, 4))
-    gram = h.T @ h
-    ct = h.T @ rng.standard_normal((10, 61))
-    for passive in (None, rng.random((61, 4)) < 0.5):
-        whole = solve_nnls(NnlsProblem(gram, ct), passive=passive).W
-        split = np.vstack([
-            solve_nnls(NnlsProblem(gram, ct[:, part]),
-                       passive=None if passive is None else passive[part]).W
-            for part in (slice(None, 23), slice(23, None))
-        ])
-        assert np.array_equal(whole, split)
+    cases = [(h.T @ h, h.T @ rng.standard_normal((10, 61)), 23)]
+    # A column whose unconstrained solution (1, -5e-12) sits just past the
+    # pivot threshold of 0, beside a column with a large right-hand side.
+    near = np.array([[1.0, 0.5], [0.5, 1.0]])
+    cases.append((near, near @ np.array([[1.0, 1e4], [-5e-12, 1.0]]), 1))
+    for gram, ct, cut in cases:
+        r, m = ct.shape
+        for passive in (None, rng.random((m, r)) < 0.5):
+            whole = solve_nnls(NnlsProblem(gram, ct), passive=passive).W
+            split = np.vstack([
+                solve_nnls(NnlsProblem(gram, ct[:, part]),
+                           passive=None if passive is None else passive[part]).W
+                for part in (slice(None, cut), slice(cut, None))
+            ])
+            assert np.array_equal(whole, split)
 
 
 def test_non_convergence_reports_best_iterate():

@@ -9,8 +9,12 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from tempofact import als
 from tempofact.ingest import load_transactions, save_transactions
 from tempofact.synthetic import SyntheticConfig, generate_with_log, log_to_records
+from tempofact.tensor import DenseTensor3
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -27,6 +31,28 @@ def test_every_traced_layer_resolves(monkeypatch):
     for module_name, attr, _, _ in layers.LAYERS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_fit_once_goes_through_every_traced_als_layer(monkeypatch):
+    # A sweep that stopped looking a traced name up (say, an inlined
+    # Khatri-Rao product) would leave its layer reading 0 calls.
+    layers = _layers(monkeypatch)
+    calls = {}
+    for module_name, attr, _, _ in layers.LAYERS:
+        if module_name != "tempofact.als":
+            continue
+        real = getattr(als, attr)
+
+        def counted(*args, _real=real, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        calls[attr] = 0
+        monkeypatch.setattr(als, attr, counted)
+    assert set(calls) == {"fit_once", "khatri_rao", "solve_nnls"}
+    x = DenseTensor3(np.random.default_rng(6).random((6, 4, 8)))
+    als.fit_once(x, als.FitConfig(rank=2, max_sweeps=3), seed=0)
+    assert all(calls.values()), calls
 
 
 def test_ledger_counters_read_real_results(tmp_path, monkeypatch):
