@@ -121,6 +121,68 @@ def classify_role(record: TransactionRecord, bank_id: str) -> str:
     raise ValueError(f"bank {bank_id!r} is not a side of this record")
 
 
+@dataclass(frozen=True, eq=False)
+class BankFacts:
+    """What the role and nationality statistics take from a ledger, per index bank.
+
+    ``role_counts`` is (banks, 4) int64 in :data:`ROLES` order, ``domestic``
+    each bank's first-seen domestic flag (False for a bank without trades)
+    and ``conflicts`` the sorted ids of the banks whose flags disagree.
+    """
+
+    bank_ids: tuple
+    role_counts: np.ndarray
+    domestic: np.ndarray
+    conflicts: tuple
+
+    def __post_init__(self) -> None:
+        n = len(self.bank_ids)
+        if np.shape(self.role_counts) != (n, len(ROLES)) or np.shape(self.domestic) != (n,):
+            raise ValueError(f"bank facts need {n} rows of {len(ROLES)} role counts and "
+                             f"{n} domestic flags")
+
+
+def bank_facts(records, index: TensorIndex, rows=None) -> BankFacts:
+    """Role counts, domestic flags and flag conflicts of the index banks.
+
+    They are counted over the trades of ``records`` where the boolean mask
+    ``rows`` holds (every trade by default), so a caller selects trades
+    without copying the ledger.  Each side of a trade gets one role, as
+    :func:`classify_role` gives it, and one domestic flag; a bank's flag is
+    its first occurrence in ledger order, the lender before the borrower.
+    Conflicts cover every bank of the selected trades, in the index or not.
+    """
+    ledger = Ledger.of(records)
+    labels, lender, borrower = ledger.bank_codes
+    by_borrower = ledger.proposer == "borrower"
+    lender_flag, borrower_flag = ledger.lender_domestic, ledger.borrower_domestic
+    if rows is not None:
+        lender, borrower, by_borrower, lender_flag, borrower_flag = (
+            column[rows] for column in (lender, borrower, by_borrower, lender_flag, borrower_flag))
+    n = len(labels)
+    # Codes label * 4 + role, in ROLES order: the lender aggresses when the
+    # borrower quoted, the borrower aggresses when the lender quoted.
+    codes = np.concatenate([lender * 4 + np.where(by_borrower, 0, 3),
+                            borrower * 4 + np.where(by_borrower, 1, 2)])
+    roles = np.bincount(codes, minlength=4 * n).reshape(n, 4)
+    banks = np.column_stack([lender, borrower]).ravel()
+    seen = np.column_stack([lender_flag, borrower_flag]).ravel()
+    present, first = np.unique(banks, return_index=True)
+    first_seen = np.zeros(n, dtype=bool)
+    first_seen[present] = seen[first]
+    domestic = np.bincount(banks, weights=seen, minlength=n)
+    total = np.bincount(banks, minlength=n)
+    # Row n of the padded tables stands for an index bank without trades.
+    pos = {bank: i for i, bank in enumerate(labels)}
+    at = np.array([pos.get(bank, n) for bank in index.bank_ids], dtype=np.intp)
+    return BankFacts(
+        index.bank_ids,
+        np.vstack([roles, np.zeros((1, 4), roles.dtype)])[at],
+        np.append(first_seen, False)[at],
+        tuple(labels[i] for i in np.flatnonzero((domestic > 0) & (domestic < total))),
+    )
+
+
 @dataclass(frozen=True)
 class RoleFrequencies:
     """Across-bank role statistics for one component's bank set."""
@@ -133,28 +195,14 @@ class RoleFrequencies:
     excluded: tuple            # member banks without any transaction
 
 
-def attribute_frequencies(records, index: TensorIndex, members) -> RoleFrequencies:
+def attribute_frequencies(facts: BankFacts, members) -> RoleFrequencies:
     """Role mix of each member bank, averaged across the member set.
 
-    Every transaction of a member bank (either side) is classified into one
-    of :data:`ROLES`, as :func:`classify_role` does; per-bank frequencies
-    are averaged across banks with a Student-t 95% confidence interval per
-    role.  Member banks that never transact are excluded and reported.
+    Per-bank frequencies of :data:`ROLES` come from ``facts.role_counts``
+    and are averaged across banks with a Student-t 95% confidence interval
+    per role.  Member banks that never transact are excluded and reported.
     """
-    ledger = Ledger.of(records)
-    labels, lender, borrower = ledger.bank_codes
-    by_borrower = ledger.proposer == "borrower"
-    # Codes label * 4 + role, in ROLES order: the lender aggresses when the
-    # borrower quoted, the borrower aggresses when the lender quoted.
-    codes = np.concatenate([lender * 4 + np.where(by_borrower, 0, 3),
-                            borrower * 4 + np.where(by_borrower, 1, 2)])
-    by_label = np.bincount(codes, minlength=4 * len(labels)).reshape(len(labels), 4)
-    label_pos = {bank: i for i, bank in enumerate(labels)}
-    counts = np.zeros((len(index.bank_ids), len(ROLES)))
-    for i, bank in enumerate(index.bank_ids):
-        if bank in label_pos:
-            counts[i] = by_label[label_pos[bank]]
-
+    counts = facts.role_counts
     members = np.asarray(members, dtype=int)
     totals = counts[members].sum(axis=1)
     used = members[totals > 0]
@@ -225,21 +273,6 @@ def nationality_test(members, domestic_flags, p: float) -> NationalityBand:
 
 
 def domestic_flags_from_records(records, index: TensorIndex):
-    """Per-bank domestic flag derived from the ledger (first occurrence wins).
-
-    Occurrences run through the ledger row by row, the lender before the
-    borrower.  Returns (flags, conflicts) where conflicts lists, sorted, the
-    banks whose records disagree; banks absent from the ledger default to
-    False.
-    """
-    ledger = Ledger.of(records)
-    labels, lender, borrower = ledger.bank_codes
-    banks = np.column_stack([lender, borrower]).ravel()
-    seen = np.column_stack([ledger.lender_domestic, ledger.borrower_domestic]).ravel()
-    _, first = np.unique(banks, return_index=True)
-    domestic = np.bincount(banks, weights=seen, minlength=len(labels))
-    total = np.bincount(banks, minlength=len(labels))
-    first_flag = dict(zip(labels, seen[first].tolist()))
-    flags = np.array([first_flag.get(bank, False) for bank in index.bank_ids], dtype=bool)
-    conflicts = [labels[i] for i in np.flatnonzero((domestic > 0) & (domestic < total))]
-    return flags, conflicts
+    """``(flags, conflicts)`` of :func:`bank_facts` over every trade of ``records``."""
+    facts = bank_facts(records, index)
+    return facts.domestic, list(facts.conflicts)

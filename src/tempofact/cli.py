@@ -65,13 +65,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _input(path) -> tuple:
+    """``(path, sha256)`` of an input file, hashed once per command."""
+    return path, _sha256(Path(path))
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
                     seed, started: float, outputs: list) -> None:
+    """``inputs`` maps each input's name to its :func:`_input` pair."""
     manifest = {
         "command": command,
         "tool_version": __version__,
         "config": config,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(Path(p))} for name, p in inputs.items()},
+        "inputs": {name: {"path": str(p), "sha256": digest}
+                   for name, (p, digest) in inputs.items()},
         "seed": seed,
         "duration_s": _time.perf_counter() - started,
         "outputs": {name: _sha256(out_dir / name) for name in sorted(outputs)},
@@ -234,11 +241,14 @@ def _cmd_ingest(args) -> int:
     started = _time.perf_counter()
     check_delta(args.delta)
     loaded = load_transactions(args.ledger)
+    ledger_sha256 = _sha256(Path(args.ledger))
     overnight = filter_overnight(loaded.records)
     tensor, index, excluded = build_tensor(overnight, args.delta)
+    facts = _index_facts(overnight, index)
     out = _out_dir(args)
     tfio.write_tensor(out / "tensor.bin", tensor)
     tfio.write_index(out / "index.json", index)
+    tfio.write_bank_facts(out / "bank_facts.json", facts, ledger_sha256)
     report = {
         "rows_parsed": len(loaded.records),
         "rows_rejected": [{"line": i.line, "message": i.message} for i in loaded.issues],
@@ -253,8 +263,8 @@ def _cmd_ingest(args) -> int:
     }
     tfio.dump_json(out / "ingest_report.json", report)
     _write_manifest(out, "ingest", {"delta": args.delta},
-                    {"ledger": args.ledger}, None, started,
-                    ["tensor.bin", "index.json", "ingest_report.json"])
+                    {"ledger": (args.ledger, ledger_sha256)}, None, started,
+                    ["tensor.bin", "index.json", "ingest_report.json", "bank_facts.json"])
     if not overnight:
         print("warning: no overnight transactions; wrote an empty tensor", file=sys.stderr)
     print(f"tensor {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]} written to {out} "
@@ -300,7 +310,7 @@ def _cmd_fit(args) -> int:
     out = _out_dir(args)
     tfio.dump_json(out / "fit.json", tfio.fit_result_to_dict(best))
     tfio.dump_json(out / "restarts.json", _restart_summary(results))
-    _write_manifest(out, "fit", _cfg_dict(cfg, args.jobs), {"tensor": args.tensor},
+    _write_manifest(out, "fit", _cfg_dict(cfg, args.jobs), {"tensor": _input(args.tensor)},
                     cfg.seed, started, ["fit.json", "restarts.json"])
     print(f"rank {cfg.rank}: best rel_error {best.rel_error:.6e} "
           f"(restart seed {best.seed}, {best.sweeps_used} sweeps)")
@@ -332,13 +342,33 @@ def _cmd_corcondia(args) -> int:
     config = _cfg_dict(cfg, args.jobs)
     config.update({"rmax": args.rmax, "lcc": args.lcc})
     del config["rank"]
-    _write_manifest(out, "corcondia", config, {"tensor": args.tensor},
+    _write_manifest(out, "corcondia", config, {"tensor": _input(args.tensor)},
                     cfg.seed, started, ["rank_scan.json", "rank_scan.csv"])
     for rec in report.records:
         mean = "failed" if rec.cc_mean is None else f"{rec.cc_mean:.2f}"
         print(f"R={rec.rank}: mean cc {mean} ({rec.n_failed} failed runs)")
     print(f"selected rank: {report.selected_rank if report.selected_rank else 'none'}")
     return EXIT_OK
+
+
+def _index_facts(overnight, index) -> analysis.BankFacts:
+    """The per-bank facts over the overnight trades between two index banks."""
+    return analysis.bank_facts(overnight, index, overnight.among(index.bank_ids))
+
+
+def _ledger_facts(ledger, index, index_dir: Path, inputs: dict) -> analysis.BankFacts:
+    """The facts ingest wrote beside the index if they describe this ledger
+    and these banks, else the facts of the parsed ledger.  Records the files
+    used in ``inputs``."""
+    ledger_sha256 = _sha256(Path(ledger))
+    inputs["ledger"] = ledger, ledger_sha256
+    stored = index_dir / "bank_facts.json"
+    if stored.exists():
+        facts, recorded_sha256 = tfio.read_bank_facts(stored)
+        if recorded_sha256 == ledger_sha256 and facts.bank_ids == index.bank_ids:
+            inputs["bank_facts"] = _input(stored)
+            return facts
+    return _index_facts(filter_overnight(load_transactions(ledger).records), index)
 
 
 def _day_rows(index, *blocks) -> list:
@@ -357,11 +387,10 @@ def _cmd_analyze(args) -> int:
             f"index describes {len(index.bank_ids)} banks x {index.intervals} intervals "
             f"x {len(index.day_dates)} days but the fit has {n}x{t}x{d}"
         )
-    inputs = {"fit": args.fit, "index": args.index}
-    loaded = None
+    inputs = {"fit": _input(args.fit), "index": _input(args.index)}
+    facts = None
     if args.ledger is not None:
-        inputs["ledger"] = args.ledger
-        loaded = load_transactions(args.ledger)
+        facts = _ledger_facts(args.ledger, index, Path(args.index).parent, inputs)
 
     window = analysis.morning_window(index.delta)
     order = analysis.order_components(fit.factors, window)
@@ -401,14 +430,13 @@ def _cmd_analyze(args) -> int:
         "nationality": None,
     }
 
-    if loaded is not None:
-        usable = filter_overnight(loaded.records).between(index.bank_ids)
-        flags, conflicts = analysis.domestic_flags_from_records(usable, index)
+    if facts is not None:
+        flags = facts.domestic
         p_domestic = float(flags.mean())
         role_rows, nat_rows = [], []
         roles_bundle, nat_bundle = {}, {}
         for c, m in zip(names, members):
-            stats = analysis.attribute_frequencies(usable, index, m)
+            stats = analysis.attribute_frequencies(facts, m)
             role_rows += [[c, role, stats.mean[j], *stats.ci95[j]]
                           for j, role in enumerate(stats.roles)]
             roles_bundle[c] = {
@@ -432,7 +460,7 @@ def _cmd_analyze(args) -> int:
                                  "band_hi", "outside", "p"], nat_rows),
         ]
         bundle["roles"] = roles_bundle
-        bundle["nationality"] = {"p": p_domestic, "flag_conflicts": conflicts,
+        bundle["nationality"] = {"p": p_domestic, "flag_conflicts": list(facts.conflicts),
                                  "components": nat_bundle}
 
     out = _out_dir(args)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
-from datetime import date, datetime, time
+from datetime import date, datetime
 from functools import cached_property
 from itertools import islice
 
@@ -48,11 +48,10 @@ LEDGER_COLUMNS = (
 
 OVERNIGHT_MATURITIES = frozenset({"ON", "ONL"})
 
-WINDOW_OPEN = time(8, 0)
-WINDOW_CLOSE = time(18, 0)
 _WINDOW_OPEN_S = 8 * 3600
 _WINDOW_CLOSE_S = 18 * 3600
 _WINDOW_MINUTES = 600
+_WINDOW = ["08:00", "18:00"]  # as index.json writes it
 
 _TRUE_WORDS = frozenset({"true", "1", "t", "yes", "y"})
 _FALSE_WORDS = frozenset({"false", "0", "f", "no", "n"})
@@ -156,11 +155,11 @@ class Ledger:
         """The trades at the given positions, or where a boolean mask is true."""
         return Ledger(*(getattr(self, name)[rows] for name in _FIELDS))
 
-    def between(self, banks) -> "Ledger":
-        """The trades whose lender and borrower both belong to ``banks``."""
+    def among(self, banks) -> np.ndarray:
+        """Mask of the trades whose lender and borrower both belong to ``banks``."""
         labels, lender, borrower = self.bank_codes
         known = np.fromiter(map(set(banks).__contains__, labels), bool, len(labels))
-        return self.take(known[lender] & known[borrower])
+        return known[lender] & known[borrower]
 
     @cached_property
     def bank_codes(self):
@@ -375,7 +374,6 @@ class TensorIndex:
     bank_ids: tuple
     day_dates: tuple
     delta: int
-    window: tuple = (WINDOW_OPEN, WINDOW_CLOSE)
 
     def __post_init__(self) -> None:
         check_delta(self.delta)
@@ -383,8 +381,6 @@ class TensorIndex:
             raise ValueError("bank_ids contains duplicates")
         if any(b <= a for a, b in zip(self.day_dates, self.day_dates[1:])):
             raise ValueError("day_dates must be strictly increasing")
-        if tuple(self.window) != (WINDOW_OPEN, WINDOW_CLOSE):
-            raise ValueError("window must be 08:00-18:00, the only window binning covers")
         object.__setattr__(self, "bank_ids", tuple(self.bank_ids))
         object.__setattr__(self, "day_dates", tuple(self.day_dates))
 
@@ -401,7 +397,7 @@ class TensorIndex:
             "bank_ids": list(self.bank_ids),
             "day_dates": [d.isoformat() for d in self.day_dates],
             "delta_minutes": self.delta,
-            "window": [t.isoformat(timespec="minutes") for t in self.window],
+            "window": list(_WINDOW),
         }
 
     @classmethod
@@ -413,24 +409,24 @@ class TensorIndex:
         delta = data["delta_minutes"]
         if type(delta) is not int:  # JSON true is a bool, which is an int subclass
             raise TypeError(f"delta_minutes must be an integer, got {type(delta).__name__}")
-        window = _strings(data, "window")
-        if window != ["08:00", "18:00"]:
-            raise ValueError(f"window must be ['08:00', '18:00'], got {window}")
+        window = _json_list(data, "window")
+        if window != _WINDOW:
+            raise ValueError(f"window must be {_WINDOW}, got {window}")
         return cls(
-            bank_ids=tuple(_strings(data, "bank_ids")),
-            day_dates=tuple(date.fromisoformat(d) for d in _strings(data, "day_dates")),
+            bank_ids=tuple(_json_list(data, "bank_ids")),
+            day_dates=tuple(date.fromisoformat(d) for d in _json_list(data, "day_dates")),
             delta=delta,
         )
 
 
-def _strings(data: dict, key: str) -> list:
-    """``data[key]``, which must be a JSON list of strings."""
+def _json_list(data: dict, key: str, kind: type = str) -> list:
+    """``data[key]``, which must be a JSON list of ``kind`` (a bool is no int here)."""
     value = data[key]
     if not isinstance(value, list):
-        raise TypeError(f"{key} must be a list of strings, got {type(value).__name__}")
+        raise TypeError(f"{key} must be a list of {kind.__name__}, got {type(value).__name__}")
     for item in value:
-        if not isinstance(item, str):
-            raise TypeError(f"{key} must be a list of strings, got an item of type "
+        if type(item) is not kind:
+            raise TypeError(f"{key} must be a list of {kind.__name__}, got an item of type "
                             f"{type(item).__name__}")
     return value
 

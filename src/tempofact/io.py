@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from tempofact.als import FitResult
+from tempofact.analysis import ROLES, BankFacts
 from tempofact.corcondia import RankScanReport
-from tempofact.ingest import TensorIndex
+from tempofact.ingest import TensorIndex, _json_list
 from tempofact.synthetic import GroundTruth, SyntheticConfig
 from tempofact.tensor import DenseTensor3, KruskalTensor
 
@@ -35,6 +36,7 @@ TENSOR_MAGIC = b"TENSOR3\n"
 TENSOR_FORMAT_VERSION = 1
 FIT_SCHEMA_VERSION = 1
 RANK_SCAN_SCHEMA_VERSION = 1
+BANK_FACTS_SCHEMA_VERSION = 1
 
 
 class FileFormatError(ValueError):
@@ -246,3 +248,42 @@ def read_index(path) -> TensorIndex:
         return TensorIndex.from_dict(data)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise _malformed(f"tensor index {path}", err) from None
+
+
+def write_bank_facts(path, facts: BankFacts, ledger_sha256: str) -> None:
+    dump_json(path, {
+        "format": "bank_facts",
+        "version": BANK_FACTS_SCHEMA_VERSION,
+        "ledger_sha256": ledger_sha256,
+        "bank_ids": list(facts.bank_ids),
+        "role_counts": facts.role_counts,
+        "domestic": facts.domestic,
+        "flag_conflicts": list(facts.conflicts),
+    })
+
+
+def read_bank_facts(path):
+    """``(facts, ledger_sha256)`` from a ``bank_facts.json`` that ingest wrote."""
+    data = load_json(path)
+    if not (isinstance(data, dict) and data.get("format") == "bank_facts"
+            and type(data.get("version")) is int
+            and data["version"] == BANK_FACTS_SCHEMA_VERSION):
+        raise FileFormatError(f"{path}: not a supported bank_facts document")
+    try:
+        ledger_sha256 = data["ledger_sha256"]
+        if type(ledger_sha256) is not str:
+            raise TypeError("ledger_sha256 must be a string")
+        rows = _json_list(data, "role_counts", list)
+        for row in rows:
+            if len(row) != len(ROLES) or any(type(c) is not int or c < 0 for c in row):
+                raise ValueError(f"role_counts rows must hold {len(ROLES)} non-negative "
+                                 f"integers, got {row}")
+        facts = BankFacts(
+            tuple(_json_list(data, "bank_ids", str)),
+            np.array(rows, dtype=np.int64).reshape(len(rows), len(ROLES)),
+            np.array(_json_list(data, "domestic", bool), dtype=bool),
+            tuple(_json_list(data, "flag_conflicts", str)),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise _malformed(f"bank facts {path}", err) from None
+    return facts, ledger_sha256

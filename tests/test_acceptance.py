@@ -24,6 +24,7 @@ from tempofact.als import FitConfig, fit_best, fit_once
 from tempofact.analysis import (
     affiliate_banks,
     attribute_frequencies,
+    bank_facts,
     component_share,
     jaccard_overlap,
     nationality_test,
@@ -260,7 +261,7 @@ def test_criterion_8_analysis_arithmetic():
         + [_role_trade("X", "B", "lender")] * 2    # quoter lender
     )
     index = TensorIndex(("A", "B", "X"), (trades[0].timestamp.date(),), 30)
-    stats = attribute_frequencies(trades, index, members=[2])
+    stats = attribute_frequencies(bank_facts(trades, index), members=[2])
     assert stats.per_bank[0].tolist() == [3 / 8, 2 / 8, 1 / 8, 2 / 8]
 
     n_r = 29

@@ -9,6 +9,7 @@ from tempofact.analysis import (
     ROLES,
     affiliate_banks,
     attribute_frequencies,
+    bank_facts,
     binomial_quantile,
     classify_role,
     component_share,
@@ -185,7 +186,7 @@ def _toy_index(banks):
 def test_role_vector_for_pure_lender():
     records = [_trade("L", f"B{i}", "borrower") for i in range(4)]
     index = _toy_index(["L"] + [f"B{i}" for i in range(4)])
-    stats = attribute_frequencies(records, index, members=[0])
+    stats = attribute_frequencies(bank_facts(records, index), members=[0])
     assert stats.roles == ROLES
     assert stats.per_bank[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
@@ -200,7 +201,7 @@ def test_role_frequencies_sum_to_one_and_match_design():
         + [_trade("X", "B", "lender")] * 4    # X quoter lender
     )
     index = _toy_index(["A", "B", "X"])
-    stats = attribute_frequencies(records, index, members=[2])
+    stats = attribute_frequencies(bank_facts(records, index), members=[2])
     assert stats.per_bank.sum(axis=1).tolist() == [1.0]
     assert stats.per_bank[0].tolist() == [2 / 8, 1 / 8, 1 / 8, 4 / 8]
 
@@ -208,18 +209,18 @@ def test_role_frequencies_sum_to_one_and_match_design():
 def test_role_frequencies_exclude_inactive_banks():
     records = [_trade("A", "B", "borrower")]
     index = _toy_index(["A", "B", "C"])
-    stats = attribute_frequencies(records, index, members=[0, 2])
+    stats = attribute_frequencies(bank_facts(records, index), members=[0, 2])
     assert stats.bank_indices.tolist() == [0]
     assert stats.excluded == (2,)
     with pytest.raises(ValueError):
-        attribute_frequencies(records, index, members=[2])
+        attribute_frequencies(bank_facts(records, index), members=[2])
 
 
 def test_role_ci_contains_mean():
     records = [_trade("A", "B", "borrower"), _trade("B", "A", "borrower"),
                _trade("A", "C", "lender")]
     index = _toy_index(["A", "B", "C"])
-    stats = attribute_frequencies(records, index, members=[0, 1, 2])
+    stats = attribute_frequencies(bank_facts(records, index), members=[0, 1, 2])
     assert ((stats.ci95[:, 0] <= stats.mean) & (stats.mean <= stats.ci95[:, 1])).all()
 
 
@@ -311,7 +312,7 @@ def test_role_counts_match_classify_role():
             if side in index.bank_ids:
                 counts[index.bank_ids.index(side), ROLES.index(classify_role(r, side))] += 1
     members = np.flatnonzero(counts.sum(axis=1) > 0)
-    stats = attribute_frequencies(records, index, members)
+    stats = attribute_frequencies(bank_facts(records, index), members)
     assert stats.bank_indices.tolist() == members.tolist()
     assert np.array_equal(stats.per_bank,
                           counts[members] / counts[members].sum(axis=1, keepdims=True))

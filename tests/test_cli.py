@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -82,6 +83,10 @@ def test_ingest_empty_ledger_warns_but_succeeds(tmp_path, capsys):
     code = _run("ingest", ledger, "--out", tmp_path / "out")
     assert code == 0
     assert "empty" in capsys.readouterr().err.lower()
+    facts, ledger_sha256 = tfio.read_bank_facts(tmp_path / "out/bank_facts.json")
+    assert ledger_sha256 == hashlib.sha256(ledger.read_bytes()).hexdigest()
+    assert facts.bank_ids == () and facts.conflicts == ()
+    assert facts.role_counts.shape == (0, 4) and facts.domestic.shape == (0,)
 
 
 def test_ingest_reports_rejected_rows(tmp_path):
@@ -411,3 +416,131 @@ def test_corcondia_failure_creates_no_out(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert _run("corcondia", tensor_path, "--rmax", 1, "--out", out) == 3
     assert not out.exists()
+
+
+# Overnight trades between index banks stamped outside 08:00-18:00 (07:30,
+# 20:00), a bank that trades only outside the window (ZZZ), non-overnight
+# rows (1W, TN), a domestic-flag conflict (EEE) and one rejected row.
+_HAND_LEDGER = """\
+timestamp,lender_id,borrower_id,amount_mEUR,proposer,maturity,lender_domestic,borrower_domestic
+2008-09-15T09:10,AAA,BBB,5.0,lender,ON,1,0
+2008-09-15T09:40,BBB,CCC,3.0,borrower,ON,0,1
+2008-09-15T07:30,CCC,AAA,2.0,lender,ON,1,1
+2008-09-15T11:00,DDD,EEE,4.0,borrower,ONL,1,0
+2008-09-15T12:00,AAA,DDD,6.0,lender,1W,1,1
+2008-09-15T19:15,ZZZ,AAA,1.0,borrower,ON,0,1
+2008-09-15T13:00,EEE,AAA,2.5,lender,ON,1,1
+2008-09-15T14:00,AAA,BBB,-1.0,lender,ON,1,0
+2008-09-16T08:00,CCC,DDD,1.5,borrower,ON,1,1
+2008-09-16T18:00,BBB,EEE,2.0,lender,ON,0,0
+2008-09-16T20:00,DDD,BBB,3.5,lender,ON,1,0
+2008-09-16T10:30,EEE,CCC,1.0,borrower,TN,0,1
+"""
+
+
+def _hand_pipeline(tmp_path):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(_HAND_LEDGER)
+    assert _run("ingest", ledger, "--delta", 120, "--out", tmp_path / "ingest") == 0
+    assert _run("fit", tmp_path / "ingest/tensor.bin", "--rank", 1, "--restarts", 2,
+                "--seed", 1, "--out", tmp_path / "fit") == 0
+    return ledger
+
+
+def _analyze_ledger(tmp_path, ledger, name):
+    rep = tmp_path / name
+    assert _run("analyze", tmp_path / "fit/fit.json", "--index", tmp_path / "ingest/index.json",
+                "--ledger", ledger, "--percentile", 50, "--out", rep) == 0
+    inputs = json.loads((rep / "manifest.json").read_text())["inputs"]
+    return rep, json.loads((rep / "analysis.json").read_text()), inputs
+
+
+def test_analyze_stored_and_parsed_bank_facts_give_the_same_bytes(tmp_path):
+    ledger = _hand_pipeline(tmp_path)
+    stored_facts = tmp_path / "ingest/bank_facts.json"
+    facts, _ = tfio.read_bank_facts(stored_facts)
+    # Out-of-window trades between index banks count; ZZZ's trade and the
+    # 1W, TN and rejected rows do not.
+    assert facts.role_counts.tolist() == [[0, 0, 2, 1], [1, 0, 2, 1], [1, 1, 0, 1],
+                                          [1, 1, 0, 1], [0, 1, 1, 1]]
+    stored, bundle, inputs = _analyze_ledger(tmp_path, ledger, "stored")
+    assert inputs["bank_facts"] == {"path": str(stored_facts),
+                                    "sha256": hashlib.sha256(stored_facts.read_bytes()).hexdigest()}
+    assert bundle["nationality"]["flag_conflicts"] == ["EEE"]
+    assert bundle["nationality"]["p"] == 0.6  # AAA, CCC and DDD are first seen domestic
+    stored_facts.rename(tmp_path / "bank_facts.json")
+    parsed, _, inputs = _analyze_ledger(tmp_path, ledger, "parsed")
+    assert "bank_facts" not in inputs
+    for name in ("role_frequencies.csv", "nationality.csv", "analysis.json"):
+        assert (stored / name).read_bytes() == (parsed / name).read_bytes(), name
+
+    # One byte after ingest: AAA's first domestic flag, 1 -> 0.
+    (tmp_path / "bank_facts.json").rename(stored_facts)
+    ledger.write_text(_HAND_LEDGER.replace("lender,ON,1,0\n", "lender,ON,0,0\n", 1))
+    _, bundle, inputs = _analyze_ledger(tmp_path, ledger, "edited")
+    assert "bank_facts" not in inputs
+    assert bundle["nationality"]["flag_conflicts"] == ["AAA", "EEE"]
+    assert bundle["nationality"]["p"] == 0.4
+
+
+def test_analyze_ignores_bank_facts_of_other_banks(tmp_path):
+    ledger = _hand_pipeline(tmp_path)
+    stored_facts = tmp_path / "ingest/bank_facts.json"
+    doc = json.loads(stored_facts.read_text())
+    doc["bank_ids"][0] = "AAB"
+    stored_facts.write_text(json.dumps(doc))
+    _, bundle, inputs = _analyze_ledger(tmp_path, ledger, "rep")
+    assert "bank_facts" not in inputs
+    assert bundle["nationality"]["p"] == 0.6
+
+
+def test_ledger_pipeline_parses_the_ledger_once(tmp_path, monkeypatch):
+    from tempofact import cli
+
+    calls = []
+
+    def counted(source, _load=cli.load_transactions):
+        calls.append(source)
+        return _load(source)
+
+    monkeypatch.setattr(cli, "load_transactions", counted)
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--banks", 12, "--intervals", 5, "--days", 30, "--seed", 3,
+                "--ledger", "--out", synth_dir) == 0
+    assert _run("ingest", synth_dir / "ledger.csv", "--delta", 120,
+                "--out", tmp_path / "ingest") == 0
+    assert _run("fit", tmp_path / "ingest/tensor.bin", "--rank", 2, "--restarts", 2,
+                "--seed", 1, "--out", tmp_path / "fit") == 0
+    assert _run("analyze", tmp_path / "fit/fit.json", "--index", tmp_path / "ingest/index.json",
+                "--ledger", synth_dir / "ledger.csv", "--out", tmp_path / "rep") == 0
+    assert len(calls) == 1
+
+
+def test_analyze_malformed_bank_facts_exit_io(tmp_path, capsys):
+    ledger = _hand_pipeline(tmp_path)
+    stored_facts = tmp_path / "ingest/bank_facts.json"
+    valid = json.loads(stored_facts.read_text())
+    counts = valid["role_counts"]
+    cases = {
+        "not a JSON document": "{ this is not JSON",
+        "not a supported bank_facts document": [{"format": "fit_result"}, {"version": 2}],
+        "bank facts need 5 rows": [{"domestic": valid["domestic"][1:]},
+                                   {"role_counts": counts[1:]}],
+        "non-negative integers": [{"role_counts": [[-1, 0, 0, 0]] + counts[1:]},
+                                  {"role_counts": [[0.5, 0, 0, 0]] + counts[1:]}],
+        "domestic must be a list of bool": [{"domestic": [1] + valid["domestic"][1:]}],
+    }
+    k = 0
+    for expected, edits in cases.items():
+        for edit in [edits] if isinstance(edits, str) else edits:
+            stored_facts.write_text(edit if isinstance(edit, str)
+                                    else json.dumps({**valid, **edit}))
+            rep = tmp_path / f"rep{k}"
+            k += 1
+            capsys.readouterr()
+            assert _run("analyze", tmp_path / "fit/fit.json", "--index",
+                        tmp_path / "ingest/index.json", "--ledger", ledger, "--out", rep) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1, err
+            assert expected in err, (edit, err)
+            assert not rep.exists()

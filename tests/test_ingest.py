@@ -277,7 +277,7 @@ def test_ledger_views_and_subsets():
     assert ledger[1] == records[1] and ledger[-1] == records[-1]
     assert type(ledger[0].amount) is float and type(ledger[0].lender_domestic) is bool
     assert list(ledger.take([2, 0])) == [records[2], records[0]]
-    assert list(ledger.between(["AAA", "BBB", "CCC"])) == records[:2]
+    assert list(ledger.take(ledger.among(["AAA", "BBB", "CCC"]))) == records[:2]
     labels, lender, borrower = ledger.bank_codes
     assert labels == ("AAA", "BBB", "CCC", "DDD")
     assert lender.tolist() == [0, 2, 1] and borrower.tolist() == [1, 0, 3]

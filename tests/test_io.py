@@ -170,6 +170,9 @@ _VALID_FIT = {
 }
 _VALID_INDEX = {"bank_ids": ["DE001", "IT001"], "day_dates": ["2008-09-15", "2008-09-16"],
                 "delta_minutes": 30, "window": ["08:00", "18:00"]}
+_VALID_FACTS = {"format": "bank_facts", "version": 1, "ledger_sha256": "ab" * 32,
+                "bank_ids": ["DE001", "IT001"], "role_counts": [[1, 0, 2, 0], [0, 3, 0, 1]],
+                "domestic": [True, False], "flag_conflicts": ["IT001"]}
 
 
 @st.composite
@@ -253,8 +256,56 @@ def test_read_index_returns_or_raises_file_format_error(tmp_path_factory, raw):
         assert doc["window"] == ["08:00", "18:00"]
 
 
+def _facts_doc(**changes) -> bytes:
+    return json.dumps({**_VALID_FACTS, **changes}).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=80),
+                     st.one_of(_JSON, _mutated(_VALID_FACTS)).map(
+                         lambda doc: json.dumps(doc).encode("utf-8"))))
+@example(raw=_facts_doc())
+@example(raw=_facts_doc(bank_ids=[], role_counts=[], domestic=[], flag_conflicts=[]))
+@example(raw=b"{ this is not JSON")
+@example(raw=_facts_doc(format="fit_result"))
+@example(raw=_facts_doc(version=2))
+@example(raw=_facts_doc(version=True))
+@example(raw=_facts_doc(domestic=[True]))
+@example(raw=_facts_doc(bank_ids=["DE001"]))
+@example(raw=_facts_doc(role_counts=[[1, 0, 2, 0]]))
+@example(raw=_facts_doc(role_counts=[[1, 0, 2], [0, 3, 0, 1]]))
+@example(raw=_facts_doc(role_counts=[[1, 0, -2, 0], [0, 3, 0, 1]]))
+@example(raw=_facts_doc(role_counts=[[1, 0, 2.5, 0], [0, 3, 0, 1]]))
+@example(raw=_facts_doc(role_counts=[[1, 0, 2.0, 0], [0, 3, 0, 1]]))
+@example(raw=_facts_doc(role_counts=[[1, 0, True, 0], [0, 3, 0, 1]]))
+@example(raw=_facts_doc(role_counts=[[1, 0, 2**64, 0], [0, 3, 0, 1]]))
+@example(raw=_facts_doc(domestic=[1, 0]))
+@example(raw=_facts_doc(domestic=["true", "false"]))
+@example(raw=_facts_doc(flag_conflicts="IT001"))
+@example(raw=_facts_doc(ledger_sha256=None))
+def test_read_bank_facts_returns_or_raises_file_format_error(tmp_path_factory, raw):
+    """Bank facts that are read back hold the document's own JSON values."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-bank-facts.json"
+    path.write_bytes(raw)
+    with contextlib.suppress(tfio.FileFormatError):
+        facts, ledger_sha256 = tfio.read_bank_facts(path)
+        doc = json.loads(raw)
+        assert ledger_sha256 == doc["ledger_sha256"] and type(ledger_sha256) is str
+        assert facts.bank_ids == tuple(doc["bank_ids"])
+        assert all(type(b) is str for b in facts.bank_ids)
+        assert facts.role_counts.tolist() == doc["role_counts"]
+        assert all(type(c) is int and c >= 0 for row in doc["role_counts"] for c in row)
+        assert facts.domestic.tolist() == doc["domestic"]
+        assert all(type(f) is bool for f in doc["domestic"])
+        assert facts.conflicts == tuple(doc["flag_conflicts"])
+        assert all(type(b) is str for b in facts.conflicts)
+
+
 def test_valid_fuzz_seeds_are_accepted(tmp_path):
     assert tfio.fit_result_from_dict(copy.deepcopy(_VALID_FIT)).seed == 4
     path = tmp_path / "index.json"
     path.write_text(json.dumps(_VALID_INDEX))
     assert tfio.read_index(path).delta == 30
+    path.write_bytes(_facts_doc())
+    facts, ledger_sha256 = tfio.read_bank_facts(path)
+    assert facts.bank_ids == ("DE001", "IT001") and ledger_sha256 == "ab" * 32
