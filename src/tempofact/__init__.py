@@ -12,15 +12,12 @@ __version__ = "0.1.0"
 from tempofact.tensor import (
     DenseTensor3,
     KruskalTensor,
-    frobenius_distance,
     khatri_rao,
     matricize,
     reconstruct,
-    relative_error,
-    tensorize,
 )
 from tempofact.nnls import NnlsProblem, NnlsSolution, solve_nnls
-from tempofact.als import FitConfig, FitError, FitResult, als_sweep, fit_best, fit_once, fit_restarts
+from tempofact.als import FitConfig, FitError, FitResult, fit_best, fit_once, fit_restarts
 from tempofact.corcondia import (
     CoreTensor,
     DegenerateFactorError,
@@ -34,9 +31,7 @@ from tempofact.synthetic import GroundTruth, SyntheticConfig, generate, generate
 from tempofact.ingest import (
     Ledger,
     TensorIndex,
-    TransactionRecord,
     build_tensor,
-    daily_series,
     filter_overnight,
     load_transactions,
     moving_average,
@@ -45,19 +40,15 @@ from tempofact.ingest import (
 __all__ = [
     "DenseTensor3",
     "KruskalTensor",
-    "frobenius_distance",
     "khatri_rao",
     "matricize",
     "reconstruct",
-    "relative_error",
-    "tensorize",
     "NnlsProblem",
     "NnlsSolution",
     "solve_nnls",
     "FitConfig",
     "FitError",
     "FitResult",
-    "als_sweep",
     "fit_best",
     "fit_once",
     "fit_restarts",
@@ -74,9 +65,7 @@ __all__ = [
     "generate_with_log",
     "Ledger",
     "TensorIndex",
-    "TransactionRecord",
     "build_tensor",
-    "daily_series",
     "filter_overnight",
     "load_transactions",
     "moving_average",

@@ -135,20 +135,6 @@ def _sweep(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray):
     return A, B, C, obj
 
 
-def als_sweep(x: DenseTensor3, k: KruskalTensor) -> KruskalTensor:
-    """Run one full alternating update cycle starting from ``k``.
-
-    Component weights are folded into the day factors before the sweep; the
-    returned tensor carries unit weights.  The reconstruction misfit never
-    increases across a sweep (each update solves its subproblem exactly).
-    """
-    if k.dims != x.dims:
-        raise ValueError(f"factor dims {k.dims} do not match tensor dims {x.dims}")
-    ws = _Workspace(x)
-    A, B, C, _ = _sweep(ws, k.A, k.B, k.C * k.weights)
-    return KruskalTensor(A, B, C)
-
-
 def _initial_factors(ws: _Workspace, rank: int, seed: int, init: str):
     rng = np.random.default_rng(seed)
     n, t, d = ws.dims

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from tempofact.ingest import Ledger, TensorIndex, TransactionRecord
+from tempofact.ingest import Ledger, TensorIndex
 from tempofact.tensor import KruskalTensor
 
 #: Transaction roles, crossing trade side with which side posted the quote.
@@ -112,15 +112,6 @@ def membership_mean(k: KruskalTensor, r: int, members) -> np.ndarray:
     return membership_level(k, r)[members].mean(axis=0)
 
 
-def classify_role(record: TransactionRecord, bank_id: str) -> str:
-    """Which of the four roles ``bank_id`` played in ``record``."""
-    if bank_id == record.lender_id:
-        return "aggressor_lender" if record.proposer == "borrower" else "quoter_lender"
-    if bank_id == record.borrower_id:
-        return "quoter_borrower" if record.proposer == "borrower" else "aggressor_borrower"
-    raise ValueError(f"bank {bank_id!r} is not a side of this record")
-
-
 @dataclass(frozen=True, eq=False)
 class BankFacts:
     """What the role and nationality statistics take from a ledger, per index bank.
@@ -142,17 +133,18 @@ class BankFacts:
                              f"{n} domestic flags")
 
 
-def bank_facts(records, index: TensorIndex, rows=None) -> BankFacts:
+def bank_facts(ledger: Ledger, index: TensorIndex, rows=None) -> BankFacts:
     """Role counts, domestic flags and flag conflicts of the index banks.
 
-    They are counted over the trades of ``records`` where the boolean mask
+    They are counted over the trades of ``ledger`` where the boolean mask
     ``rows`` holds (every trade by default), so a caller selects trades
-    without copying the ledger.  Each side of a trade gets one role, as
-    :func:`classify_role` gives it, and one domestic flag; a bank's flag is
-    its first occurrence in ledger order, the lender before the borrower.
-    Conflicts cover every bank of the selected trades, in the index or not.
+    without copying the ledger.  Each side of a trade gets one role: the
+    lender aggresses when the borrower posted the quote and quotes when it
+    posted the quote itself, and the borrower the other way round.  Each
+    side also carries one domestic flag; a bank's flag is its first
+    occurrence in ledger order, the lender before the borrower.  Conflicts
+    cover every bank of the selected trades, in the index or not.
     """
-    ledger = Ledger.of(records)
     labels, lender, borrower = ledger.bank_codes
     by_borrower = ledger.proposer == "borrower"
     lender_flag, borrower_flag = ledger.lender_domestic, ledger.borrower_domestic
@@ -272,7 +264,7 @@ def nationality_test(members, domestic_flags, p: float) -> NationalityBand:
     return NationalityBand(observed, (lo, hi), outside, n, float(p))
 
 
-def domestic_flags_from_records(records, index: TensorIndex):
-    """``(flags, conflicts)`` of :func:`bank_facts` over every trade of ``records``."""
-    facts = bank_facts(records, index)
+def domestic_flags_from_records(ledger: Ledger, index: TensorIndex):
+    """``(flags, conflicts)`` of :func:`bank_facts` over every trade of ``ledger``."""
+    facts = bank_facts(ledger, index)
     return facts.domestic, list(facts.conflicts)

@@ -254,7 +254,7 @@ def _cmd_ingest(args) -> int:
         "rows_rejected": [{"line": i.line, "message": i.message} for i in loaded.issues],
         "overnight_kept": len(overnight),
         "out_of_window": [
-            {"timestamp": r.timestamp.isoformat(), "reason": reason} for r, reason in excluded
+            {"timestamp": ts.isoformat(), "reason": reason} for ts, reason in excluded
         ],
         "banks": len(index.bank_ids),
         "days": len(index.day_dates),

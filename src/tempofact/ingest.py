@@ -12,12 +12,15 @@ Input ledgers are comma-separated with a mandatory header row::
 * ``maturity``         maturity label; overnight trades are "ON" or "ONL"
 * ``*_domestic``       true/false (also accepts 1/0, yes/no)
 
-A parsed ledger is a :class:`Ledger`: one array per column, so filtering,
-binning and export work on whole columns instead of one record object per
-trade.  Binning covers the 08:00-18:00 trading window split into equal
-intervals of ``delta`` minutes, half-open on the right except that a trade
-stamped at exactly 18:00 lands in the last interval.  Every trade adds its
-amount to both the lender row and the borrower row of the same
+The file must be UTF-8 text; a file that is not, or that holds a field
+longer than the ``csv`` module's field size limit, fails as a whole.
+
+Trades travel as a :class:`Ledger`, one array per column: parsing,
+filtering, binning and export all take and return ledgers and work on
+whole columns.  Binning covers the 08:00-18:00 trading window split into
+equal intervals of ``delta`` minutes, half-open on the right except that a
+trade stamped at exactly 18:00 lands in the last interval.  Every trade
+adds its amount to both the lender row and the borrower row of the same
 (interval, day) fiber, so total tensor mass is exactly twice the summed
 trade volume.
 """
@@ -78,26 +81,6 @@ def _record_problem(amount, lender_id, borrower_id, proposer) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class TransactionRecord:
-    """One time-stamped bilateral trade."""
-
-    timestamp: datetime
-    lender_id: str
-    borrower_id: str
-    amount: float
-    proposer: str
-    maturity: str
-    lender_domestic: bool
-    borrower_domestic: bool
-
-    def __post_init__(self) -> None:
-        problem = _record_problem(self.amount, self.lender_id, self.borrower_id, self.proposer)
-        if problem is not None:
-            raise ValueError(problem)
-
-
-_FIELDS = tuple(f.name for f in fields(TransactionRecord))
 _DTYPES = {"amount": np.float64, "lender_domestic": np.bool_, "borrower_domestic": np.bool_}
 
 
@@ -105,11 +88,11 @@ _DTYPES = {"amount": np.float64, "lender_domestic": np.bool_, "borrower_domestic
 class Ledger:
     """Trades as equal-length, read-only columns, in ledger order.
 
-    The columns carry the :class:`TransactionRecord` field names: ``amount``
-    is float64, the two domestic flags are bool and the other columns hold
-    Python objects (datetimes and strings).  ``len()`` counts trades;
-    iterating or indexing yields ``TransactionRecord`` views.  The columns
-    are not validated again: build a ledger from records or parsed rows.
+    One column per ledger field: ``timestamp`` holds naive datetimes, the
+    bank ids, ``proposer`` and ``maturity`` hold strings (object arrays),
+    ``amount`` is float64 in million EUR and the two domestic flags are
+    bool.  ``len()`` counts trades.  The columns are not validated against
+    the row rules: :func:`load_transactions` builds ledgers of valid trades.
     """
 
     timestamp: np.ndarray
@@ -133,23 +116,8 @@ class Ledger:
         if len(lengths) > 1:
             raise ValueError(f"ledger columns differ in length: {sorted(lengths)}")
 
-    @classmethod
-    def of(cls, records) -> "Ledger":
-        """The ledger of a record sequence; a ``Ledger`` is returned as is."""
-        if isinstance(records, Ledger):
-            return records
-        records = list(records)
-        return cls(*([getattr(r, name) for r in records] for name in _FIELDS))
-
     def __len__(self) -> int:
         return self.amount.size
-
-    def __iter__(self):
-        return map(TransactionRecord, *(getattr(self, name).tolist() for name in _FIELDS))
-
-    def __getitem__(self, i: int) -> TransactionRecord:
-        (record,) = self.take([i])
-        return record
 
     def take(self, rows) -> "Ledger":
         """The trades at the given positions, or where a boolean mask is true."""
@@ -173,9 +141,12 @@ class Ledger:
                 np.fromiter(map(pos, self.borrower_id.tolist()), np.intp, n))
 
 
+_FIELDS = tuple(f.name for f in fields(Ledger))
+
+
 def _concat(parts) -> Ledger:
     if not parts:
-        return Ledger.of([])
+        return Ledger(*([] for _ in _FIELDS))
     return Ledger(*(np.concatenate([getattr(p, name) for p in parts]) for name in _FIELDS))
 
 
@@ -236,8 +207,9 @@ def _parse_bool(text: str) -> bool:
 def load_transactions(source) -> LoadResult:
     """Parse a ledger CSV; malformed rows become issues, never silent drops.
 
-    ``source`` is a path or an open text stream.  A missing or wrong header
-    raises :class:`LedgerFormatError`; unreadable paths raise OSError.
+    ``source`` is a path or an open text stream.  A missing or wrong header,
+    text that is not UTF-8 and a field over the ``csv`` field size limit
+    raise :class:`LedgerFormatError`; unreadable paths raise OSError.
     """
     if hasattr(source, "read"):
         return _parse_stream(source)
@@ -247,6 +219,15 @@ def load_transactions(source) -> LoadResult:
 
 def _parse_stream(handle) -> LoadResult:
     reader = csv.reader(handle)
+    try:
+        return _parse_reader(reader)
+    except UnicodeDecodeError as err:  # a ValueError, which would read as a usage error
+        raise LedgerFormatError(f"not UTF-8 text: {err.reason}") from None
+    except csv.Error as err:
+        raise LedgerFormatError(f"line {reader.line_num}: {err}") from None
+
+
+def _parse_reader(reader) -> LoadResult:
     try:
         header = next(reader)
     except StopIteration:
@@ -334,9 +315,8 @@ def _parse_rows(rows: list, first_line: int, issues: list) -> Ledger:
     return batch.take(keep)
 
 
-def save_transactions(path, records) -> None:
-    """Write records back out in the documented ledger schema."""
-    ledger = Ledger.of(records)
+def save_transactions(path, ledger: Ledger) -> None:
+    """Write a ledger out in the documented ledger schema."""
     columns = (
         _per_object(lambda ts: ts.isoformat(sep="T"), ledger.timestamp),
         ledger.lender_id.tolist(),
@@ -353,9 +333,8 @@ def save_transactions(path, records) -> None:
         writer.writerows(zip(*columns))
 
 
-def filter_overnight(records) -> Ledger:
+def filter_overnight(ledger: Ledger) -> Ledger:
     """Keep exactly the trades with overnight maturity labels (ON, ONL)."""
-    ledger = Ledger.of(records)
     maturity = ledger.maturity.tolist()
     return ledger.take(np.fromiter(map(OVERNIGHT_MATURITIES.__contains__, maturity),
                                    bool, len(maturity)))
@@ -443,24 +422,31 @@ def _day_codes(timestamps):
     return days, np.fromiter(map(pos, day_of), np.intp, len(day_of))
 
 
-def build_tensor(records, delta: int):
-    """Bin trades into a banks x intervals x days volume tensor.
+def build_tensor(ledger: Ledger, delta: int):
+    """Bin the trades of ``ledger`` into a banks x intervals x days volume tensor.
 
     Returns ``(tensor, index, excluded)`` where ``excluded`` lists
-    (record, reason) pairs for trades stamped outside the trading window.
-    Banks and days enter the index only if they occur in the kept records,
-    sorted lexicographically / chronologically.
+    ``(timestamp, reason)`` pairs, in ledger order, for the trades stamped
+    outside the trading window.  Banks and days enter the index only if they
+    occur in the trades inside the window, sorted lexicographically /
+    chronologically.  The bank codes come from ``ledger.bank_codes``, so a
+    caller that needs them too derives them once.
     """
     check_delta(delta)
-    ledger = Ledger.of(records)
     seconds = np.fromiter(_per_object(_second_of_day, ledger.timestamp), np.intp, len(ledger))
     inside = (seconds >= _WINDOW_OPEN_S) & (seconds <= _WINDOW_CLOSE_S)
-    excluded = [(r, f"timestamp {r.timestamp.time()} outside 08:00-18:00 window")
-                for r in ledger.take(~inside)]
+    excluded = [(ts, f"timestamp {ts.time()} outside 08:00-18:00 window")
+                for ts in ledger.timestamp[~inside].tolist()]
 
-    kept = ledger.take(inside)
-    banks, lender_rows, borrower_rows = kept.bank_codes
-    days, slabs = _day_codes(kept.timestamp)
+    # The sorted labels of the banks trading inside the window, and each
+    # in-window trade's lender and borrower positions among them.
+    labels, lender, borrower = ledger.bank_codes
+    lender, borrower = lender[inside], borrower[inside]
+    present = np.unique(np.concatenate([lender, borrower]))
+    banks = tuple(labels[k] for k in present.tolist())
+    lender_rows, borrower_rows = np.searchsorted(present, lender), np.searchsorted(present, borrower)
+    days, slabs = _day_codes(ledger.timestamp[inside])
+    amount = ledger.amount[inside]
     t_count = _WINDOW_MINUTES // delta
     cols = np.minimum((seconds[inside] - _WINDOW_OPEN_S) // (delta * 60), t_count - 1)
     # One bincount over the lender entries, then the borrower entries, adds
@@ -469,22 +455,11 @@ def build_tensor(records, delta: int):
     slab_size = t_count * len(days)
     flat = np.concatenate([lender_rows * slab_size + cell, borrower_rows * slab_size + cell])
     size = len(banks) * slab_size
-    values = np.bincount(flat, weights=np.concatenate([kept.amount, kept.amount]),
+    values = np.bincount(flat, weights=np.concatenate([amount, amount]),
                          minlength=size).reshape(len(banks), t_count, len(days))
 
     index = TensorIndex(banks, days, delta)
     return DenseTensor3(values, "amount_meur"), index, excluded
-
-
-def daily_series(records):
-    """Per-day activity counts: (dates, distinct active banks, trade counts)."""
-    ledger = Ledger.of(records)
-    days, day = _day_codes(ledger.timestamp)
-    banks, lender, borrower = ledger.bank_codes
-    trades = np.bincount(day, minlength=len(days))
-    pairs = np.unique(np.concatenate([day, day]) * len(banks) + np.concatenate([lender, borrower]))
-    active = np.bincount(pairs // max(len(banks), 1), minlength=len(days))
-    return list(days), active.astype(int), trades.astype(int)
 
 
 def moving_average(series, window: int = 20) -> np.ndarray:

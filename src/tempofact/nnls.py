@@ -43,15 +43,14 @@ import numpy as np
 class NnlsProblem:
     """Normal-equation form of a batched NNLS problem.
 
-    ``gram`` must be symmetric positive semidefinite; ``ridge`` is added to
-    its diagonal only when a principal submatrix turns out not to be
-    positive definite (zero factor columns do this transiently during ALS).
-    A ridge of 0 selects the default ``1e-12 * trace(gram) / R``.
+    ``gram`` must be symmetric positive semidefinite.  When a passive-set
+    system turns out not to be positive definite (zero factor columns do
+    this transiently during ALS), the solver adds the ridge
+    ``1e-12 * trace(gram) / R`` to its diagonal.
     """
 
     gram: np.ndarray
     crossterm: np.ndarray
-    ridge: float = 0.0
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gram, dtype=np.float64)
@@ -65,8 +64,6 @@ class NnlsProblem:
         scale = max(1.0, float(np.abs(g).max())) if g.size else 1.0
         if g.size and float(np.abs(g - g.T).max()) > 1e-12 * scale:
             raise ValueError("gram matrix is not symmetric")
-        if self.ridge < 0.0:
-            raise ValueError("ridge must be nonnegative")
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "crossterm", c)
 
@@ -135,7 +132,7 @@ def solve_nnls(
     eps = 1e-12 * np.maximum(max(1.0, float(np.abs(gram).max())), np.abs(ct).max(axis=0))
 
     F = np.zeros((r, m), dtype=bool) if passive is None else passive.T.copy()
-    X, Y = _solve_passive(gram, ct, F, problem.ridge)
+    X, Y = _solve_passive(gram, ct, F)
     alpha = np.full(m, 3, dtype=int)
     best_inf = np.full(m, r + 1, dtype=int)
     col_iters = np.zeros(m, dtype=int)
@@ -169,7 +166,7 @@ def solve_nnls(
             F[top, single_cols] = ~F[top, single_cols]
 
         col_iters[cols] += 1
-        X[:, cols], Y[:, cols] = _solve_passive(gram, ct[:, cols], F[:, cols], problem.ridge)
+        X[:, cols], Y[:, cols] = _solve_passive(gram, ct[:, cols], F[:, cols])
 
     all_feasible = not infeasible.any()
     W = np.maximum(X, 0.0).T
@@ -177,7 +174,7 @@ def solve_nnls(
     return NnlsSolution(W, res, passes, all_feasible and res <= tol)
 
 
-def _solve_passive(gram: np.ndarray, ct: np.ndarray, passive: np.ndarray, ridge: float):
+def _solve_passive(gram: np.ndarray, ct: np.ndarray, passive: np.ndarray):
     """Passive-set least squares of each column of ``ct``: returns X and the gradient Y.
 
     Column j's system is padded to R x R: ``gram`` where both variables are
@@ -206,7 +203,7 @@ def _solve_passive(gram: np.ndarray, ct: np.ndarray, passive: np.ndarray, ridge:
     for b in range(1, r):  # entrywise in a fixed order, whatever the batch
         sol += gathered[:, :, b] * rhs[:, b : b + 1]
     for j in ridged:
-        sol[j] = _solve_one(systems[which[j]], rhs[j], gram, ridge)
+        sol[j] = _solve_one(systems[which[j]], rhs[j], gram)
     x = np.where(passive, sol.T, 0.0)
     y = gram @ x - ct
     y[passive] = 0.0
@@ -221,11 +218,10 @@ def _positive_definite(system: np.ndarray) -> bool:
     return True
 
 
-def _solve_one(system: np.ndarray, rhs: np.ndarray, gram: np.ndarray, ridge: float):
+def _solve_one(system: np.ndarray, rhs: np.ndarray, gram: np.ndarray):
     """One column whose padded system is not positive definite, solved with a ridge."""
     r = gram.shape[0]
-    if ridge <= 0.0:
-        ridge = 1e-12 * float(np.trace(gram)) / r
+    ridge = 1e-12 * float(np.trace(gram)) / r
     damped = system + ridge * np.eye(r)
     if _positive_definite(damped):
         return np.linalg.solve(damped, rhs)

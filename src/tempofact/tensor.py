@@ -14,7 +14,6 @@ identities are exact and are enforced by the test suite; every consumer of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,23 +145,6 @@ def matricize(x: DenseTensor3, mode: int) -> np.ndarray:
     return np.reshape(np.moveaxis(a, mode - 1, 0), (a.shape[mode - 1], -1), order="F")
 
 
-def tensorize(
-    m: np.ndarray, mode: int, dims: tuple[int, int, int], semantics: str = "amount_meur"
-) -> DenseTensor3:
-    """Inverse of :func:`matricize`: fold a mode-n unfolding back into a tensor."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    if len(dims) != 3:
-        raise ValueError(f"dims must have length 3, got {dims!r}")
-    m = np.asarray(m, dtype=np.float64)
-    rest = [d for i, d in enumerate(dims) if i != mode - 1]
-    expected = (dims[mode - 1], int(math.prod(rest)))
-    if m.ndim != 2 or m.shape != expected:
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims} for mode {mode}")
-    folded = np.moveaxis(np.reshape(m, (dims[mode - 1], *rest), order="F"), 0, mode - 1)
-    return DenseTensor3(np.ascontiguousarray(folded), semantics)
-
-
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columnwise Kronecker product: column r of the result is kron(a_r, b_r)."""
     a = np.asarray(a, dtype=np.float64)
@@ -179,19 +161,3 @@ def reconstruct(k: KruskalTensor, semantics: str = "amount_meur") -> DenseTensor
     ``sum_r weights_r * A[i, r] * B[j, r] * C[k, r]``."""
     vals = np.einsum("r,ir,jr,kr->ijk", k.weights, k.A, k.B, k.C, optimize=True)
     return DenseTensor3(vals, semantics)
-
-
-def frobenius_distance(x: DenseTensor3, y: DenseTensor3) -> float:
-    """Frobenius norm of the entrywise difference of two equal-shaped tensors."""
-    if x.dims != y.dims:
-        raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    return float(np.linalg.norm((x.values - y.values).ravel()))
-
-
-def relative_error(x: DenseTensor3, y: DenseTensor3) -> float:
-    """``frobenius_distance(x, y) / ||x||_F``; zero for two zero tensors."""
-    dist = frobenius_distance(x, y)
-    nx = x.norm()
-    if nx > 0.0:
-        return dist / nx
-    return 0.0 if dist == 0.0 else float("inf")

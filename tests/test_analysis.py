@@ -1,4 +1,4 @@
-from datetime import date, datetime
+from datetime import date
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from tempofact.analysis import (
     attribute_frequencies,
     bank_facts,
     binomial_quantile,
-    classify_role,
     component_share,
     domestic_flags_from_records,
     jaccard_matrix,
@@ -23,9 +22,9 @@ from tempofact.analysis import (
     nationality_test,
     order_components,
 )
-from tempofact.ingest import TensorIndex, TransactionRecord
+from tempofact.ingest import TensorIndex
 from tempofact.tensor import KruskalTensor
-from util import random_kruskal
+from util import classify_role, ledger_of, ledger_rows, random_kruskal
 
 
 def _k(a, b, c, w=None):
@@ -163,9 +162,8 @@ def test_membership_mean_hand_case():
         membership_mean(k, 0, np.array([], dtype=int))
 
 
-def _trade(lender, borrower, proposer, ts="2008-09-15T09:00"):
-    return TransactionRecord(datetime.fromisoformat(ts), lender, borrower, 1.0,
-                             proposer, "ON", True, False)
+def _trade(lender, borrower, proposer):
+    return ("2008-09-15T09:00", lender, borrower, 1.0, proposer, "ON", True, False)
 
 
 def test_classify_role_all_four():
@@ -184,7 +182,7 @@ def _toy_index(banks):
 
 
 def test_role_vector_for_pure_lender():
-    records = [_trade("L", f"B{i}", "borrower") for i in range(4)]
+    records = ledger_of(_trade("L", f"B{i}", "borrower") for i in range(4))
     index = _toy_index(["L"] + [f"B{i}" for i in range(4)])
     stats = attribute_frequencies(bank_facts(records, index), members=[0])
     assert stats.roles == ROLES
@@ -194,7 +192,7 @@ def test_role_vector_for_pure_lender():
 def test_role_frequencies_sum_to_one_and_match_design():
     # Designed mix for bank X: 2 aggressor-lender, 1 quoter-borrower,
     # 1 aggressor-borrower, 4 quoter-lender out of 8 trades.
-    records = (
+    records = ledger_of(
         [_trade("X", "A", "borrower")] * 2   # X aggressor lender
         + [_trade("A", "X", "borrower")] * 1  # X quoter borrower
         + [_trade("B", "X", "lender")] * 1    # X aggressor borrower
@@ -207,7 +205,7 @@ def test_role_frequencies_sum_to_one_and_match_design():
 
 
 def test_role_frequencies_exclude_inactive_banks():
-    records = [_trade("A", "B", "borrower")]
+    records = ledger_of([_trade("A", "B", "borrower")])
     index = _toy_index(["A", "B", "C"])
     stats = attribute_frequencies(bank_facts(records, index), members=[0, 2])
     assert stats.bank_indices.tolist() == [0]
@@ -217,8 +215,8 @@ def test_role_frequencies_exclude_inactive_banks():
 
 
 def test_role_ci_contains_mean():
-    records = [_trade("A", "B", "borrower"), _trade("B", "A", "borrower"),
-               _trade("A", "C", "lender")]
+    records = ledger_of([_trade("A", "B", "borrower"), _trade("B", "A", "borrower"),
+                         _trade("A", "C", "lender")])
     index = _toy_index(["A", "B", "C"])
     stats = attribute_frequencies(bank_facts(records, index), members=[0, 1, 2])
     assert ((stats.ci95[:, 0] <= stats.mean) & (stats.mean <= stats.ci95[:, 1])).all()
@@ -261,11 +259,10 @@ def test_nationality_central_value_inside():
 
 
 def test_domestic_flags_first_seen_and_conflicts():
-    records = [
+    records = ledger_of([
         _trade("A", "B", "borrower"),
-        TransactionRecord(datetime(2008, 9, 15, 10, 0), "B", "A", 1.0, "lender", "ON",
-                          True, True),  # B now claims domestic: conflict
-    ]
+        ("2008-09-15T10:00", "B", "A", 1.0, "lender", "ON", True, True),  # B domestic: conflict
+    ])
     index = _toy_index(["A", "B", "C"])
     flags, conflicts = domestic_flags_from_records(records, index)
     assert flags.tolist() == [True, False, False]
@@ -276,10 +273,10 @@ def _random_trades(rng, banks, n):
     out = []
     for _ in range(n):
         i, j = rng.choice(len(banks), size=2, replace=False)
-        out.append(TransactionRecord(datetime(2008, 9, 15, 9, 0), banks[i], banks[j], 1.0,
-                                     str(rng.choice(["lender", "borrower"])), "ON",
-                                     bool(rng.random() < 0.8), bool(rng.random() < 0.8)))
-    return out
+        out.append(("2008-09-15T09:00", banks[i], banks[j], 1.0,
+                    str(rng.choice(["lender", "borrower"])), "ON",
+                    bool(rng.random() < 0.8), bool(rng.random() < 0.8)))
+    return ledger_of(out)
 
 
 def test_domestic_flags_match_row_reference():
@@ -289,9 +286,8 @@ def test_domestic_flags_match_row_reference():
     for n in (0, 1, 3, 40):
         records = _random_trades(rng, banks, n)
         seen, conflicts = {}, set()
-        for r in records:  # the lender before the borrower within a row
-            for bank, flag in ((r.lender_id, r.lender_domestic),
-                               (r.borrower_id, r.borrower_domestic)):
+        for _, lender, borrower, _, _, _, lender_flag, borrower_flag in ledger_rows(records):
+            for bank, flag in ((lender, lender_flag), (borrower, borrower_flag)):  # lender first
                 if bank not in seen:
                     seen[bank] = flag
                 elif seen[bank] != flag:
@@ -307,8 +303,8 @@ def test_role_counts_match_classify_role():
     records = _random_trades(rng, banks, 60)
     index = _toy_index(banks[:5])  # K5 trades but is not in the index
     counts = np.zeros((5, len(ROLES)))
-    for r in records:
-        for side in (r.lender_id, r.borrower_id):
+    for r in ledger_rows(records):
+        for side in r[1:3]:  # the lender and the borrower
             if side in index.bank_ids:
                 counts[index.bank_ids.index(side), ROLES.index(classify_role(r, side))] += 1
     members = np.flatnonzero(counts.sum(axis=1) > 0)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -276,6 +277,37 @@ def test_analyze_bad_ledger_exits_io_without_creating_out(tmp_path, capsys):
     # ingest maps the same file to the same exit code
     assert _run("ingest", ledger, "--out", tmp_path / "ing") == 2
     assert not (tmp_path / "ing").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "analyze"])
+@pytest.mark.parametrize("fault", ["non-utf8", "oversized-field"])
+def test_undecodable_ledger_exits_io_without_creating_out(tmp_path, capsys, command, fault):
+    # Both faults hit the whole file, not one row: a byte that is not UTF-8
+    # and a field past the csv module's size limit.
+    start = ("timestamp,lender_id,borrower_id,amount_mEUR,proposer,maturity,"
+             "lender_domestic,borrower_domestic\n"
+             "2008-09-15T09:10,AAA,BBB,5.0,lender,ON,true,false\n").encode()
+    if fault == "non-utf8":
+        bad_row, expected = b"2008-09-15T09:11,AA\xff,BBB,5.0,lender,ON,true,false\n", "not UTF-8"
+    else:
+        maturity = b"O" * (csv.field_size_limit() + 1)
+        bad_row = b"2008-09-15T09:11,AAA,BBB,5.0,lender," + maturity + b",true,false\n"
+        expected = "larger than field limit"
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_bytes(start + bad_row)
+    out = tmp_path / "out"
+    if command == "ingest":
+        argv = ["ingest", ledger, "--out", out]
+    else:  # a synth index has no bank_facts.json beside it, so analyze parses the ledger
+        synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)
+        argv = ["analyze", fit_dir / "fit.json", "--index", synth_dir / "index.json",
+                "--ledger", ledger, "--out", out]
+    capsys.readouterr()
+    assert _run(*argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert expected in err
+    assert not out.exists()
 
 
 def test_analyze_foreign_fit_json_exits_io(tmp_path):

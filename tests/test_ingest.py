@@ -15,22 +15,15 @@ from tempofact.ingest import (
     Ledger,
     LedgerFormatError,
     TensorIndex,
-    TransactionRecord,
     build_tensor,
-    daily_series,
     filter_overnight,
     load_transactions,
     moving_average,
     save_transactions,
 )
+from util import TRADE, ledger_of, ledger_rows
 
 HEADER = ",".join(LEDGER_COLUMNS)
-
-
-def _rec(ts="2008-09-15T09:10", lender="AAA", borrower="BBB", amount=7.0,
-         proposer="lender", maturity="ON", ld=True, bd=False):
-    return TransactionRecord(datetime.fromisoformat(ts), lender, borrower,
-                             amount, proposer, maturity, ld, bd)
 
 
 def test_empty_file_with_header():
@@ -50,18 +43,13 @@ def test_single_row_round_trips(tmp_path):
     row = "2008-09-15T09:10,AAA,BBB,7.25,borrower,ON,true,false"
     result = load_transactions(io.StringIO(HEADER + "\n" + row + "\n"))
     assert not result.issues
-    (rec,) = result.records
-    assert rec.timestamp == datetime(2008, 9, 15, 9, 10)
-    assert (rec.lender_id, rec.borrower_id) == ("AAA", "BBB")
-    assert rec.amount == 7.25
-    assert rec.proposer == "borrower"
-    assert rec.maturity == "ON"
-    assert (rec.lender_domestic, rec.borrower_domestic) == (True, False)
+    assert ledger_rows(result.records) == [
+        (datetime(2008, 9, 15, 9, 10), "AAA", "BBB", 7.25, "borrower", "ON", True, False)]
 
     path = tmp_path / "ledger.csv"
     save_transactions(path, result.records)
     again = load_transactions(path)
-    assert list(again.records) == list(result.records)
+    assert ledger_rows(again.records) == ledger_rows(result.records)
 
 
 def test_bad_rows_reported_with_line_numbers():
@@ -99,20 +87,25 @@ def test_timestamp_with_utc_offset_is_a_row_issue():
     ]
 
 
+def _with_maturity(maturity):
+    return (*TRADE[:5], maturity)
+
+
 def test_filter_overnight():
-    records = [_rec(maturity=m) for m in ("ON", "ONL", "1W", "3M", "ON")]
+    records = ledger_of(_with_maturity(m) for m in ("ON", "ONL", "1W", "3M", "ON"))
     kept = filter_overnight(records)
-    assert [r.maturity for r in kept] == ["ON", "ONL", "ON"]
-    assert len(filter_overnight([])) == 0
+    assert kept.maturity.tolist() == ["ON", "ONL", "ON"]
+    assert len(filter_overnight(ledger_of([]))) == 0
 
 
 def test_filter_matches_constructed_share():
-    records = [_rec(maturity="ON")] * 43 + [_rec(maturity="1W")] * 7
+    records = ledger_of([_with_maturity("ON")] * 43 + [_with_maturity("1W")] * 7)
     assert len(filter_overnight(records)) == 43
 
 
 def test_single_trade_double_counts():
-    tensor, index, excluded = build_tensor([_rec(ts="2008-09-15T09:10", amount=7.0)], 15)
+    tensor, index, excluded = build_tensor(ledger_of([("2008-09-15T09:10", "AAA", "BBB", 7.0)]),
+                                           15)
     assert not excluded
     assert index.bank_ids == ("AAA", "BBB")
     assert index.day_dates == (date(2008, 9, 15),)
@@ -124,11 +117,11 @@ def test_single_trade_double_counts():
 
 def test_boundary_timestamps():
     tensor, index, _ = build_tensor(
-        [
-            _rec(ts="2008-09-15T09:15", amount=1.0),        # lands in [09:15, 09:30)
-            _rec(ts="2008-09-15T18:00", amount=2.0),        # closing auction, last bin
-            _rec(ts="2008-09-15T08:00", amount=4.0),        # first bin
-        ],
+        ledger_of([
+            ("2008-09-15T09:15", "AAA", "BBB", 1.0),        # lands in [09:15, 09:30)
+            ("2008-09-15T18:00", "AAA", "BBB", 2.0),        # closing auction, last bin
+            ("2008-09-15T08:00", "AAA", "BBB", 4.0),        # first bin
+        ]),
         15,
     )
     assert tensor.values[0, 5, 0] == 1.0
@@ -137,14 +130,36 @@ def test_boundary_timestamps():
 
 
 def test_out_of_window_reported_and_excluded():
-    records = [
-        _rec(ts="2008-09-15T07:59", amount=1.0),
-        _rec(ts="2008-09-15T18:01", amount=1.0),
-        _rec(ts="2008-09-15T12:00", amount=3.0),
-    ]
+    records = ledger_of([
+        ("2008-09-15T07:59", "AAA", "BBB", 1.0),
+        ("2008-09-15T18:01", "AAA", "BBB", 1.0),
+        ("2008-09-15T12:00", "AAA", "BBB", 3.0),
+    ])
     tensor, index, excluded = build_tensor(records, 30)
-    assert len(excluded) == 2
+    assert excluded == [
+        (datetime(2008, 9, 15, 7, 59), "timestamp 07:59:00 outside 08:00-18:00 window"),
+        (datetime(2008, 9, 15, 18, 1), "timestamp 18:01:00 outside 08:00-18:00 window"),
+    ]
     assert tensor.values.sum() == 6.0
+
+
+def test_bank_trading_only_outside_the_window_is_left_out():
+    # ZZZ trades before the window on day 1 and after it on day 2, and MMM
+    # after it between two in-window banks: neither ZZZ nor day 3 enters
+    # the index, and the other banks keep their rows.
+    records = ledger_of([
+        ("2008-09-15T07:30", "ZZZ", "AAA", 8.0),
+        ("2008-09-15T09:00", "MMM", "AAA", 1.0),
+        ("2008-09-16T10:00", "AAA", "CCC", 2.0),
+        ("2008-09-16T19:00", "CCC", "ZZZ", 16.0),
+        ("2008-09-17T18:30", "MMM", "CCC", 32.0),
+    ])
+    tensor, index, excluded = build_tensor(records, 60)
+    assert index.bank_ids == ("AAA", "CCC", "MMM")
+    assert index.day_dates == (date(2008, 9, 15), date(2008, 9, 16))
+    assert [ts for ts, _ in excluded] == records.timestamp[[0, 3, 4]].tolist()
+    assert tensor.dims == (3, 10, 2)
+    assert tensor.values.sum(axis=(1, 2)).tolist() == [3.0, 2.0, 1.0]
 
 
 def test_mass_conservation_random_ledger():
@@ -158,71 +173,43 @@ def test_mass_conservation_random_ledger():
             .replace(hour=8 + minute // 60, minute=minute % 60)
         # quarter-unit amounts keep every partial sum exact in binary
         amount = float(rng.integers(1, 2000)) / 4.0
-        records.append(
-            TransactionRecord(stamp, banks[i], banks[j], amount, "lender", "ON", True, True)
-        )
-    tensor, index, excluded = build_tensor(records, 15)
+        records.append((stamp, banks[i], banks[j], amount))
+    tensor, index, excluded = build_tensor(ledger_of(records), 15)
     assert not excluded
-    total = sum(r.amount for r in records)
+    total = sum(amount for _, _, _, amount in records)
     assert tensor.values.sum() == 2.0 * total
     per_bank = {b: 0.0 for b in banks}
-    for r in records:
-        per_bank[r.lender_id] += r.amount
-        per_bank[r.borrower_id] += r.amount
+    for _, lender, borrower, amount in records:
+        per_bank[lender] += amount
+        per_bank[borrower] += amount
     for pos, bank in enumerate(index.bank_ids):
         assert tensor.values[pos].sum() == per_bank[bank]
 
 
 def test_index_is_sorted_and_deterministic():
     records = [
-        _rec(ts="2008-09-16T10:00", lender="ZZZ", borrower="MMM"),
-        _rec(ts="2008-09-15T10:00", lender="AAA", borrower="ZZZ"),
+        ("2008-09-16T10:00", "ZZZ", "MMM"),
+        ("2008-09-15T10:00", "AAA", "ZZZ"),
     ]
-    _, index, _ = build_tensor(records, 30)
+    _, index, _ = build_tensor(ledger_of(records), 30)
     assert index.bank_ids == ("AAA", "MMM", "ZZZ")
     assert index.day_dates == (date(2008, 9, 15), date(2008, 9, 16))
-    _, again, _ = build_tensor(list(reversed(records)), 30)
+    _, again, _ = build_tensor(ledger_of(reversed(records)), 30)
     assert again == index
 
 
 def test_non_divisor_delta_rejected():
     with pytest.raises(ValueError):
-        build_tensor([_rec()], 7)
+        build_tensor(ledger_of([TRADE]), 7)
     with pytest.raises(ValueError):
-        build_tensor([_rec()], 0)
+        build_tensor(ledger_of([TRADE]), 0)
 
 
 def test_empty_records_give_empty_tensor():
-    tensor, index, excluded = build_tensor([], 15)
+    tensor, index, excluded = build_tensor(ledger_of([]), 15)
     assert tensor.dims == (0, 40, 0)
     assert index.bank_ids == ()
     assert not excluded
-
-
-def test_daily_series_single_trade():
-    days, active, trades = daily_series([_rec()])
-    assert days == [date(2008, 9, 15)]
-    assert active.tolist() == [2]
-    assert trades.tolist() == [1]
-
-
-def test_daily_series_constructed_ledger():
-    records = []
-    for d, n_banks in ((15, 4), (16, 6), (17, 2)):
-        for i in range(0, n_banks, 2):
-            records.append(
-                _rec(ts=f"2008-09-{d}T10:00", lender=f"L{i}", borrower=f"L{i+1}")
-            )
-    days, active, trades = daily_series(records)
-    assert [d.day for d in days] == [15, 16, 17]
-    assert active.tolist() == [4, 6, 2]
-    assert trades.tolist() == [2, 3, 1]
-
-
-def test_daily_series_empty():
-    days, active, trades = daily_series([])
-    assert days == []
-    assert active.size == 0 and trades.size == 0
 
 
 def test_moving_average_basics():
@@ -243,15 +230,6 @@ def test_moving_average_trailing_window():
         moving_average(ramp, 0)
 
 
-def test_record_validation():
-    with pytest.raises(ValueError):
-        _rec(amount=0.0)
-    with pytest.raises(ValueError):
-        _rec(lender="AAA", borrower="AAA")
-    with pytest.raises(ValueError):
-        _rec(proposer="nobody")
-
-
 def test_index_validation_and_round_trip():
     idx = TensorIndex(("A", "B"), (date(2008, 1, 2), date(2008, 1, 3)), 15)
     assert idx.intervals == 40
@@ -267,24 +245,18 @@ def test_index_validation_and_round_trip():
 
 
 def test_ledger_views_and_subsets():
-    records = [_rec(lender="AAA", borrower="BBB", amount=1.5),
-               _rec(lender="CCC", borrower="AAA", ld=False, bd=True),
-               _rec(ts="2008-09-16T11:00", lender="BBB", borrower="DDD", proposer="borrower")]
-    ledger = Ledger.of(records)
-    assert Ledger.of(ledger) is ledger
+    ledger = ledger_of([("2008-09-15T09:10", "AAA", "BBB", 1.5),
+                        ("2008-09-15T09:10", "CCC", "AAA", 7.0, "lender", "ON", False, True),
+                        ("2008-09-16T11:00", "BBB", "DDD", 7.0, "borrower")])
+    records = ledger_rows(ledger)
     assert len(ledger) == 3
-    assert list(ledger) == records
-    assert ledger[1] == records[1] and ledger[-1] == records[-1]
-    assert type(ledger[0].amount) is float and type(ledger[0].lender_domestic) is bool
-    assert list(ledger.take([2, 0])) == [records[2], records[0]]
-    assert list(ledger.take(ledger.among(["AAA", "BBB", "CCC"]))) == records[:2]
+    assert ledger_rows(ledger.take([2, 0])) == [records[2], records[0]]
+    assert ledger_rows(ledger.take(ledger.among(["AAA", "BBB", "CCC"]))) == records[:2]
     labels, lender, borrower = ledger.bank_codes
     assert labels == ("AAA", "BBB", "CCC", "DDD")
     assert lender.tolist() == [0, 2, 1] and borrower.tolist() == [1, 0, 3]
     with pytest.raises(ValueError):
         ledger.amount[0] = 2.0  # columns are read-only
-    with pytest.raises(IndexError):
-        ledger[3]
     columns = [getattr(ledger, f.name) for f in dataclasses.fields(Ledger)]
     with pytest.raises(ValueError):
         Ledger(*columns[:3], columns[3][:2], *columns[4:])
@@ -309,7 +281,7 @@ def _reference_timestamp(text):
 
 
 def _reference_parse(text):
-    """Parse a ledger one row at a time: records and (line, message) issues."""
+    """Parse a ledger one row at a time: row tuples and (line, message) issues."""
     reader = csv.reader(io.StringIO(text, newline=""))
     next(reader)
     records, issues = [], []
@@ -321,18 +293,23 @@ def _reference_parse(text):
             continue
         raw = dict(zip(LEDGER_COLUMNS, (cell.strip() for cell in row)))
         try:
-            record = TransactionRecord(
-                timestamp=_reference_timestamp(raw["timestamp"]),
-                lender_id=raw["lender_id"],
-                borrower_id=raw["borrower_id"],
-                amount=float(raw["amount_mEUR"]),
-                proposer=raw["proposer"].lower(),
-                maturity=raw["maturity"],
-                lender_domestic=_reference_bool(raw["lender_domestic"]),
-                borrower_domestic=_reference_bool(raw["borrower_domestic"]),
+            record = (
+                _reference_timestamp(raw["timestamp"]),
+                raw["lender_id"],
+                raw["borrower_id"],
+                float(raw["amount_mEUR"]),
+                raw["proposer"].lower(),
+                raw["maturity"],
+                _reference_bool(raw["lender_domestic"]),
+                _reference_bool(raw["borrower_domestic"]),
             )
         except ValueError as err:
             issues.append((line_no, str(err)))
+            continue
+        _, lender, borrower, amount, proposer, *_ = record
+        problem = ingest._record_problem(amount, lender, borrower, proposer)
+        if problem is not None:
+            issues.append((line_no, problem))
             continue
         records.append(record)
     return records, issues
@@ -371,7 +348,7 @@ def test_columnar_reader_matches_row_reference(rows, chunk):
     with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
         result = load_transactions(io.StringIO(text, newline=""))
     records, issues = _reference_parse(text)
-    assert list(result.records) == records
+    assert ledger_rows(result.records) == records
     assert [(i.line, i.message) for i in result.issues] == issues
 
 
@@ -387,16 +364,15 @@ def test_build_tensor_adds_like_a_per_record_loop():
         minute = int(rng.integers(0, 601))
         stamp = datetime(2010, 3, 1 + int(rng.integers(0, 3)), 8 + minute // 60, minute % 60)
         amount = float(rng.choice([0.1, 0.7, 1e-3]))
-        records.append(TransactionRecord(stamp, banks[i], banks[j], amount,
-                                         "lender", "ON", True, True))
-    tensor, index, excluded = build_tensor(records, 30)
+        records.append((stamp, banks[i], banks[j], amount))
+    tensor, index, excluded = build_tensor(ledger_of(records), 30)
     assert not excluded
     bank_pos = {b: k for k, b in enumerate(index.bank_ids)}
     day_pos = {d: k for k, d in enumerate(index.day_dates)}
     expected = np.zeros(tensor.dims)
-    for side in ("lender_id", "borrower_id"):
+    for side in (1, 2):  # the lender, then the borrower
         for r in records:
-            minute = r.timestamp.hour * 60 + r.timestamp.minute - 8 * 60
-            expected[bank_pos[getattr(r, side)], min(minute // 30, 19),
-                     day_pos[r.timestamp.date()]] += r.amount
+            stamp, amount = r[0], r[3]
+            minute = stamp.hour * 60 + stamp.minute - 8 * 60
+            expected[bank_pos[r[side]], min(minute // 30, 19), day_pos[stamp.date()]] += amount
     assert np.array_equal(tensor.values, expected)

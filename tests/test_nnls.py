@@ -132,8 +132,6 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         NnlsProblem(np.eye(2), np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        NnlsProblem(np.eye(2), np.zeros((2, 1)), ridge=-1.0)
-    with pytest.raises(ValueError):
         solve_nnls(NnlsProblem(np.eye(2), np.zeros((2, 1))), tol=0.0)
     with pytest.raises(ValueError, match="passive"):
         solve_nnls(NnlsProblem(np.eye(2), np.zeros((2, 3))), passive=np.ones((2, 3), dtype=bool))

@@ -4,12 +4,9 @@ import pytest
 from tempofact.tensor import (
     DenseTensor3,
     KruskalTensor,
-    frobenius_distance,
     khatri_rao,
     matricize,
     reconstruct,
-    relative_error,
-    tensorize,
 )
 from util import random_kruskal, triple_sum_tensor
 
@@ -56,21 +53,6 @@ def test_factor_form_identity(mode):
     assert gap / x.norm() < 1e-12
 
 
-@pytest.mark.parametrize("mode", [1, 2, 3])
-def test_tensorize_round_trip(mode):
-    rng = np.random.default_rng(4)
-    for vals in (np.arange(8.0).reshape(2, 2, 2), rng.random((3, 4, 5))):
-        x = DenseTensor3(vals, "count")
-        back = tensorize(matricize(x, mode), mode, x.dims, x.semantics)
-        assert np.array_equal(back.values, x.values)
-        assert back.semantics == x.semantics
-
-
-def test_tensorize_shape_mismatch():
-    with pytest.raises(ValueError):
-        tensorize(np.zeros((2, 3)), 2, (3, 1, 2))
-
-
 def test_khatri_rao_identity_case():
     out = khatri_rao(np.eye(2), np.eye(2))
     assert out.shape == (4, 2)
@@ -115,29 +97,6 @@ def test_reconstruct_matches_triple_sum_oracle():
     oracle = triple_sum_tensor(k.weights, k.A, k.B, k.C)
     assert np.abs(reconstruct(k).values - oracle).max() < 1e-12
     assert reconstruct(k).values.min() >= 0.0
-
-
-def test_frobenius_distance_cases():
-    x = DenseTensor3(np.arange(6.0).reshape(1, 2, 3))
-    assert frobenius_distance(x, x) == 0.0
-    a = DenseTensor3(np.array([3.0, 4.0]).reshape(2, 1, 1))
-    b = DenseTensor3(np.zeros((2, 1, 1)))
-    assert frobenius_distance(a, b) == 5.0
-    with pytest.raises(ValueError):
-        frobenius_distance(a, x)
-
-
-def test_frobenius_distance_matches_loop_oracle():
-    rng = np.random.default_rng(8)
-    x = DenseTensor3(rng.random((3, 4, 2)))
-    y = DenseTensor3(rng.random((3, 4, 2)))
-    acc = 0.0
-    for i in range(3):
-        for j in range(4):
-            for k in range(2):
-                acc += (x.values[i, j, k] - y.values[i, j, k]) ** 2
-    assert abs(frobenius_distance(x, y) - np.sqrt(acc)) < 1e-12
-    assert abs(relative_error(x, y) - frobenius_distance(x, y) / x.norm()) < 1e-15
 
 
 def test_dense_tensor_rejects_bad_values():

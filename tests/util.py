@@ -3,10 +3,52 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
+from datetime import datetime
 
 import numpy as np
 
+from tempofact.ingest import Ledger, _record_problem
 from tempofact.tensor import DenseTensor3, KruskalTensor
+
+#: The trade a short ledger row completes: (timestamp, lender_id, borrower_id,
+#: amount, proposer, maturity, lender_domestic, borrower_domestic).
+TRADE = ("2008-09-15T09:10", "AAA", "BBB", 7.0, "lender", "ON", True, False)
+
+
+def ledger_of(rows) -> Ledger:
+    """The Ledger of trade rows laid out like :data:`TRADE`.
+
+    A row shorter than eight fields takes the rest from :data:`TRADE`, and
+    a text stamp is parsed as ISO 8601.  Every row must pass the parser's
+    rules, so a fixture holds only trades a ledger file could.
+    """
+    full = []
+    for row in rows:
+        ts, lender, borrower, amount, proposer, *rest = (*row, *TRADE[len(row):])
+        if isinstance(ts, str):
+            ts = datetime.fromisoformat(ts)
+        problem = _record_problem(amount, lender, borrower, proposer)
+        if problem is not None:
+            raise ValueError(problem)
+        full.append((ts, lender, borrower, amount, proposer, *rest))
+    return Ledger(*(list(zip(*full)) or [()] * len(TRADE)))
+
+
+def ledger_rows(ledger: Ledger) -> list:
+    """The trades of ``ledger`` as row tuples, the inverse of :func:`ledger_of`."""
+    return list(zip(*(getattr(ledger, f.name).tolist() for f in fields(Ledger))))
+
+
+def classify_role(row, bank_id: str) -> str:
+    """Which of the four roles ``bank_id`` played in the trade ``row``: the
+    per-trade oracle of ``analysis.bank_facts``'s role counts."""
+    _, lender, borrower, _, proposer, *_ = row
+    if bank_id == lender:
+        return "aggressor_lender" if proposer == "borrower" else "quoter_lender"
+    if bank_id == borrower:
+        return "quoter_borrower" if proposer == "borrower" else "aggressor_borrower"
+    raise ValueError(f"bank {bank_id!r} is not a side of this trade")
 
 
 def triple_sum_tensor(weights, A, B, C) -> np.ndarray:
