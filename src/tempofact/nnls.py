@@ -22,6 +22,16 @@ columns share its batch.  The pivot threshold that decides which variables
 are infeasible is also taken per column, so a column's whole pivoting
 sequence, and its W, are the same in any batch.
 
+A variable is infeasible when it is passive with ``X < 0`` (primal) or
+inactive with gradient ``Y < 0`` (dual), each below a small threshold.  The
+two live in different units: Y is in crossterm units and X in W units,
+which are smaller by about ``max|gram|``.  So the dual threshold is
+``eps = 1e-12 * max(1, max|gram|, max|crossterm_j|)`` and the primal one is
+``eps / max(1, max|gram|)``.  A single threshold in crossterm units would
+pass a passive X of, say, -4e-7 as feasible when ``max|gram|`` is 6e5; the
+final ``max(X, 0)`` would then clip it and leave a gradient error of
+``gram[:, k] * 4e-7`` on the other variables, far above the KKT tolerance.
+
 The pivoting rule is full block exchange with an anti-cycling safeguard:
 a column that goes three consecutive exchanges without reducing its
 infeasibility count falls back to flipping only its highest-index
@@ -127,9 +137,14 @@ def solve_nnls(
     if r == 0 or m == 0:
         return NnlsSolution(np.zeros((m, r)), 0.0, 0, True)
 
-    # Pivot-feasibility threshold of each column: well above roundoff, far
+    # Pivot-feasibility thresholds of each column: well above roundoff, far
     # below signal, and a function of that column's own right-hand side.
-    eps = 1e-12 * np.maximum(max(1.0, float(np.abs(gram).max())), np.abs(ct).max(axis=0))
+    # ``eps`` is in crossterm units and tests the gradient Y; the primal X is
+    # in W units, a factor ``max|gram|`` smaller, and is tested against
+    # ``eps_x``.
+    g_scale = max(1.0, float(np.abs(gram).max()))
+    eps = 1e-12 * np.maximum(g_scale, np.abs(ct).max(axis=0))
+    eps_x = eps / g_scale
 
     F = np.zeros((r, m), dtype=bool) if passive is None else passive.T.copy()
     X, Y = _solve_passive(gram, ct, F)
@@ -140,7 +155,7 @@ def solve_nnls(
 
     while True:
         # X is 0 off the passive set and Y is 0 on it.
-        infeas = np.minimum(X, Y) < -eps
+        infeas = (X < -eps_x) | (Y < -eps)
         n_inf = infeas.sum(axis=0)
         infeasible = n_inf > 0
         active = infeasible & (col_iters < max_iter)

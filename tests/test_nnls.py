@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,41 @@ def test_matches_exhaustive_active_set_oracle():
                 got = nnls_objective(problem.gram, problem.crossterm[:, col], sol.W[col])
                 want = nnls_oracle_objective(problem.gram, problem.crossterm[:, col])
                 assert abs(got - want) < 1e-8
+
+
+def test_support_and_relative_kkt_residual_invariant_under_scaling():
+    # Scaling gram and crossterm by c leaves W unchanged and scales the
+    # gradient by c, so the support must not move and the KKT residual,
+    # relative to the right-hand side, must stay within tolerance.
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        problem = _random_problem(rng)
+        ref = None
+        for c in (1e-6, 1.0, 1e6):
+            gram, ct = c * problem.gram, c * problem.crossterm
+            tol = 1e-8 * float(np.abs(ct).max())
+            sol = solve_nnls(NnlsProblem(gram, ct), tol=tol)
+            assert sol.converged
+            assert kkt_residual(gram, ct, sol.W) <= tol
+            if ref is None:
+                ref = sol.W > 0
+            assert np.array_equal(sol.W > 0, ref)
+
+
+def test_slightly_negative_passive_variable_is_pivoted_out():
+    # A 4-variable update captured from an over-factored alternating fit
+    # (the A factor, 120 rows, cond(gram) ~ 31): the warm-start solve leaves
+    # one passive variable at -3.7e-7.  Judged against a threshold in
+    # crossterm units it looked feasible, was clipped to 0, and left a
+    # gradient error of 3.7e-2 on its neighbours.
+    data = np.load(Path(__file__).parent / "data" / "nnls_stall_r4.npz")
+    gram, ct, passive = data["gram"], data["crossterm"], data["passive"]
+    tol = 1e-8 * float(np.abs(ct).max())
+    for start in (passive, None):
+        sol = solve_nnls(NnlsProblem(gram, ct), tol=tol, passive=start)
+        assert sol.converged
+        assert sol.kkt_residual <= tol
+        assert kkt_residual(gram, ct, sol.W) <= tol
 
 
 def test_objective_dominates_trivial_candidates():
