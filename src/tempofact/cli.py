@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from tempofact import __version__, analysis, io as tfio
-from tempofact.als import FitConfig, FitError, best_restart, fit_restarts
+from tempofact.als import FitConfig, FitError, FitResult, best_restart, fit_restarts
 from tempofact.corcondia import rank_scan
 from tempofact.ingest import (
     LedgerFormatError,
@@ -288,8 +288,8 @@ def _fit_config(args, rank: int) -> FitConfig:
 def _restart_summary(results) -> list:
     rows = []
     for k, res in enumerate(results):
-        if res is None:
-            rows.append({"restart": k, "failed": True})
+        if not isinstance(res, FitResult):
+            rows.append({"restart": k, "failed": True, "reason": str(res)})
         else:
             rows.append({
                 "restart": k,

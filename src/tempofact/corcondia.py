@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tempofact.als import FitConfig, fit_restarts
+from tempofact.als import FitConfig, FitResult, fit_restarts
 from tempofact.analysis import mean_ci95
 from tempofact.tensor import DenseTensor3, KruskalTensor
 
@@ -99,7 +99,10 @@ def core_consistency(core: CoreTensor) -> float:
 
 @dataclass(frozen=True)
 class RankScanRecord:
-    """Per-rank scan outcome; ``None`` entries mark failed restarts."""
+    """Per-rank scan outcome; ``None`` entries mark failed restarts.
+
+    ``failures`` holds a ``(restart index, reason)`` pair per failed restart.
+    """
 
     rank: int
     cc_values: tuple
@@ -107,6 +110,7 @@ class RankScanRecord:
     cc_mean: float | None
     cc_ci95: tuple | None
     n_failed: int
+    failures: tuple = ()
 
     @property
     def failed(self) -> bool:
@@ -133,8 +137,8 @@ def rank_scan(
     mean (with a Student-t 95% interval) drives the selection rule: the
     selected rank is the largest one whose mean score exceeds ``l_cc``.
     Restarts whose fit fails or whose core is degenerate are recorded as
-    ``None`` and excluded from the mean; a rank fails only if every restart
-    does.  Deterministic for fixed (tensor, cfg); independent of ``jobs``.
+    ``None``, with the error's message as the reason, and excluded from the
+    mean; a rank fails only if every restart does.  Deterministic for fixed (tensor, cfg); independent of ``jobs``.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -143,26 +147,27 @@ def rank_scan(
         fits = fit_restarts(x, replace(cfg, rank=rank), jobs)
         ccs: list = []
         rels: list = []
-        n_failed = 0
-        for fit in fits:
-            if fit is None:
+        failures: list = []
+        for k, fit in enumerate(fits):
+            if not isinstance(fit, FitResult):
                 ccs.append(None)
                 rels.append(None)
-                n_failed += 1
+                failures.append((k, str(fit)))
                 continue
             rels.append(fit.rel_error)
             try:
                 ccs.append(core_consistency(tucker_core(x, fit.factors)))
-            except DegenerateFactorError:
+            except DegenerateFactorError as err:
                 ccs.append(None)
-                n_failed += 1
+                failures.append((k, str(err)))
         ok = [c for c in ccs if c is not None]
         mean, ci = None, None
         if ok:
             mean, half = (float(v) for v in mean_ci95(ok))
             ci = (mean - half, mean + half)
         records.append(
-            RankScanRecord(rank, tuple(ccs), tuple(rels), mean, ci, n_failed)
+            RankScanRecord(rank, tuple(ccs), tuple(rels), mean, ci, len(failures),
+                           tuple(failures))
         )
     passing = [rec.rank for rec in records if rec.cc_mean is not None and rec.cc_mean > l_cc]
     selected = max(passing) if passing else None

@@ -27,7 +27,7 @@ import numpy as np
 
 from tempofact.als import FitResult
 from tempofact.analysis import ROLES, BankFacts
-from tempofact.corcondia import RankScanReport
+from tempofact.corcondia import RankScanRecord, RankScanReport
 from tempofact.ingest import TensorIndex, _json_list
 from tempofact.synthetic import GroundTruth, SyntheticConfig
 from tempofact.tensor import DenseTensor3, KruskalTensor
@@ -182,18 +182,22 @@ def rank_scan_to_dict(report: RankScanReport) -> dict:
         "restarts": report.restarts,
         "seed": report.seed,
         "selected_rank": report.selected_rank,
-        "ranks": [
-            {
-                "rank": rec.rank,
-                "cc_values": list(rec.cc_values),
-                "rel_errors": list(rec.rel_errors),
-                "cc_mean": rec.cc_mean,
-                "cc_ci95": list(rec.cc_ci95) if rec.cc_ci95 is not None else None,
-                "n_failed": rec.n_failed,
-            }
-            for rec in report.records
-        ],
+        "ranks": [_rank_record_to_dict(rec) for rec in report.records],
     }
+
+
+def _rank_record_to_dict(rec: RankScanRecord) -> dict:
+    out = {
+        "rank": rec.rank,
+        "cc_values": list(rec.cc_values),
+        "rel_errors": list(rec.rel_errors),
+        "cc_mean": rec.cc_mean,
+        "cc_ci95": list(rec.cc_ci95) if rec.cc_ci95 is not None else None,
+        "n_failed": rec.n_failed,
+    }
+    if rec.failures:
+        out["failures"] = [{"restart": k, "reason": reason} for k, reason in rec.failures]
+    return out
 
 
 def _csv_cell(value) -> str:

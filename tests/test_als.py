@@ -241,3 +241,99 @@ def test_fit_restarts_rejects_nonpositive_jobs():
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             fit_restarts(x, FitConfig(rank=1, restarts=2), jobs=jobs)
+
+
+def _count_candidates(monkeypatch):
+    """Count accepted and rejected extrapolation candidates of later fits.
+
+    An accepted candidate hands its first pass ``y`` to the next sweep.
+    """
+    import tempofact.als as als_mod
+
+    counts = {"accepted": 0, "plain": 0}
+    real_sweep = als_mod._sweep
+
+    def counting_sweep(ws, A, B, C, y=None):
+        counts["plain" if y is None else "accepted"] += 1
+        return real_sweep(ws, A, B, C, y)
+
+    monkeypatch.setattr(als_mod, "_sweep", counting_sweep)
+    return counts
+
+
+def test_extrapolated_fit_trace_never_increases(monkeypatch):
+    counts = _count_candidates(monkeypatch)
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        dims = tuple(rng.integers(3, 9, size=3))
+        x = random_tensor(rng, dims)
+        rank = 1 + trial % 4
+        res = fit_once(x, FitConfig(rank=rank, max_sweeps=80, restarts=1), seed=trial)
+        assert (np.diff(res.objective_trace) <= 1e-10).all(), (trial, rank)
+        for mat in (res.factors.A, res.factors.B, res.factors.C):
+            assert mat.min() >= 0.0
+    assert counts["accepted"] > 0 and counts["plain"] > 60
+
+
+def test_candidate_score_matches_reconstruction(monkeypatch):
+    # The candidate's misfit is computed from Ye = X x_3 Ce, the next
+    # sweep's first pass; the oracle reconstructs the candidate densely.
+    import tempofact.als as als_mod
+
+    scored = []
+    real_objective = als_mod._objective
+
+    def recording_objective(ws, A, B, C, y):
+        obj = real_objective(ws, A, B, C, y)
+        scored.append((ws.values, A, B, C, obj))
+        return obj
+
+    monkeypatch.setattr(als_mod, "_objective", recording_objective)
+    rng = np.random.default_rng(24)
+    sweeps = 0
+    for rank in (1, 2, 3, 4):
+        x = random_tensor(rng, (7, 5, 9))
+        res = fit_once(x, FitConfig(rank=rank, max_sweeps=15, restarts=1), seed=rank)
+        sweeps += res.sweeps_used - 1  # every sweep after the first scores a candidate
+    assert len(scored) == sweeps > 20
+    for values, A, B, C, obj in scored:
+        want = float(np.sum((values - reconstruct(KruskalTensor(A, B, C)).values) ** 2))
+        assert abs(obj - want) <= 1e-9 * want
+
+
+def test_extrapolated_restarts_are_bit_identical(monkeypatch):
+    counts = _count_candidates(monkeypatch)
+    rng = np.random.default_rng(25)
+    x = random_tensor(rng, (9, 6, 11))
+    cfg = FitConfig(rank=4, max_sweeps=150, restarts=3, seed=5)
+    a, b = fit_once(x, cfg, seed=6), fit_once(x, cfg, seed=6)
+    assert counts["accepted"] > 0 and counts["plain"] > 2
+    assert a.objective_trace == b.objective_trace and a.sweeps_used == b.sweeps_used
+    for mat in ("A", "B", "C", "weights"):
+        assert np.array_equal(getattr(a.factors, mat), getattr(b.factors, mat))
+    serial = fit_restarts(x, cfg, jobs=1)
+    parallel = fit_restarts(x, cfg, jobs=2)
+    assert [r.seed for r in serial] == [r.seed for r in parallel] == [5, 6, 7]
+    for s, p in zip(serial, parallel):
+        assert (s.objective_trace, s.rel_error, s.converged) == \
+            (p.objective_trace, p.rel_error, p.converged)
+        for mat in ("A", "B", "C", "weights"):
+            assert np.array_equal(getattr(s.factors, mat), getattr(p.factors, mat))
+
+
+def test_failed_restart_carries_its_error(monkeypatch):
+    import tempofact.als as als_mod
+
+    real_fit_once = als_mod.fit_once
+
+    def fail_seed_one(x, cfg, seed):
+        if seed == 1:
+            raise FitError("sweep 7: NNLS update stalled (forced)")
+        return real_fit_once(x, cfg, seed)
+
+    monkeypatch.setattr(als_mod, "fit_once", fail_seed_one)
+    x = random_tensor(np.random.default_rng(26), (4, 4, 4))
+    results = fit_restarts(x, FitConfig(rank=1, max_sweeps=10, restarts=3))
+    assert isinstance(results[1], FitError)
+    assert str(results[1]) == "sweep 7: NNLS update stalled (forced)"
+    assert best_restart(results).seed in (0, 2)

@@ -576,3 +576,73 @@ def test_analyze_malformed_bank_facts_exit_io(tmp_path, capsys):
             assert len(err.strip().splitlines()) == 1, err
             assert expected in err, (edit, err)
             assert not rep.exists()
+
+
+def _fail_restart_one(monkeypatch):
+    """Make the restart with seed offset 1 fail with a known FitError."""
+    import tempofact.als as als_mod
+
+    real_fit_once = als_mod.fit_once
+
+    def fit_once(x, cfg, seed):
+        if seed == cfg.seed + 1:
+            raise als_mod.FitError("sweep 7: NNLS update stalled (forced)")
+        return real_fit_once(x, cfg, seed)
+
+    monkeypatch.setattr(als_mod, "fit_once", fit_once)
+
+
+def test_failed_restart_reasons_are_written(tmp_path, monkeypatch):
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    _fail_restart_one(monkeypatch)
+    assert _run("fit", tensor_path, "--rank", 1, "--restarts", 3, "--seed", 2,
+                "--out", tmp_path / "fit") == 0
+    rows = json.loads((tmp_path / "fit/restarts.json").read_text())
+    assert rows[1] == {"restart": 1, "failed": True,
+                       "reason": "sweep 7: NNLS update stalled (forced)"}
+    assert all("reason" not in rows[k] and "failed" not in rows[k] for k in (0, 2))
+    assert _run("corcondia", tensor_path, "--rmax", 1, "--restarts", 3, "--seed", 2,
+                "--out", tmp_path / "scan") == 0
+    rec = json.loads((tmp_path / "scan/rank_scan.json").read_text())["ranks"][0]
+    assert rec["cc_values"][1] is None and rec["n_failed"] == 1
+    assert rec["failures"] == [{"restart": 1, "reason": "sweep 7: NNLS update stalled (forced)"}]
+
+
+def test_degenerate_core_reason_is_written(tmp_path, monkeypatch):
+    from tempofact import corcondia
+
+    real_core = corcondia.tucker_core
+    calls = []
+
+    def second_core_degenerate(x, k):
+        calls.append(k)
+        if len(calls) == 2:
+            raise corcondia.DegenerateFactorError("B", np.inf)
+        return real_core(x, k)
+
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    monkeypatch.setattr(corcondia, "tucker_core", second_core_degenerate)
+    assert _run("corcondia", tensor_path, "--rmax", 1, "--restarts", 3, "--seed", 2,
+                "--out", tmp_path / "scan") == 0
+    rec = json.loads((tmp_path / "scan/rank_scan.json").read_text())["ranks"][0]
+    assert rec["cc_values"][1] is None and rec["rel_errors"][1] is not None
+    assert rec["failures"] == [{"restart": 1, "reason": str(
+        corcondia.DegenerateFactorError("B", np.inf))}]
+    assert rec["failures"][0]["reason"].startswith("factor B is numerically rank deficient")
+
+
+def test_scan_without_failures_has_no_failure_keys(tmp_path):
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    assert _run("corcondia", tensor_path, "--rmax", 1, "--restarts", 3, "--seed", 2,
+                "--out", tmp_path / "scan") == 0
+    scan = json.loads((tmp_path / "scan/rank_scan.json").read_text())
+    assert [sorted(rec) for rec in scan["ranks"]] == [
+        ["cc_ci95", "cc_mean", "cc_values", "n_failed", "rank", "rel_errors"]]
+    assert _run("fit", tensor_path, "--rank", 1, "--restarts", 3, "--seed", 2,
+                "--out", tmp_path / "fit") == 0
+    rows = json.loads((tmp_path / "fit/restarts.json").read_text())
+    assert [sorted(r) for r in rows] == [["converged", "rel_error", "restart", "seed",
+                                          "sweeps_used"]] * 3
