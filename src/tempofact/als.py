@@ -227,9 +227,9 @@ def fit_restarts(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> list:
 
     Returns one entry per restart, in restart order: a FitResult, or the
     FitError that ended that restart (its message says why).  The list is
-    identical for any ``jobs`` value.  With
-    ``jobs > 1`` the tensor reaches each worker process once, through the
-    pool initializer, and each task carries only its seed.
+    identical for any ``jobs`` value.  With ``jobs > 1`` the tensor reaches
+    each worker process once, through the pool initializer, and each task
+    carries only its seed.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

@@ -138,7 +138,8 @@ def rank_scan(
     selected rank is the largest one whose mean score exceeds ``l_cc``.
     Restarts whose fit fails or whose core is degenerate are recorded as
     ``None``, with the error's message as the reason, and excluded from the
-    mean; a rank fails only if every restart does.  Deterministic for fixed (tensor, cfg); independent of ``jobs``.
+    mean; a rank fails only if every restart does.  Deterministic for fixed
+    (tensor, cfg); independent of ``jobs``.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")

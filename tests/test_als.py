@@ -244,9 +244,10 @@ def test_fit_restarts_rejects_nonpositive_jobs():
 
 
 def _count_candidates(monkeypatch):
-    """Count accepted and rejected extrapolation candidates of later fits.
+    """Count the later sweeps that start from an accepted candidate or not.
 
-    An accepted candidate hands its first pass ``y`` to the next sweep.
+    An accepted candidate hands its first pass ``y`` to the next sweep; a
+    sweep without one starts a fit or follows a rejected candidate.
     """
     import tempofact.als as als_mod
 
