@@ -184,8 +184,9 @@ def fit_once(x: DenseTensor3, cfg: FitConfig, seed: int) -> FitResult:
     """Fit one decomposition from the random start derived from ``seed``.
 
     Sweeps run until the relative change of the squared misfit drops below
-    ``cfg.rel_tol`` or ``cfg.max_sweeps`` is reached.  Deterministic for a
-    fixed (tensor, config, seed).
+    ``cfg.rel_tol`` or ``cfg.max_sweeps`` is reached; each sweep after the
+    first is followed by the extrapolation step of the module docstring.
+    Deterministic for a fixed (tensor, config, seed).
     """
     if x.values.size == 0:
         raise ValueError("cannot fit an empty tensor")
@@ -201,7 +202,7 @@ def fit_once(x: DenseTensor3, cfg: FitConfig, seed: int) -> FitResult:
         except FitError as err:
             raise FitError(f"sweep {sweep_no}: {err}") from err
         y = None
-        if sweep_no > 1:
+        if sweep_no > 1:  # the candidate's first pass is the next sweep's
             cand = [np.maximum(f + beta * (f - p), 0.0) for f, p in zip(swept, factors)]
             y_cand = np.matmul(ws.values, cand[2])
             obj_cand = _objective(ws, *cand, y_cand)
