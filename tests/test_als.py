@@ -338,3 +338,79 @@ def test_failed_restart_carries_its_error(monkeypatch):
     assert isinstance(results[1], FitError)
     assert str(results[1]) == "sweep 7: NNLS update stalled (forced)"
     assert best_restart(results).seed in (0, 2)
+
+
+def test_pool_has_no_more_workers_than_restarts(monkeypatch):
+    # A forked pool starts all its workers up front, so surplus workers are
+    # idle copies of the parent.
+    import tempofact.als as als_mod
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(als_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(als_mod, "_worker_tensor", None)
+    x = random_tensor(np.random.default_rng(27), (5, 4, 6))
+    cfg = FitConfig(rank=2, max_sweeps=8, seed=3)
+    for restarts, want in ((2, [2]), (1, [])):
+        cfg = replace(cfg, restarts=restarts)
+        pools.clear()
+        pooled = fit_restarts(x, cfg, jobs=4)
+        assert pools == want
+        serial = fit_restarts(x, cfg, jobs=1)
+        assert [r.seed for r in pooled] == [r.seed for r in serial]
+        for a, b in zip(pooled, serial):
+            assert a.objective_trace == b.objective_trace
+            for mat in ("A", "B", "C", "weights"):
+                assert np.array_equal(getattr(a.factors, mat), getattr(b.factors, mat))
+
+
+def _step_sizes(monkeypatch, candidate_wins: bool, sweeps: int):
+    """The extrapolation step of each candidate under a stubbed sweep.
+
+    The stub moves every factor entry by +1, so a candidate lies ``beta``
+    past the swept factors along that fixed direction; ``_objective`` scores
+    every candidate below (or above) the sweep it follows.
+    """
+    import tempofact.als as als_mod
+
+    state = {"obj": 1.0}
+    steps = []
+
+    def stub_sweep(ws, A, B, C, y=None):
+        state["prev"], state["swept"] = A, A + 1.0
+        state["obj"] *= 0.5
+        return A + 1.0, B + 1.0, C + 1.0, state["obj"]
+
+    def stub_objective(ws, A, B, C, y):
+        swept, prev = state["swept"], state["prev"]
+        steps.append(float(np.mean((A - swept) / (swept - prev))))
+        return state["obj"] * (0.5 if candidate_wins else 2.0)
+
+    monkeypatch.setattr(als_mod, "_sweep", stub_sweep)
+    monkeypatch.setattr(als_mod, "_objective", stub_objective)
+    x = random_tensor(np.random.default_rng(28), (4, 3, 5))
+    res = fit_once(x, FitConfig(rank=2, max_sweeps=sweeps), seed=0)
+    assert res.sweeps_used == sweeps
+    return steps
+
+
+def test_extrapolation_step_grows_and_shrinks_by_half_again(monkeypatch):
+    # The step is uncapped: a run of accepted candidates takes it past 1.
+    grown = _step_sizes(monkeypatch, candidate_wins=True, sweeps=8)
+    assert grown == pytest.approx([0.5 * 1.5**k for k in range(7)], rel=1e-9)
+    shrunk = _step_sizes(monkeypatch, candidate_wins=False, sweeps=8)
+    assert shrunk == pytest.approx([0.5 / 1.5**k for k in range(7)], rel=1e-9)
