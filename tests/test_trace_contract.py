@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from tempofact import als
+from tempofact.corcondia import rank_scan
 from tempofact.ingest import load_transactions, save_transactions
 from tempofact.synthetic import SyntheticConfig, generate_with_log, log_to_records
 from tempofact.tensor import DenseTensor3
@@ -53,6 +54,30 @@ def test_fit_once_goes_through_every_traced_als_layer(monkeypatch):
     x = DenseTensor3(np.random.default_rng(6).random((6, 4, 8)))
     als.fit_once(x, als.FitConfig(rank=2, max_sweeps=3), seed=0)
     assert all(calls.values()), calls
+
+
+def test_each_restart_is_one_fit_once_call(monkeypatch):
+    # A traced benchmark pass counts one ``als.fit_once`` span per restart
+    # and checks that count against the restarts in the command's outputs;
+    # on a mismatch it drops every worker-side metric (``als.sweeps``,
+    # ``nnls.*``, ``tensor.*``, ``sweeps_per_s``).  A restart loop that fits
+    # several restarts per call, or none, would lose them all.
+    calls = []
+    real = als.fit_once
+
+    def counted(x, cfg, seed):
+        calls.append((cfg.rank, seed))
+        return real(x, cfg, seed)
+
+    monkeypatch.setattr(als, "fit_once", counted)
+    x = DenseTensor3(np.random.default_rng(7).random((6, 4, 8)))
+    cfg = als.FitConfig(rank=2, max_sweeps=4, restarts=3, seed=10)
+    als.fit_restarts(x, cfg, jobs=1)
+    assert calls == [(2, 10), (2, 11), (2, 12)]
+    calls.clear()
+    rank_scan(x, r_max=2, l_cc=85.0, cfg=cfg)
+    assert len(calls) == 2 * cfg.restarts
+    assert sorted(calls) == [(r, s) for r in (1, 2) for s in (10, 11, 12)]
 
 
 def test_ledger_counters_read_real_results(tmp_path, monkeypatch):
