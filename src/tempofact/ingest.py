@@ -35,6 +35,7 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tempofact.tensor import DenseTensor3
 
@@ -468,6 +469,9 @@ def moving_average(series, window: int = 20) -> np.ndarray:
         raise ValueError("window must be >= 1")
     s = np.asarray(series, dtype=np.float64)
     out = np.empty_like(s)
-    for i in range(len(s)):
-        out[i] = s[max(0, i - window + 1): i + 1].mean()
+    head = min(window - 1, len(s))  # the points with fewer than ``window`` before them
+    for i in range(head):
+        out[i] = s[: i + 1].mean()
+    if len(s) >= window:
+        out[head:] = sliding_window_view(s, window).mean(axis=1)
     return out

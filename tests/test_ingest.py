@@ -21,7 +21,7 @@ from tempofact.ingest import (
     moving_average,
     save_transactions,
 )
-from util import TRADE, ledger_of, ledger_rows
+from util import TRADE, ledger_of, ledger_rows, moving_average_loop
 
 HEADER = ",".join(LEDGER_COLUMNS)
 
@@ -228,6 +228,20 @@ def test_moving_average_trailing_window():
     assert len(out) == len(ramp)
     with pytest.raises(ValueError):
         moving_average(ramp, 0)
+
+
+def test_moving_average_matches_loop_oracle():
+    # The smoothed CSVs are byte-compared, so the windowed mean must give
+    # the loop's bytes, not just its values.
+    rng = np.random.default_rng(31)
+    cases = [(np.empty(0), 1), (np.empty(0), 5), (rng.random(9), 1), (rng.random(9), 9),
+             (rng.random(9), 10), (rng.random(9), 400)]
+    for _ in range(300):
+        n, window = int(rng.integers(0, 400)), int(rng.integers(1, 160))
+        cases.append((rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 9), window))
+    for series, window in cases:
+        assert moving_average(series, window).tobytes() == \
+            moving_average_loop(series, window).tobytes(), (len(series), window)
 
 
 def test_index_validation_and_round_trip():

@@ -51,6 +51,16 @@ def classify_role(row, bank_id: str) -> str:
     raise ValueError(f"bank {bank_id!r} is not a side of this trade")
 
 
+def moving_average_loop(series, window: int) -> np.ndarray:
+    """Trailing mean of each point, one slice at a time: the oracle of
+    ``ingest.moving_average``."""
+    s = np.asarray(series, dtype=np.float64)
+    out = np.empty_like(s)
+    for i in range(len(s)):
+        out[i] = s[max(0, i - window + 1): i + 1].mean()
+    return out
+
+
 def triple_sum_tensor(weights, A, B, C) -> np.ndarray:
     """Entrywise triple-sum reconstruction, the slow reference for reconstruct()."""
     n, r = A.shape
