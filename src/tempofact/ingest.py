@@ -469,7 +469,7 @@ def moving_average(series, window: int = 20) -> np.ndarray:
         raise ValueError("window must be >= 1")
     s = np.asarray(series, dtype=np.float64)
     out = np.empty_like(s)
-    head = min(window - 1, len(s))  # the points with fewer than ``window`` before them
+    head = min(window - 1, len(s))  # points whose window the series start cuts short
     for i in range(head):
         out[i] = s[: i + 1].mean()
     if len(s) >= window:

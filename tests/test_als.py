@@ -378,8 +378,8 @@ def test_pool_has_no_more_workers_than_restarts(monkeypatch):
                 assert np.array_equal(getattr(a.factors, mat), getattr(b.factors, mat))
 
 
-def _step_sizes(monkeypatch, candidate_wins: bool, sweeps: int):
-    """The extrapolation step of each candidate under a stubbed sweep.
+def _step_sizes(monkeypatch, candidate_wins: bool):
+    """The extrapolation steps of a fit's 7 candidates under a stubbed sweep.
 
     The stub moves every factor entry by +1, so a candidate lies ``beta``
     past the swept factors along that fixed direction; ``_objective`` scores
@@ -403,14 +403,13 @@ def _step_sizes(monkeypatch, candidate_wins: bool, sweeps: int):
     monkeypatch.setattr(als_mod, "_sweep", stub_sweep)
     monkeypatch.setattr(als_mod, "_objective", stub_objective)
     x = random_tensor(np.random.default_rng(28), (4, 3, 5))
-    res = fit_once(x, FitConfig(rank=2, max_sweeps=sweeps), seed=0)
-    assert res.sweeps_used == sweeps
+    assert fit_once(x, FitConfig(rank=2, max_sweeps=8), seed=0).sweeps_used == 8
     return steps
 
 
 def test_extrapolation_step_grows_and_shrinks_by_half_again(monkeypatch):
     # The step is uncapped: a run of accepted candidates takes it past 1.
-    grown = _step_sizes(monkeypatch, candidate_wins=True, sweeps=8)
+    grown = _step_sizes(monkeypatch, candidate_wins=True)
     assert grown == pytest.approx([0.5 * 1.5**k for k in range(7)], rel=1e-9)
-    shrunk = _step_sizes(monkeypatch, candidate_wins=False, sweeps=8)
+    shrunk = _step_sizes(monkeypatch, candidate_wins=False)
     assert shrunk == pytest.approx([0.5 / 1.5**k for k in range(7)], rel=1e-9)
