@@ -92,11 +92,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _float_tuple(text: str, n: int, what: str):
+def _float_tuple(text: str, n: int, what: str, convert=float):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != n:
         raise UsageError(f"{what} needs {n} comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(convert(p) for p in parts)
 
 
 def _build_parser() -> _Parser:
@@ -194,7 +194,8 @@ def _cmd_synth(args) -> int:
         n_banks=args.banks,
         intervals=args.intervals,
         days=args.days,
-        group_sizes=_float_int_tuple(args.group_sizes) if args.group_sizes else None,
+        group_sizes=(_float_tuple(args.group_sizes, 3, "--group-sizes", int)
+                     if args.group_sizes else None),
         sigma=args.sigma,
         mus=_float_tuple(args.mus, 3, "--mus") if args.mus else None,
         peak_fitness=args.peak_fitness,
@@ -211,8 +212,9 @@ def _cmd_synth(args) -> int:
     else:
         tensor, truth = generate(cfg)
         out = _out_dir(args)
+    truth_doc = tfio.ground_truth_to_dict(truth, cfg)
     tfio.write_tensor(out / "tensor.bin", tensor)
-    tfio.dump_json(out / "ground_truth.json", tfio.ground_truth_to_dict(truth, cfg))
+    tfio.dump_json(out / "ground_truth.json", truth_doc)
     if 600 % cfg.intervals == 0:
         index = TensorIndex(
             tuple(bank_label(i, cfg.n_banks) for i in range(cfg.n_banks)),
@@ -221,16 +223,11 @@ def _cmd_synth(args) -> int:
         )
         tfio.write_index(out / "index.json", index)
         outputs.append("index.json")
-    config = tfio.ground_truth_to_dict(truth, cfg)["config"]
-    _write_manifest(out, "synth", config, {}, cfg.seed, started, outputs)
+    _write_manifest(out, "synth", truth_doc["config"], {}, cfg.seed, started, outputs)
     print(f"synthetic market written to {out} "
           f"(dims {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]}, "
           f"total mass {tensor.values.sum():.0f})")
     return EXIT_OK
-
-
-def _float_int_tuple(text: str):
-    return tuple(int(p) for p in text.split(","))
 
 
 def _synth_dates(days: int):

@@ -44,24 +44,9 @@ class DegenerateFactorError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class CoreTensor:
-    """Least-squares Tucker core of a fitted model (entries may be negative)."""
-
-    G: np.ndarray
-    source_rank: int
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.G, dtype=np.float64).view()
-        r = self.source_rank
-        if g.shape != (r, r, r):
-            raise ValueError(f"core must have shape ({r}, {r}, {r}), got {g.shape}")
-        object.__setattr__(self, "G", g)
-        g.setflags(write=False)
-
-
-def tucker_core(x: DenseTensor3, k: KruskalTensor) -> CoreTensor:
-    """Least-squares core of ``x`` for the fixed factors of ``k``.
+def tucker_core(x: DenseTensor3, k: KruskalTensor) -> np.ndarray:
+    """Least-squares R x R x R core of ``x`` for the fixed factors of ``k``
+    (entries may be negative).
 
     Computed as the tensor contracted with the Moore-Penrose pseudoinverse
     of each (weight-folded) factor, which solves the core least squares
@@ -84,17 +69,16 @@ def tucker_core(x: DenseTensor3, k: KruskalTensor) -> CoreTensor:
     ap, bp, cp = pinvs
     g = np.einsum("ni,ijk->njk", ap, x.values, optimize=True)
     g = np.einsum("mj,njk->nmk", bp, g, optimize=True)
-    g = np.einsum("pk,nmk->nmp", cp, g, optimize=True)
-    return CoreTensor(g, k.rank)
+    return np.einsum("pk,nmk->nmp", cp, g, optimize=True)
 
 
-def core_consistency(core: CoreTensor) -> float:
-    """Score how close a core is to the unit superdiagonal (100 = exact)."""
-    r = core.source_rank
+def core_consistency(core: np.ndarray) -> float:
+    """Score how close an R x R x R core is to the unit superdiagonal (100 = exact)."""
+    r = core.shape[0]
     ident = np.zeros((r, r, r))
     idx = np.arange(r)
     ident[idx, idx, idx] = 1.0
-    return float(100.0 * (1.0 - ((core.G - ident) ** 2).sum() / r))
+    return float(100.0 * (1.0 - ((core - ident) ** 2).sum() / r))
 
 
 @dataclass(frozen=True)
@@ -111,10 +95,6 @@ class RankScanRecord:
     cc_ci95: tuple | None
     n_failed: int
     failures: tuple = ()
-
-    @property
-    def failed(self) -> bool:
-        return self.cc_mean is None
 
 
 @dataclass(frozen=True)

@@ -77,14 +77,6 @@ class NnlsProblem:
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "crossterm", c)
 
-    @property
-    def n_vars(self) -> int:
-        return self.gram.shape[0]
-
-    @property
-    def n_rhs(self) -> int:
-        return self.crossterm.shape[1]
-
 
 @dataclass(frozen=True)
 class NnlsSolution:
@@ -127,7 +119,7 @@ def solve_nnls(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     gram, ct = problem.gram, problem.crossterm
-    r, m = problem.n_vars, problem.n_rhs
+    r, m = ct.shape
     if passive is not None:
         passive = np.asarray(passive, dtype=bool)
         if passive.shape != (m, r):

@@ -8,8 +8,9 @@ A (banks), B (intervals), C (days) satisfies
     X_(1) = A (C kr B)^T,   X_(2) = B (C kr A)^T,   X_(3) = C (B kr A)^T,
 
 where ``kr`` is the columnwise Kronecker (Khatri-Rao) product.  These
-identities are exact and are enforced by the test suite; every consumer of
-:func:`matricize` and :func:`khatri_rao` relies on them.
+identities are exact and are enforced by the test suite.  No code here
+unfolds a tensor: the ALS sweep forms each product ``X_(n) (.. kr ..)`` one
+bank slab at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _check_entries(v: np.ndarray, nonfinite: str, negative: str) -> None:
+    """Raise ``ValueError(nonfinite)`` or ``ValueError(negative)`` unless every
+    entry of ``v`` is finite and nonnegative.
+
+    Two reductions and no temporary array: NaN propagates into both the
+    minimum and the maximum, and finite ends bound every entry.
+    """
+    if v.size:
+        lo, hi = v.min(), v.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(nonfinite)
+        if lo < 0.0:
+            raise ValueError(negative)
 
 
 @dataclass(frozen=True)
@@ -37,21 +53,13 @@ class DenseTensor3:
         v = np.ascontiguousarray(self.values, dtype=np.float64).view()
         if v.ndim != 3:
             raise ValueError(f"expected a 3-way array, got ndim={v.ndim}")
-        if v.size:
-            if not np.isfinite(v).all():
-                raise ValueError("tensor entries must be finite")
-            if v.min() < 0.0:
-                raise ValueError("tensor entries must be nonnegative")
+        _check_entries(v, "tensor entries must be finite", "tensor entries must be nonnegative")
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(self.values.shape)  # type: ignore[return-value]
-
-    def norm(self) -> float:
-        """Frobenius norm of the tensor."""
-        return float(np.linalg.norm(self.values.ravel()))
 
 
 @dataclass(frozen=True)
@@ -77,8 +85,8 @@ class KruskalTensor:
             m = np.asarray(getattr(self, name), dtype=np.float64).view()
             if m.ndim != 2:
                 raise ValueError(f"factor {name} must be 2-D, got ndim={m.ndim}")
-            if m.size and m.min() < 0.0:
-                raise ValueError(f"factor {name} has negative entries")
+            _check_entries(m, f"factor {name} has non-finite entries",
+                           f"factor {name} has negative entries")
             object.__setattr__(self, name, m)
             mats.append(m)
         r = mats[0].shape[1]
@@ -88,8 +96,7 @@ class KruskalTensor:
         w = np.ones(r) if w is None else np.asarray(w, dtype=np.float64).view()
         if w.shape != (r,):
             raise ValueError(f"weights must have shape ({r},), got {w.shape}")
-        if w.size and w.min() < 0.0:
-            raise ValueError("weights must be nonnegative")
+        _check_entries(w, "weights must be finite", "weights must be nonnegative")
         object.__setattr__(self, "weights", w)
         for m in (*mats, w):
             m.setflags(write=False)
@@ -129,20 +136,6 @@ class KruskalTensor:
         return KruskalTensor(
             self.A[:, order], self.B[:, order], self.C[:, order], self.weights[order]
         )
-
-
-def matricize(x: DenseTensor3, mode: int) -> np.ndarray:
-    """Mode-n matricization of a 3-way tensor.
-
-    Mode 1 returns an N x TD matrix, mode 2 a T x ND matrix and mode 3 a
-    D x NT matrix.  Columns follow the convention in the module docstring,
-    so ``matricize(reconstruct(K), 1)`` equals ``K.A @ khatri_rao(K.C, K.B).T``
-    up to roundoff.
-    """
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    a = x.values
-    return np.reshape(np.moveaxis(a, mode - 1, 0), (a.shape[mode - 1], -1), order="F")
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:

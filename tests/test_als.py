@@ -17,10 +17,9 @@ from tempofact.tensor import (
     DenseTensor3,
     KruskalTensor,
     khatri_rao,
-    matricize,
     reconstruct,
 )
-from util import best_match, cosine, random_kruskal, random_tensor
+from util import best_match, cosine, matricize, random_kruskal, random_tensor
 
 
 def _objective(x, k):

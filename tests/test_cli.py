@@ -1,6 +1,8 @@
+import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -50,6 +52,14 @@ def test_synth_rejects_zero_days(tmp_path):
 
 def test_synth_rejects_bad_group_sizes(tmp_path):
     assert _run("synth", "--banks", 10, "--group-sizes", "3,3,3", "--out", tmp_path) == 1
+
+
+def test_synth_group_sizes_need_three_values(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert _run("synth", "--banks", 8, "--group-sizes", "4,4,", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "--group-sizes needs 3 comma-separated values" in err, err
+    assert not out.exists()
 
 
 def test_ingest_sample_ledger(tmp_path):
@@ -310,6 +320,27 @@ def test_undecodable_ledger_exits_io_without_creating_out(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_analyze_non_finite_fit_exits_io_without_out(tmp_path, capsys):
+    # Python's json reads the NaN and Infinity literals that dumps writes.
+    synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)
+    fit = json.loads((fit_dir / "fit.json").read_text())
+    nan_weight, inf_bank = copy.deepcopy(fit), copy.deepcopy(fit)
+    nan_weight["weights"][0] = math.nan
+    inf_bank["factors"]["bank"][0][0] = math.inf
+    cases = {"weights must be finite": nan_weight, "factor A has non-finite entries": inf_bank}
+    for k, (expected, doc) in enumerate(cases.items()):
+        fit_path = tmp_path / f"fit{k}.json"
+        fit_path.write_text(json.dumps(doc))
+        rep = tmp_path / f"rep{k}"
+        capsys.readouterr()
+        assert _run("analyze", fit_path, "--index", synth_dir / "index.json",
+                    "--out", rep) == 2, expected
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert expected in err
+        assert not rep.exists()
+
+
 def test_analyze_foreign_fit_json_exits_io(tmp_path):
     synth_dir, _ = _small_pipeline(tmp_path, with_ledger=False)
     rep = tmp_path / "rep"
@@ -328,32 +359,31 @@ def test_analyze_bad_argument_creates_no_out(tmp_path, option, value):
     assert not rep.exists()
 
 
-def _loaded_scipy_modules(code):
-    """The scipy modules in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+def _loaded_modules(module, package):
+    """The modules of ``package`` in ``sys.modules`` after importing ``module``
+    in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code += "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (f"import sys, {module}\n"
+            f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     return set(out.stdout.split())
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    loaded = _loaded_scipy_modules("import sys, tempofact.cli")
+    loaded = _loaded_modules("tempofact.cli", "scipy")
     assert "scipy.stats" not in loaded
     assert "scipy.linalg" not in loaded
 
 
 def test_nnls_module_loads_no_scipy():
-    # The module file alone: importing it as tempofact.nnls first runs the
-    # package __init__, which reaches scipy.special through corcondia.
-    nnls_py = Path(__file__).resolve().parent.parent / "src" / "tempofact" / "nnls.py"
-    code = ("import importlib.util, sys\n"
-            f"spec = importlib.util.spec_from_file_location('nnls', {str(nnls_py)!r})\n"
-            "module = sys.modules['nnls'] = importlib.util.module_from_spec(spec)\n"
-            "spec.loader.exec_module(module)\n"
-            "assert module.solve_nnls")
-    assert _loaded_scipy_modules(code) == set()
+    for module in ("tempofact.nnls", "tempofact.tensor", "tempofact.als"):
+        assert _loaded_modules(module, "scipy") == set(), module
+
+
+def test_package_import_loads_no_numpy():
+    assert _loaded_modules("tempofact", "numpy") == set()
 
 
 def test_fit_all_restarts_failed_exits_numerical_without_out(tmp_path, monkeypatch):

@@ -3,7 +3,6 @@ import pytest
 
 from tempofact.als import FitConfig, fit_best
 from tempofact.corcondia import (
-    CoreTensor,
     DegenerateFactorError,
     core_consistency,
     rank_scan,
@@ -22,13 +21,13 @@ def _superdiagonal(r):
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_unit_superdiagonal_scores_100(rank):
-    assert core_consistency(CoreTensor(_superdiagonal(rank), rank)) == 100.0
+    assert core_consistency(_superdiagonal(rank)) == 100.0
 
 
 def test_single_off_entry_scores_50():
     g = _superdiagonal(2)
     g[0, 1, 0] = 1.0
-    assert core_consistency(CoreTensor(g, 2)) == 50.0
+    assert core_consistency(g) == 50.0
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -37,7 +36,7 @@ def test_exact_model_core_is_superdiagonal(rank):
     k = random_kruskal(rng, (6, 5, 7), rank)
     x = reconstruct(k)
     core = tucker_core(x, k)
-    off = core.G - _superdiagonal(rank)
+    off = core - _superdiagonal(rank)
     assert np.abs(off).max() < 1e-8
     assert abs(core_consistency(core) - 100.0) < 1e-6
 
@@ -47,8 +46,8 @@ def test_rank_one_core_is_scalar_one():
     k = KruskalTensor(rng.random((4, 1)), rng.random((3, 1)), rng.random((5, 1)),
                       np.array([2.5]))
     core = tucker_core(reconstruct(k), k)
-    assert core.G.shape == (1, 1, 1)
-    assert abs(core.G[0, 0, 0] - 1.0) < 1e-12
+    assert core.shape == (1, 1, 1)
+    assert abs(core[0, 0, 0] - 1.0) < 1e-12
 
 
 def test_misfit_produces_off_superdiagonal_mass():
@@ -56,7 +55,7 @@ def test_misfit_produces_off_superdiagonal_mass():
     x = random_tensor(rng, (6, 5, 7))
     k = random_kruskal(rng, (6, 5, 7), 2)  # unfitted factors
     core = tucker_core(x, k)
-    off = core.G.copy()
+    off = core.copy()
     idx = np.arange(2)
     off[idx, idx, idx] = 0.0
     assert np.abs(off).max() > 0.0
@@ -86,7 +85,7 @@ def test_core_matches_dense_least_squares_oracle():
     design = np.kron(big_k, a)
     x1 = np.reshape(np.moveaxis(x.values, 0, 0), (4, -1), order="F")
     g1_vec = np.linalg.lstsq(design, x1.ravel(order="F"), rcond=None)[0]
-    g1 = core.G.reshape(2, 4, order="F")
+    g1 = core.reshape(2, 4, order="F")
     assert np.abs(g1.ravel(order="F") - g1_vec).max() < 1e-8
 
 

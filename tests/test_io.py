@@ -224,6 +224,7 @@ def test_read_tensor_returns_or_raises_file_format_error(tmp_path_factory, raw):
 @given(doc=st.one_of(_JSON, _mutated(_VALID_FIT)))
 @example(doc={**_VALID_FIT, "sweeps_used": math.inf})
 @example(doc={**_VALID_FIT, "weights": [10**400]})
+@example(doc={**_VALID_FIT, "weights": [math.inf]})
 def test_fit_result_from_dict_returns_or_raises_file_format_error(doc):
     with contextlib.suppress(tfio.FileFormatError):
         tfio.fit_result_from_dict(doc)

@@ -28,7 +28,7 @@ def test_interior_solution_equals_unconstrained():
 
 def _initial_passive_sets(rng, problem):
     """No initial set, then warm starts from all-false, all-true and random sets."""
-    shape = (problem.n_rhs, problem.n_vars)
+    shape = problem.crossterm.T.shape
     return [None, np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool),
             rng.random(shape) < 0.5]
 
@@ -43,7 +43,7 @@ def test_matches_exhaustive_active_set_oracle():
             assert sol.converged
             assert sol.W.min() >= 0.0
             assert sol.kkt_residual <= 1e-8
-            for col in range(problem.n_rhs):
+            for col in range(problem.crossterm.shape[1]):
                 got = nnls_objective(problem.gram, problem.crossterm[:, col], sol.W[col])
                 want = nnls_oracle_objective(problem.gram, problem.crossterm[:, col])
                 assert abs(got - want) < 1e-8

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,9 @@ from tempofact.tensor import (
     DenseTensor3,
     KruskalTensor,
     khatri_rao,
-    matricize,
     reconstruct,
 )
-from util import random_kruskal, triple_sum_tensor
+from util import matricize, random_kruskal, triple_sum_tensor
 
 
 def test_matricize_degenerate_dims():
@@ -30,14 +31,6 @@ def test_matricize_enumeration_placement():
     assert np.array_equal(m1, expected)
 
 
-def test_matricize_invalid_mode():
-    x = DenseTensor3(np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError):
-        matricize(x, 0)
-    with pytest.raises(ValueError):
-        matricize(x, 4)
-
-
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_factor_form_identity(mode):
     rng = np.random.default_rng(11)
@@ -50,7 +43,7 @@ def test_factor_form_identity(mode):
     }
     lead, kr = pairs[mode]
     gap = np.linalg.norm(matricize(x, mode) - lead @ kr.T)
-    assert gap / x.norm() < 1e-12
+    assert gap / np.linalg.norm(x.values) < 1e-12
 
 
 def test_khatri_rao_identity_case():
@@ -102,10 +95,23 @@ def test_reconstruct_matches_triple_sum_oracle():
 def test_dense_tensor_rejects_bad_values():
     with pytest.raises(ValueError):
         DenseTensor3(np.array([[[-1.0]]]))
-    with pytest.raises(ValueError):
-        DenseTensor3(np.array([[[np.nan]]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tensor entries must be finite"):
+            DenseTensor3(np.array([[[1.0, bad]]]))
     with pytest.raises(ValueError):
         DenseTensor3(np.zeros((2, 2)))
+
+
+def test_dense_tensor_checks_values_without_a_mask():
+    # A finiteness mask of the tensor would be a bool array of a.nbytes / 8.
+    a = np.ones((20, 50, 100))
+    tracemalloc.start()
+    try:
+        DenseTensor3(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 16
 
 
 def test_dense_tensor_stores_contiguous_values():
@@ -134,8 +140,15 @@ def test_constructors_leave_caller_arrays_writable():
 
 
 def test_kruskal_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor A has negative entries"):
         KruskalTensor(-np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="factor C has non-finite entries"):
+            KruskalTensor(np.ones((2, 1)), np.ones((2, 1)), np.array([[1.0], [bad]]))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            KruskalTensor(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), np.array([bad]))
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        KruskalTensor(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), np.array([-1.0]))
     with pytest.raises(ValueError):
         KruskalTensor(np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 1)))
     with pytest.raises(ValueError):

@@ -51,6 +51,18 @@ def classify_role(row, bank_id: str) -> str:
     raise ValueError(f"bank {bank_id!r} is not a side of this trade")
 
 
+def matricize(x: DenseTensor3, mode: int) -> np.ndarray:
+    """Mode-n unfolding (mode 1, 2 or 3) under ``tensor``'s convention: the
+    oracle of the ALS sweep's slab products.
+
+    Mode 1 returns an N x TD matrix, mode 2 a T x ND matrix and mode 3 a
+    D x NT matrix, so ``matricize(reconstruct(K), 1)`` equals
+    ``K.A @ khatri_rao(K.C, K.B).T`` up to roundoff.
+    """
+    a = x.values
+    return np.reshape(np.moveaxis(a, mode - 1, 0), (a.shape[mode - 1], -1), order="F")
+
+
 def moving_average_loop(series, window: int) -> np.ndarray:
     """Trailing mean of each point, one slice at a time: the oracle of
     ``ingest.moving_average``."""
