@@ -4,6 +4,8 @@ Every command writes its outputs plus a run manifest into --out.  The
 manifest records the resolved configuration, input digests, seed and
 output digests; rerunning the same command on the same inputs reproduces
 every output byte for byte (only the manifest's duration field varies).
+Outputs are staged beside --out and the manifest moves in last, so a
+directory that holds a manifest holds every file it lists.
 
 Exit codes: 0 success, 1 usage/validation, 2 I/O (a malformed input file
 included), 3 numerical failure.
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import shutil
 import sys
 import time as _time
 from datetime import timedelta
@@ -70,26 +74,35 @@ def _input(path) -> tuple:
     return path, _sha256(Path(path))
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
-                    seed, started: float, outputs: list) -> None:
-    """``inputs`` maps each input's name to its :func:`_input` pair."""
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "config": config,
-        "inputs": {name: {"path": str(p), "sha256": digest}
-                   for name, (p, digest) in inputs.items()},
-        "seed": seed,
-        "duration_s": _time.perf_counter() - started,
-        "outputs": {name: _sha256(out_dir / name) for name in sorted(outputs)},
-    }
-    tfio.dump_json(out_dir / "manifest.json", manifest)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _publish(out: Path, command: str, config: dict, inputs: dict, seed,
+             started: float, writers: dict) -> None:
+    """Write each output of ``writers`` (name -> function of a path), then the
+    manifest, into a stage beside ``out`` and move them in, the manifest last:
+    a directory that holds a manifest holds every file it lists."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = out.parent / f".{out.name}.stage-{os.urandom(6).hex()}"
+    stage.mkdir()
+    try:
+        for name, write in writers.items():
+            write(stage / name)
+        tfio.dump_json(stage / "manifest.json", {
+            "command": command,
+            "tool_version": __version__,
+            "config": config,
+            "inputs": {name: {"path": str(p), "sha256": digest}
+                       for name, (p, digest) in inputs.items()},
+            "seed": seed,
+            "duration_s": _time.perf_counter() - started,
+            "outputs": {name: _sha256(stage / name) for name in sorted(writers)},
+        })
+        if out.is_dir():
+            (out / "manifest.json").unlink(missing_ok=True)
+            for name in [*writers, "manifest.json"]:
+                os.replace(stage / name, out / name)
+        else:
+            os.rename(stage, out)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _float_tuple(text: str, n: int, what: str, convert=float):
@@ -170,7 +183,9 @@ def main(argv=None) -> int:
         "analyze": _cmd_analyze,
     }[args.command]
     try:
-        return handler(args)
+        started = _time.perf_counter()
+        config, inputs, seed, writers, message = handler(args)
+        _publish(Path(args.out), args.command, config, inputs, seed, started, writers)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -186,10 +201,11 @@ def main(argv=None) -> int:
     except FitError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    print(message)
+    return EXIT_OK
 
 
-def _cmd_synth(args) -> int:
-    started = _time.perf_counter()
+def _cmd_synth(args):
     cfg = SyntheticConfig(
         n_banks=args.banks,
         intervals=args.intervals,
@@ -202,50 +218,40 @@ def _cmd_synth(args) -> int:
         rescale=not args.raw_pdf,
         seed=args.seed,
     )
-    outputs = ["tensor.bin", "ground_truth.json"]
+    writers = {}
     if args.ledger:
         tensor, truth, log = generate_with_log(cfg)
         ledger = log_to_records(log, cfg)
-        out = _out_dir(args)
-        save_transactions(out / "ledger.csv", ledger)
-        outputs.append("ledger.csv")
+        writers["ledger.csv"] = lambda p: save_transactions(p, ledger)
     else:
         tensor, truth = generate(cfg)
-        out = _out_dir(args)
     truth_doc = tfio.ground_truth_to_dict(truth, cfg)
-    tfio.write_tensor(out / "tensor.bin", tensor)
-    tfio.dump_json(out / "ground_truth.json", truth_doc)
+    writers["tensor.bin"] = lambda p: tfio.write_tensor(p, tensor)
+    writers["ground_truth.json"] = lambda p: tfio.dump_json(p, truth_doc)
     if 600 % cfg.intervals == 0:
         index = TensorIndex(
             tuple(bank_label(i, cfg.n_banks) for i in range(cfg.n_banks)),
             tuple(_synth_dates(cfg.days)),
             600 // cfg.intervals,
         )
-        tfio.write_index(out / "index.json", index)
-        outputs.append("index.json")
-    _write_manifest(out, "synth", truth_doc["config"], {}, cfg.seed, started, outputs)
-    print(f"synthetic market written to {out} "
-          f"(dims {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]}, "
-          f"total mass {tensor.values.sum():.0f})")
-    return EXIT_OK
+        writers["index.json"] = lambda p: tfio.write_index(p, index)
+    return truth_doc["config"], {}, cfg.seed, writers, (
+        f"synthetic market written to {args.out} "
+        f"(dims {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]}, "
+        f"total mass {tensor.values.sum():.0f})")
 
 
 def _synth_dates(days: int):
     return [LOG_START_DATE + timedelta(days=k) for k in range(days)]
 
 
-def _cmd_ingest(args) -> int:
-    started = _time.perf_counter()
+def _cmd_ingest(args):
     check_delta(args.delta)
     loaded = load_transactions(args.ledger)
-    ledger_sha256 = _sha256(Path(args.ledger))
+    ledger = _input(args.ledger)
     overnight = filter_overnight(loaded.records)
     tensor, index, excluded = build_tensor(overnight, args.delta)
     facts = _index_facts(overnight, index)
-    out = _out_dir(args)
-    tfio.write_tensor(out / "tensor.bin", tensor)
-    tfio.write_index(out / "index.json", index)
-    tfio.write_bank_facts(out / "bank_facts.json", facts, ledger_sha256)
     report = {
         "rows_parsed": len(loaded.records),
         "rows_rejected": [{"line": i.line, "message": i.message} for i in loaded.issues],
@@ -258,15 +264,17 @@ def _cmd_ingest(args) -> int:
         "delta_minutes": args.delta,
         "total_mass": float(tensor.values.sum()),
     }
-    tfio.dump_json(out / "ingest_report.json", report)
-    _write_manifest(out, "ingest", {"delta": args.delta},
-                    {"ledger": (args.ledger, ledger_sha256)}, None, started,
-                    ["tensor.bin", "index.json", "ingest_report.json", "bank_facts.json"])
+    writers = {
+        "tensor.bin": lambda p: tfio.write_tensor(p, tensor),
+        "index.json": lambda p: tfio.write_index(p, index),
+        "bank_facts.json": lambda p: tfio.write_bank_facts(p, facts, ledger[1]),
+        "ingest_report.json": lambda p: tfio.dump_json(p, report),
+    }
     if not overnight:
-        print("warning: no overnight transactions; wrote an empty tensor", file=sys.stderr)
-    print(f"tensor {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]} written to {out} "
-          f"({len(loaded.issues)} rejected rows, {len(excluded)} out-of-window)")
-    return EXIT_OK
+        print("warning: no overnight transactions; writing an empty tensor", file=sys.stderr)
+    return {"delta": args.delta}, {"ledger": ledger}, None, writers, (
+        f"tensor {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]} written to {args.out} "
+        f"({len(loaded.issues)} rejected rows, {len(excluded)} out-of-window)")
 
 
 def _fit_config(args, rank: int) -> FitConfig:
@@ -298,20 +306,18 @@ def _restart_summary(results) -> list:
     return rows
 
 
-def _cmd_fit(args) -> int:
-    started = _time.perf_counter()
+def _cmd_fit(args):
     cfg = _fit_config(args, args.rank)
     tensor = tfio.read_tensor(args.tensor)
     results = fit_restarts(tensor, cfg, jobs=args.jobs)
     best = best_restart(results)
-    out = _out_dir(args)
-    tfio.dump_json(out / "fit.json", tfio.fit_result_to_dict(best))
-    tfio.dump_json(out / "restarts.json", _restart_summary(results))
-    _write_manifest(out, "fit", _cfg_dict(cfg, args.jobs), {"tensor": _input(args.tensor)},
-                    cfg.seed, started, ["fit.json", "restarts.json"])
-    print(f"rank {cfg.rank}: best rel_error {best.rel_error:.6e} "
-          f"(restart seed {best.seed}, {best.sweeps_used} sweeps)")
-    return EXIT_OK
+    writers = {
+        "fit.json": lambda p: tfio.dump_json(p, tfio.fit_result_to_dict(best)),
+        "restarts.json": lambda p: tfio.dump_json(p, _restart_summary(results)),
+    }
+    return _cfg_dict(cfg, args.jobs), {"tensor": _input(args.tensor)}, cfg.seed, writers, (
+        f"rank {cfg.rank}: best rel_error {best.rel_error:.6e} "
+        f"(restart seed {best.seed}, {best.sweeps_used} sweeps)")
 
 
 def _cfg_dict(cfg: FitConfig, jobs: int) -> dict:
@@ -326,26 +332,23 @@ def _cfg_dict(cfg: FitConfig, jobs: int) -> dict:
     }
 
 
-def _cmd_corcondia(args) -> int:
-    started = _time.perf_counter()
+def _cmd_corcondia(args):
     if args.rmax < 1:
         raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
     cfg = _fit_config(args, rank=1)
     tensor = tfio.read_tensor(args.tensor)
     report = rank_scan(tensor, args.rmax, args.lcc, cfg, jobs=args.jobs)
-    out = _out_dir(args)
-    tfio.dump_json(out / "rank_scan.json", tfio.rank_scan_to_dict(report))
-    tfio.write_rank_scan_csv(out / "rank_scan.csv", report)
+    writers = {
+        "rank_scan.json": lambda p: tfio.dump_json(p, tfio.rank_scan_to_dict(report)),
+        "rank_scan.csv": lambda p: tfio.write_rank_scan_csv(p, report),
+    }
     config = _cfg_dict(cfg, args.jobs)
     config.update({"rmax": args.rmax, "lcc": args.lcc})
     del config["rank"]
-    _write_manifest(out, "corcondia", config, {"tensor": _input(args.tensor)},
-                    cfg.seed, started, ["rank_scan.json", "rank_scan.csv"])
-    for rec in report.records:
-        mean = "failed" if rec.cc_mean is None else f"{rec.cc_mean:.2f}"
-        print(f"R={rec.rank}: mean cc {mean} ({rec.n_failed} failed runs)")
-    print(f"selected rank: {report.selected_rank if report.selected_rank else 'none'}")
-    return EXIT_OK
+    lines = [f"R={rec.rank}: mean cc {'failed' if rec.cc_mean is None else f'{rec.cc_mean:.2f}'}"
+             f" ({rec.n_failed} failed runs)" for rec in report.records]
+    lines.append(f"selected rank: {report.selected_rank if report.selected_rank else 'none'}")
+    return config, {"tensor": _input(args.tensor)}, cfg.seed, writers, "\n".join(lines)
 
 
 def _index_facts(overnight, index) -> analysis.BankFacts:
@@ -357,8 +360,8 @@ def _ledger_facts(ledger, index, index_dir: Path, inputs: dict) -> analysis.Bank
     """The facts ingest wrote beside the index if they describe this ledger
     and these banks, else the facts of the parsed ledger.  Records the files
     used in ``inputs``."""
-    ledger_sha256 = _sha256(Path(ledger))
-    inputs["ledger"] = ledger, ledger_sha256
+    inputs["ledger"] = _input(ledger)
+    ledger_sha256 = inputs["ledger"][1]
     stored = index_dir / "bank_facts.json"
     if stored.exists():
         facts, recorded_sha256 = tfio.read_bank_facts(stored)
@@ -374,8 +377,7 @@ def _day_rows(index, *blocks) -> list:
     return [[day.isoformat()] + list(row) for day, row in zip(index.day_dates, table)]
 
 
-def _cmd_analyze(args) -> int:
-    started = _time.perf_counter()
+def _cmd_analyze(args):
     fit = tfio.fit_result_from_dict(tfio.load_json(args.fit))
     index = tfio.read_index(args.index)
     n, t, d = fit.factors.dims
@@ -460,16 +462,13 @@ def _cmd_analyze(args) -> int:
         bundle["nationality"] = {"p": p_domestic, "flag_conflicts": list(facts.conflicts),
                                  "components": nat_bundle}
 
-    out = _out_dir(args)
-    for name, header, rows in reports:
-        tfio.write_csv(out / name, header, rows)
-    tfio.dump_json(out / "analysis.json", bundle)
+    writers = {name: lambda p, h=header, r=rows: tfio.write_csv(p, h, r)
+               for name, header, rows in reports}
+    writers["analysis.json"] = lambda p: tfio.dump_json(p, bundle)
     config = {"percentile": args.percentile, "smooth_window": args.smooth_window,
               "ledger_provided": args.ledger is not None}
-    _write_manifest(out, "analyze", config, inputs, None, started,
-                    [name for name, _, _ in reports] + ["analysis.json"])
-    print(f"analysis reports written to {out} ({rank} components)")
-    return EXIT_OK
+    return config, inputs, None, writers, (
+        f"analysis reports written to {args.out} ({rank} components)")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ names would otherwise only show up in a traced benchmark run.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -98,3 +99,48 @@ def test_ledger_counters_read_real_results(tmp_path, monkeypatch):
     assert len(loaded.records) == len(log) > 0
     assert layers._count_load((path,), {}, loaded, None) == {"bytes_read": size,
                                                               "rows": len(log)}
+
+
+def test_cli_writes_through_the_traced_io_names(tmp_path, monkeypatch):
+    # The tracer's io.* spans (and with them io.bytes_written and each
+    # cli.<command>.self_s) see a write only if the command looks the writer
+    # up on its module at call time.  Each output is one call of its kind,
+    # and the manifest one more dump_json.
+    from tempofact import cli, io as tfio
+
+    layers = _layers(monkeypatch)
+    traced = {(module, attr) for module, attr, _, _ in layers.LAYERS}
+    writers = {"dump_json": tfio, "write_tensor": tfio, "write_csv": tfio,
+               "save_transactions": cli}
+    calls = dict.fromkeys(writers, 0)
+    for attr, module in writers.items():
+        def counted(*args, _real=getattr(module, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    kinds = {".json": "dump_json", ".bin": "write_tensor", ".csv": "write_csv"}
+
+    synth, ingest, fit = tmp_path / "synth", tmp_path / "ingest", tmp_path / "fit"
+    steps = [
+        ["synth", "--banks", 12, "--intervals", 5, "--days", 20, "--seed", 3, "--ledger",
+         "--out", synth],
+        ["ingest", synth / "ledger.csv", "--delta", 120, "--out", ingest],
+        ["fit", ingest / "tensor.bin", "--rank", 2, "--restarts", 2, "--out", fit],
+        ["analyze", fit / "fit.json", "--index", ingest / "index.json",
+         "--ledger", synth / "ledger.csv", "--out", tmp_path / "analyze"],
+    ]
+    for argv in steps:
+        for attr in calls:
+            calls[attr] = 0
+        assert cli.main([str(a) for a in argv]) == 0
+        out = Path(argv[-1])
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        expected = dict.fromkeys(writers, 0)
+        expected["dump_json"] = 1
+        for name in outputs:
+            kind = "save_transactions" if name == "ledger.csv" else kinds[Path(name).suffix]
+            expected[kind] += 1
+        assert calls == expected, argv[0]
+    assert {("tempofact.io", "dump_json"), ("tempofact.io", "write_tensor"),
+            ("tempofact.cli", "save_transactions")} <= traced
