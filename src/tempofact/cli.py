@@ -80,7 +80,7 @@ def _publish(out: Path, command: str, config: dict, inputs: dict, seed,
     manifest, into a stage beside ``out`` and move them in, the manifest last:
     a directory that holds a manifest holds every file it lists."""
     out.parent.mkdir(parents=True, exist_ok=True)
-    stage = out.parent / f".{out.name}.stage-{os.urandom(6).hex()}"
+    stage = out.parent / f".{out.name[:32]}.stage-{os.urandom(6).hex()}"  # within NAME_MAX
     stage.mkdir()
     try:
         for name, write in writers.items():

@@ -160,3 +160,11 @@ def test_out_naming_a_file_exits_io_and_keeps_the_file(inputs, tmp_path, command
     assert _run(*COMMANDS[command](inputs, 0), "--out", out) == 2
     assert out.read_bytes() == b"not a directory\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+def test_out_name_of_250_characters_is_published(tmp_path):
+    # The stage beside --out must fit the file system's name limit too.
+    out = tmp_path / ("o" * 250)
+    assert _run("synth", "--banks", 6, "--intervals", 5, "--days", 4, "--out", out) == 0
+    assert (out / "manifest.json").exists()
+    assert list(tmp_path.iterdir()) == [out]
