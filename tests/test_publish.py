@@ -21,7 +21,7 @@ def _run(*argv):
 
 
 # Each command's arguments without --out, for variant 0 and for variant 1,
-# whose outputs differ from variant 0's in every file.
+# whose outputs differ from variant 0's.
 COMMANDS = {
     "synth": lambda root, v: ["synth", "--banks", 12, "--intervals", 5, "--days", 30,
                               "--seed", 3 + v, "--ledger"],
@@ -39,17 +39,20 @@ _ANALYSIS = {"intraday_profiles.csv", "interday_activity.csv", "component_shares
              "affiliation_sizes.csv", "jaccard.csv", "membership_means.csv", "analysis.json"}
 _SYNTH = {"tensor.bin", "ground_truth.json"}
 
-# (arguments without --out, the outputs the manifest must list)
+# (arguments without --out given the input directory, the outputs the
+# manifest must list)
 CASES = {
-    "synth": (COMMANDS["synth"], _SYNTH | {"index.json", "ledger.csv"}),
+    "synth": (lambda root: COMMANDS["synth"](root, 0), _SYNTH | {"index.json", "ledger.csv"}),
     "synth-no-ledger": (lambda root: COMMANDS["synth"](root, 0)[:-1], _SYNTH | {"index.json"}),
     "synth-no-index": (lambda root: ["synth", "--banks", 8, "--intervals", 7, "--days", 5],
                        _SYNTH),
-    "ingest": (COMMANDS["ingest"],
+    "ingest": (lambda root: COMMANDS["ingest"](root, 0),
                {"tensor.bin", "index.json", "bank_facts.json", "ingest_report.json"}),
-    "fit": (COMMANDS["fit"], {"fit.json", "restarts.json"}),
-    "corcondia": (COMMANDS["corcondia"], {"rank_scan.json", "rank_scan.csv"}),
-    "analyze": (COMMANDS["analyze"], _ANALYSIS | {"role_frequencies.csv", "nationality.csv"}),
+    "fit": (lambda root: COMMANDS["fit"](root, 0), {"fit.json", "restarts.json"}),
+    "corcondia": (lambda root: COMMANDS["corcondia"](root, 0),
+                  {"rank_scan.json", "rank_scan.csv"}),
+    "analyze": (lambda root: COMMANDS["analyze"](root, 0),
+                _ANALYSIS | {"role_frequencies.csv", "nationality.csv"}),
     "analyze-no-ledger": (lambda root: COMMANDS["analyze"](root, 0)[:-2], _ANALYSIS),
 }
 
@@ -64,11 +67,6 @@ def inputs(tmp_path_factory):
     return root
 
 
-def _argv(case, root):
-    argv, _ = CASES[case]
-    return argv(root, 0) if case in COMMANDS else argv(root)
-
-
 def _files(directory) -> dict:
     """Name to bytes of each entry of ``directory``; None for a subdirectory."""
     return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
@@ -77,10 +75,11 @@ def _files(directory) -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_manifest_lists_exactly_what_was_written(inputs, tmp_path, case):
     out = tmp_path / "new" / "out"
-    assert _run(*_argv(case, inputs), "--out", out) == 0
+    argv, outputs = CASES[case]
+    assert _run(*argv(inputs), "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     written = {p.name for p in out.iterdir()} - {"manifest.json"}
-    assert set(manifest["outputs"]) == written == CASES[case][1]
+    assert set(manifest["outputs"]) == written == outputs
     for name, digest in manifest["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
     assert list(out.parent.iterdir()) == [out]  # no stage left beside it
