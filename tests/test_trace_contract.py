@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tempofact import als
+from tempofact import als, cli, io as tfio
 from tempofact.corcondia import rank_scan
 from tempofact.ingest import load_transactions, save_transactions
 from tempofact.synthetic import SyntheticConfig, generate_with_log, log_to_records
@@ -106,8 +106,6 @@ def test_cli_writes_through_the_traced_io_names(tmp_path, monkeypatch):
     # cli.<command>.self_s) see a write only if the command looks the writer
     # up on its module at call time.  Each output is one call of its kind,
     # and the manifest one more dump_json.
-    from tempofact import cli, io as tfio
-
     layers = _layers(monkeypatch)
     traced = {(module, attr) for module, attr, _, _ in layers.LAYERS}
     writers = {"dump_json": tfio, "write_tensor": tfio, "write_csv": tfio,
@@ -131,8 +129,7 @@ def test_cli_writes_through_the_traced_io_names(tmp_path, monkeypatch):
          "--ledger", synth / "ledger.csv", "--out", tmp_path / "analyze"],
     ]
     for argv in steps:
-        for attr in calls:
-            calls[attr] = 0
+        calls.update(dict.fromkeys(calls, 0))
         assert cli.main([str(a) for a in argv]) == 0
         out = Path(argv[-1])
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
