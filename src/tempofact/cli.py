@@ -4,8 +4,9 @@ Every command writes its outputs plus a run manifest into --out.  The
 manifest records the resolved configuration, input digests, seed and
 output digests; rerunning the same command on the same inputs reproduces
 every output byte for byte (only the manifest's duration field varies).
-Outputs are staged beside --out and the manifest moves in last, so a
-directory that holds a manifest holds every file it lists.
+Outputs are staged in a hidden directory on --out's file system and the
+manifest moves in last, so a directory that holds a manifest holds every
+file it lists (a system crash aside: nothing is fsynced).
 
 Exit codes: 0 success, 1 usage/validation, 2 I/O (a malformed input file
 included), 3 numerical failure.
@@ -77,10 +78,14 @@ def _input(path) -> tuple:
 def _publish(out: Path, command: str, config: dict, inputs: dict, seed,
              started: float, writers: dict) -> None:
     """Write each output of ``writers`` (name -> function of a path), then the
-    manifest, into a stage beside ``out`` and move them in, the manifest last:
-    a directory that holds a manifest holds every file it lists."""
-    out.parent.mkdir(parents=True, exist_ok=True)
-    stage = out.parent / f".{out.name[:32]}.stage-{os.urandom(6).hex()}"  # within NAME_MAX
+    manifest, into a stage and move them in, the manifest last: a directory
+    that holds a manifest holds every file it lists."""
+    reuse = out.is_dir()
+    if reuse:  # stage inside: same file system, writable when the outputs are
+        stage = out / f".stage-{os.urandom(6).hex()}"
+    else:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        stage = out.parent / f".{out.name[:32]}.stage-{os.urandom(6).hex()}"  # within NAME_MAX
     stage.mkdir()
     try:
         for name, write in writers.items():
@@ -95,7 +100,7 @@ def _publish(out: Path, command: str, config: dict, inputs: dict, seed,
             "duration_s": _time.perf_counter() - started,
             "outputs": {name: _sha256(stage / name) for name in sorted(writers)},
         })
-        if out.is_dir():
+        if reuse:
             (out / "manifest.json").unlink(missing_ok=True)
             for name in [*writers, "manifest.json"]:
                 os.replace(stage / name, out / name)
@@ -132,13 +137,11 @@ def _build_parser() -> _Parser:
                    help="use raw density values instead of peak rescaling")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--ledger", action="store_true", help="also write the trade log CSV")
-    p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("ingest",
                        help="bin a transaction-log CSV into a tensor")
     p.add_argument("ledger", type=str)
     p.add_argument("--delta", type=int, default=15, help="interval width in minutes")
-    p.add_argument("--out", type=str, required=True)
 
     for name, extra in (("fit", "fit one rank"), ("corcondia", "scan ranks and select one")):
         p = sub.add_parser(name, help=extra)
@@ -155,7 +158,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--init", type=str, default="random-scaled",
                        choices=("random-scaled", "random-uniform"))
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("analyze",
                        help="post-process a fit into activity reports")
@@ -165,7 +167,8 @@ def _build_parser() -> _Parser:
                    help="transaction log for role/nationality statistics")
     p.add_argument("--percentile", type=float, default=90.0)
     p.add_argument("--smooth-window", type=int, default=20)
-    p.add_argument("--out", type=str, required=True)
+    for p in sub.choices.values():
+        p.add_argument("--out", type=str, required=True)
     return parser
 
 
@@ -234,9 +237,9 @@ def _cmd_synth(args):
             tuple(_synth_dates(cfg.days)),
             600 // cfg.intervals,
         )
-        writers["index.json"] = lambda p: tfio.write_index(p, index)
+        writers["index.json"] = lambda p: tfio.dump_json(p, index.to_dict())
     return truth_doc["config"], {}, cfg.seed, writers, (
-        f"synthetic market written to {args.out} "
+        f"synthetic market written to {Path(args.out)} "
         f"(dims {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]}, "
         f"total mass {tensor.values.sum():.0f})")
 
@@ -266,14 +269,14 @@ def _cmd_ingest(args):
     }
     writers = {
         "tensor.bin": lambda p: tfio.write_tensor(p, tensor),
-        "index.json": lambda p: tfio.write_index(p, index),
+        "index.json": lambda p: tfio.dump_json(p, index.to_dict()),
         "bank_facts.json": lambda p: tfio.write_bank_facts(p, facts, ledger[1]),
         "ingest_report.json": lambda p: tfio.dump_json(p, report),
     }
     if not overnight:
         print("warning: no overnight transactions; writing an empty tensor", file=sys.stderr)
     return {"delta": args.delta}, {"ledger": ledger}, None, writers, (
-        f"tensor {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]} written to {args.out} "
+        f"tensor {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]} written to {Path(args.out)} "
         f"({len(loaded.issues)} rejected rows, {len(excluded)} out-of-window)")
 
 
@@ -345,8 +348,10 @@ def _cmd_corcondia(args):
     config = _cfg_dict(cfg, args.jobs)
     config.update({"rmax": args.rmax, "lcc": args.lcc})
     del config["rank"]
-    lines = [f"R={rec.rank}: mean cc {'failed' if rec.cc_mean is None else f'{rec.cc_mean:.2f}'}"
-             f" ({rec.n_failed} failed runs)" for rec in report.records]
+    lines = []
+    for rec in report.records:
+        mean = "failed" if rec.cc_mean is None else f"{rec.cc_mean:.2f}"
+        lines.append(f"R={rec.rank}: mean cc {mean} ({rec.n_failed} failed runs)")
     lines.append(f"selected rank: {report.selected_rank if report.selected_rank else 'none'}")
     return config, {"tensor": _input(args.tensor)}, cfg.seed, writers, "\n".join(lines)
 
@@ -468,7 +473,7 @@ def _cmd_analyze(args):
     config = {"percentile": args.percentile, "smooth_window": args.smooth_window,
               "ledger_provided": args.ledger is not None}
     return config, inputs, None, writers, (
-        f"analysis reports written to {args.out} ({rank} components)")
+        f"analysis reports written to {Path(args.out)} ({rank} components)")
 
 
 if __name__ == "__main__":

@@ -242,10 +242,6 @@ def ground_truth_to_dict(truth: GroundTruth, cfg: SyntheticConfig) -> dict:
     }
 
 
-def write_index(path, index: TensorIndex) -> None:
-    dump_json(path, index.to_dict())
-
-
 def read_index(path) -> TensorIndex:
     data = load_json(path)
     try:

@@ -2,13 +2,14 @@
 
 The manifest lists exactly the files the command wrote, and a failure
 while writing or moving them leaves no new ``--out``, no stage directory
-beside it, and no manifest that lists a file the directory lacks.
+beside or inside it, and no manifest that lists a file the directory lacks.
 """
 
 import errno
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,7 @@ def test_failed_move_into_an_existing_out_leaves_no_manifest(inputs, tmp_path, m
     assert _run(*COMMANDS[command](inputs, 0), "--out", out) == 2
     assert len(moved) == 2
     assert not (out / "manifest.json").exists()
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]  # no stage inside
     assert list(tmp_path.iterdir()) == [out]
 
 
@@ -167,3 +169,32 @@ def test_out_name_of_250_characters_is_published(tmp_path):
     assert _run("synth", "--banks", 6, "--intervals", 5, "--days", 4, "--out", out) == 0
     assert (out / "manifest.json").exists()
     assert list(tmp_path.iterdir()) == [out]
+
+
+def test_existing_out_is_staged_inside_itself(tmp_path, monkeypatch):
+    # Staged inside an existing --out, the moves stay on its file system (a
+    # mount point, or a symlink to another one) and need no write access to
+    # its parent, which is read-only here (root ignores the mode; the
+    # recorded moves still show where the stage was).
+    out = tmp_path / "parent" / "out"
+    argv = ["synth", "--banks", 6, "--intervals", 5, "--days", 4, "--out", out]
+    assert _run(*argv) == 0
+    real_replace = os.replace
+    sources = []
+
+    def replace(src, dst):
+        sources.append(Path(src))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    out.parent.chmod(0o555)
+    try:
+        assert _run(*argv, "--seed", 4) == 0
+    finally:
+        out.parent.chmod(0o755)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 4
+    assert {p.name for p in out.iterdir()} == {*manifest["outputs"], "manifest.json"}
+    assert len(sources) == len(manifest["outputs"]) + 1
+    assert all(src.parent.parent == out for src in sources)
+    assert list(out.parent.iterdir()) == [out]
