@@ -15,6 +15,7 @@ included), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import shutil
@@ -324,15 +325,7 @@ def _cmd_fit(args):
 
 
 def _cfg_dict(cfg: FitConfig, jobs: int) -> dict:
-    return {
-        "rank": cfg.rank,
-        "max_sweeps": cfg.max_sweeps,
-        "rel_tol": cfg.rel_tol,
-        "restarts": cfg.restarts,
-        "seed": cfg.seed,
-        "init": cfg.init,
-        "jobs": jobs,
-    }
+    return {**dataclasses.asdict(cfg), "jobs": jobs}
 
 
 def _cmd_corcondia(args):

@@ -28,7 +28,6 @@ trade volume.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime
 from functools import cached_property
@@ -67,19 +66,6 @@ _CHUNK_ROWS = 65536
 
 class LedgerFormatError(ValueError):
     """The ledger file as a whole does not match the documented schema."""
-
-
-def _record_problem(amount, lender_id, borrower_id, proposer) -> str | None:
-    """Why a trade with these fields is invalid, or None: the one copy of the rules."""
-    if not amount > 0:
-        return f"amount must be positive, got {amount!r}"
-    if not amount < math.inf:
-        return f"amount must be finite, got {amount!r}"
-    if lender_id == borrower_id:
-        return f"lender and borrower coincide: {lender_id!r}"
-    if proposer not in ("lender", "borrower"):
-        return f"proposer must be 'lender' or 'borrower', got {proposer!r}"
-    return None
 
 
 _DTYPES = {"amount": np.float64, "lender_domestic": np.bool_, "borrower_domestic": np.bool_}
@@ -295,17 +281,19 @@ def _parse_rows(rows: list, first_line: int, issues: list) -> Ledger:
     }
     batch = Ledger(**columns)
 
-    # The record rules, as masks over whole columns; the message of each
-    # flagged row comes from the scalar rule check, which runs last.
-    proposer = batch.proposer
-    flagged = (~((batch.amount > 0) & (batch.amount < np.inf))
-               | (batch.lender_id == batch.borrower_id)
-               | ((proposer != "lender") & (proposer != "borrower")))
-    for k in np.flatnonzero(flagged).tolist():
-        problem = _record_problem(float(batch.amount[k]), batch.lender_id[k],
-                                  batch.borrower_id[k], proposer[k])
-        if problem is not None:
-            problems.setdefault(k, problem)
+    # The record rules, in the order a row reports them: each is a mask over
+    # whole columns and the message of a row that breaks it.
+    amount, lender, proposer = batch.amount, batch.lender_id, batch.proposer
+    rules = (
+        (~(amount > 0), lambda k: f"amount must be positive, got {float(amount[k])!r}"),
+        (~(amount < np.inf), lambda k: f"amount must be finite, got {float(amount[k])!r}"),
+        (lender == batch.borrower_id, lambda k: f"lender and borrower coincide: {lender[k]!r}"),
+        ((proposer != "lender") & (proposer != "borrower"),
+         lambda k: f"proposer must be 'lender' or 'borrower', got {proposer[k]!r}"),
+    )
+    for broken, message in rules:
+        for k in np.flatnonzero(broken).tolist():
+            problems.setdefault(k, message(k))
 
     keep = np.ones(len(rows), dtype=bool)
     for k, message in problems.items():

@@ -151,9 +151,18 @@ def fit_result_to_dict(fit: FitResult) -> dict:
     }
 
 
+def _json_value(data: dict, key: str, *kinds: type):
+    """``data[key]``, whose JSON type must be one of ``kinds`` (a bool is no int here)."""
+    value = data[key]
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{key} must be {names}, got {type(value).__name__}")
+    return value
+
+
 def fit_result_from_dict(data: dict) -> FitResult:
     if (not isinstance(data, dict) or data.get("format") != "fit_result"
-            or data.get("version") != FIT_SCHEMA_VERSION):
+            or type(data.get("version")) is not int or data["version"] != FIT_SCHEMA_VERSION):
         raise FileFormatError("not a supported fit_result document")
     try:
         factors = KruskalTensor(
@@ -162,13 +171,20 @@ def fit_result_from_dict(data: dict) -> FitResult:
             np.asarray(data["factors"]["interday"], dtype=np.float64),
             np.asarray(data["weights"], dtype=np.float64),
         )
+        dims, rank = _json_list(data, "dims", int), _json_value(data, "rank", int)
+        if dims != list(factors.dims) or rank != factors.rank:
+            raise ValueError(f"dims {dims} and rank {rank} do not match the factors' "
+                             f"{list(factors.dims)} and {factors.rank}")
+        trace = _json_value(data, "objective_trace", list)
+        if any(type(v) not in (int, float) for v in trace):
+            raise TypeError("objective_trace must be a list of numbers")
         return FitResult(
             factors=factors,
-            rel_error=float(data["rel_error"]),
-            sweeps_used=int(data["sweeps_used"]),
-            converged=bool(data["converged"]),
-            objective_trace=tuple(float(v) for v in data["objective_trace"]),
-            seed=int(data["seed"]),
+            rel_error=float(_json_value(data, "rel_error", int, float)),
+            sweeps_used=_json_value(data, "sweeps_used", int),
+            converged=_json_value(data, "converged", bool),
+            objective_trace=tuple(map(float, trace)),
+            seed=_json_value(data, "seed", int),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise _malformed("fit_result document", err) from None

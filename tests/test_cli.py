@@ -421,6 +421,38 @@ def test_analyze_malformed_json_inputs_exit_io(tmp_path, capsys):
         assert not rep.exists()
 
 
+def test_analyze_fit_with_a_mistyped_field_exits_io(tmp_path, capsys):
+    # Each case changes one field of a valid fit.json; int(), float() and
+    # bool() would read every one of them.
+    synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)
+    valid = json.loads((fit_dir / "fit.json").read_text())
+    cases = {
+        "converged must be bool, got str": {"converged": "no"},
+        "seed must be int, got float": {"seed": 4.5},
+        "not a supported fit_result document": {"version": True},
+        "sweeps_used must be int, got str": {"sweeps_used": "23"},
+        "rel_error must be int or float, got str": {"rel_error": "0.5"},
+        "objective_trace must be a list of numbers": {"objective_trace": [True]},
+        "KeyError: 'dims'": {"dims": None},
+        "dims must be a list of int": {"dims": [12.0, 5, 30]},
+        "dims [12, 5, 31] and rank 2 do not match": {"dims": [12, 5, 31]},
+        "dims [12, 5, 30] and rank 3 do not match": {"rank": 3},
+    }
+    for k, (expected, change) in enumerate(cases.items()):
+        fit = {**valid, **change}
+        if fit["dims"] is None:
+            del fit["dims"]
+        (tmp_path / "fit.json").write_text(json.dumps(fit))
+        rep = tmp_path / f"rep{k}"
+        capsys.readouterr()
+        assert _run("analyze", tmp_path / "fit.json", "--index", synth_dir / "index.json",
+                    "--out", rep) == 2, expected
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert expected in err
+        assert not rep.exists()
+
+
 def test_analyze_index_with_a_string_delta_exits_io(tmp_path, capsys):
     # "120" would read as the right resolution under int(); the type is wrong.
     synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)

@@ -89,6 +89,24 @@ def test_core_matches_dense_least_squares_oracle():
     assert np.abs(g1.ravel(order="F") - g1_vec).max() < 1e-8
 
 
+def _pinv_core(x, k):
+    """The core from ``np.linalg.pinv`` of each factor: the reference formula."""
+    kn = k.normalize()
+    ap, bp, cp = (np.linalg.pinv(m, rcond=1e-12) for m in (kn.A, kn.B, kn.weighted_C))
+    g = np.einsum("ni,ijk->njk", ap, x.values, optimize=True)
+    g = np.einsum("mj,njk->nmk", bp, g, optimize=True)
+    return np.einsum("pk,nmk->nmp", cp, g, optimize=True)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_core_equals_pinv_formula(rank):
+    rng = np.random.default_rng(60 + rank)
+    for dims in ((6, 5, 7), (4, 9, 5), (40, 12, 300)):
+        x = random_tensor(rng, dims)
+        k = random_kruskal(rng, dims, rank)
+        assert np.array_equal(tucker_core(x, k), _pinv_core(x, k))
+
+
 def test_degenerate_factor_raises_with_name():
     rng = np.random.default_rng(54)
     a = rng.random((6, 2))
@@ -99,12 +117,12 @@ def test_degenerate_factor_raises_with_name():
         tucker_core(x, k)
     assert err.value.factor == "A"
 
-    c = rng.random((7, 2))
-    c[:, 0] = 0.0  # zeroed component
-    k2 = KruskalTensor(rng.random((6, 2)), rng.random((5, 2)), c)
-    with pytest.raises(DegenerateFactorError) as err2:
-        tucker_core(x, k2)
-    assert err2.value.factor == "C"
+    for pos, name in enumerate("ABC"):
+        mats = [rng.random((n, 2)) for n in (6, 5, 7)]
+        mats[pos][:, 0] = 0.0  # zeroed component
+        with pytest.raises(DegenerateFactorError) as err2:
+            tucker_core(x, KruskalTensor(*mats))
+        assert err2.value.factor == name
 
 
 def test_core_dim_mismatch():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempofact import ingest
@@ -21,7 +21,7 @@ from tempofact.ingest import (
     moving_average,
     save_transactions,
 )
-from util import TRADE, ledger_of, ledger_rows, moving_average_loop
+from util import TRADE, ledger_of, ledger_rows, moving_average_loop, record_problem
 
 HEADER = ",".join(LEDGER_COLUMNS)
 
@@ -321,7 +321,7 @@ def _reference_parse(text):
             issues.append((line_no, str(err)))
             continue
         _, lender, borrower, amount, proposer, *_ = record
-        problem = ingest._record_problem(amount, lender, borrower, proposer)
+        problem = record_problem(amount, lender, borrower, proposer)
         if problem is not None:
             issues.append((line_no, problem))
             continue
@@ -350,9 +350,22 @@ _ODD_ROW = st.one_of(
 )
 
 
+def _breaking(amount="7.25", borrower="BBB", proposer="lender"):
+    return ["2008-09-15T09:10", "AAA", borrower, amount, proposer, "ON", "true", "false"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(st.one_of(_ROW, _ROW, _ROW, _ODD_ROW), max_size=40),
        chunk=st.integers(1, 9))
+# Rows that break several rules at once report the first one they break.
+@example(rows=[_breaking(amount="-1", borrower="AAA"), _breaking(borrower="AAA", proposer="middle"),
+               _breaking(amount="inf", proposer="middle")], chunk=9)
+@example(rows=[_breaking(amount="-1", borrower="AAA", proposer="middle"),
+               _breaking(borrower="AAA", proposer="middle"), _breaking(amount="0", proposer="middle")],
+         chunk=2)
+@example(rows=[_breaking(amount="nan", borrower="AAA", proposer="middle"),
+               _breaking(amount=" -inf ", borrower=" AAA ", proposer="MIDDLE"), _breaking()],
+         chunk=9)
 def test_columnar_reader_matches_row_reference(rows, chunk):
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)

@@ -3,17 +3,33 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import fields
 from datetime import datetime
 
 import numpy as np
 
-from tempofact.ingest import Ledger, _record_problem
+from tempofact.ingest import Ledger
 from tempofact.tensor import DenseTensor3, KruskalTensor
 
 #: The trade a short ledger row completes: (timestamp, lender_id, borrower_id,
 #: amount, proposer, maturity, lender_domestic, borrower_domestic).
 TRADE = ("2008-09-15T09:10", "AAA", "BBB", 7.0, "lender", "ON", True, False)
+
+
+def record_problem(amount, lender_id, borrower_id, proposer) -> str | None:
+    """Why a trade with these fields breaks the ledger's row rules, or None:
+    the one-row-at-a-time oracle of the parser's column masks, checking the
+    rules in the order a row reports them."""
+    if not amount > 0:
+        return f"amount must be positive, got {amount!r}"
+    if not amount < math.inf:
+        return f"amount must be finite, got {amount!r}"
+    if lender_id == borrower_id:
+        return f"lender and borrower coincide: {lender_id!r}"
+    if proposer not in ("lender", "borrower"):
+        return f"proposer must be 'lender' or 'borrower', got {proposer!r}"
+    return None
 
 
 def ledger_of(rows) -> Ledger:
@@ -28,7 +44,7 @@ def ledger_of(rows) -> Ledger:
         ts, lender, borrower, amount, proposer, *rest = (*row, *TRADE[len(row):])
         if isinstance(ts, str):
             ts = datetime.fromisoformat(ts)
-        problem = _record_problem(amount, lender, borrower, proposer)
+        problem = record_problem(amount, lender, borrower, proposer)
         if problem is not None:
             raise ValueError(problem)
         full.append((ts, lender, borrower, amount, proposer, *rest))
