@@ -238,7 +238,7 @@ def _cmd_synth(args):
             tuple(_synth_dates(cfg.days)),
             600 // cfg.intervals,
         )
-        writers["index.json"] = lambda p: tfio.dump_json(p, index.to_dict())
+        writers["index.json"] = lambda p: tfio.dump_json(p, tfio.index_to_dict(index))
     return truth_doc["config"], {}, cfg.seed, writers, (
         f"synthetic market written to {Path(args.out)} "
         f"(dims {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]}, "
@@ -270,7 +270,7 @@ def _cmd_ingest(args):
     }
     writers = {
         "tensor.bin": lambda p: tfio.write_tensor(p, tensor),
-        "index.json": lambda p: tfio.dump_json(p, index.to_dict()),
+        "index.json": lambda p: tfio.dump_json(p, tfio.index_to_dict(index)),
         "bank_facts.json": lambda p: tfio.write_bank_facts(p, facts, ledger[1]),
         "ingest_report.json": lambda p: tfio.dump_json(p, report),
     }

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, fields
-from datetime import date, datetime
+from datetime import datetime
 from functools import cached_property
 from itertools import islice
 
@@ -54,7 +54,6 @@ OVERNIGHT_MATURITIES = frozenset({"ON", "ONL"})
 _WINDOW_OPEN_S = 8 * 3600
 _WINDOW_CLOSE_S = 18 * 3600
 _WINDOW_MINUTES = 600
-_WINDOW = ["08:00", "18:00"]  # as index.json writes it
 
 _TRUE_WORDS = frozenset({"true", "1", "t", "yes", "y"})
 _FALSE_WORDS = frozenset({"false", "0", "f", "no", "n"})
@@ -359,44 +358,6 @@ class TensorIndex:
     def interval_label(self, j: int) -> str:
         minutes = _WINDOW_OPEN_S // 60 + j * self.delta
         return f"{minutes // 60:02d}:{minutes % 60:02d}"
-
-    def to_dict(self) -> dict:
-        return {
-            "bank_ids": list(self.bank_ids),
-            "day_dates": [d.isoformat() for d in self.day_dates],
-            "delta_minutes": self.delta,
-            "window": list(_WINDOW),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TensorIndex":
-        """Decode ``to_dict`` output; a field of the wrong JSON type raises TypeError.
-
-        ``window`` must be ``["08:00", "18:00"]``, the only window binning uses.
-        """
-        delta = data["delta_minutes"]
-        if type(delta) is not int:  # JSON true is a bool, which is an int subclass
-            raise TypeError(f"delta_minutes must be an integer, got {type(delta).__name__}")
-        window = _json_list(data, "window")
-        if window != _WINDOW:
-            raise ValueError(f"window must be {_WINDOW}, got {window}")
-        return cls(
-            bank_ids=tuple(_json_list(data, "bank_ids")),
-            day_dates=tuple(date.fromisoformat(d) for d in _json_list(data, "day_dates")),
-            delta=delta,
-        )
-
-
-def _json_list(data: dict, key: str, kind: type = str) -> list:
-    """``data[key]``, which must be a JSON list of ``kind`` (a bool is no int here)."""
-    value = data[key]
-    if not isinstance(value, list):
-        raise TypeError(f"{key} must be a list of {kind.__name__}, got {type(value).__name__}")
-    for item in value:
-        if type(item) is not kind:
-            raise TypeError(f"{key} must be a list of {kind.__name__}, got an item of type "
-                            f"{type(item).__name__}")
-    return value
 
 
 def _second_of_day(ts: datetime) -> int:

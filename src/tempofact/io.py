@@ -21,6 +21,8 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ import numpy as np
 from tempofact.als import FitResult
 from tempofact.analysis import ROLES, BankFacts
 from tempofact.corcondia import RankScanRecord, RankScanReport
-from tempofact.ingest import TensorIndex, _json_list
+from tempofact.ingest import TensorIndex
 from tempofact.synthetic import GroundTruth, SyntheticConfig
 from tempofact.tensor import DenseTensor3, KruskalTensor
 
@@ -122,8 +124,49 @@ def load_json(path) -> dict:
         raise FileFormatError(f"{path}: not a JSON document ({err})") from None
 
 
-def _malformed(what: str, err: Exception) -> FileFormatError:
-    return FileFormatError(f"malformed {what} ({type(err).__name__}: {err})")
+_NUMBER = (int, float)
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, list):
+        return "a list of " + _kind_name(kind[0]).replace("a list of", "lists of")
+    return " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+
+
+def _misfits(value, kind) -> list:
+    """The parts of ``value``, itself included, whose JSON type breaks ``kind``."""
+    if not isinstance(kind, list):
+        return [] if type(value) in (kind if isinstance(kind, tuple) else (kind,)) else [value]
+    if type(value) is not list:
+        return [value]
+    return [bad for item in value for bad in _misfits(item, kind[0])]
+
+
+def _field(data: dict, key: str, kind):
+    """``data[key]``, whose JSON type must be ``kind`` (else TypeError): a type, a
+    tuple of types, or ``[kind]`` for a list of that kind, which nests.  Every
+    reader's one type rule; types compare by ``type()``, so ``true`` is no int."""
+    value = data[key]
+    if bad := _misfits(value, kind):
+        item = "" if bad[0] is value else "an item of type "
+        raise TypeError(f"{key} must be {_kind_name(kind)}, got {item}{type(bad[0]).__name__}")
+    return value
+
+
+def _document(data, fmt: str, version: int) -> None:
+    """Raise ValueError unless ``data`` is a ``fmt`` document of this ``version``."""
+    if (type(data) is not dict or data.get("format") != fmt
+            or type(data.get("version")) is not int or data["version"] != version):
+        raise ValueError(f"not a supported {fmt} document")
+
+
+@contextmanager
+def _decoding(what: str):
+    """A missing field or a bad type or value inside is a FileFormatError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise FileFormatError(f"malformed {what} ({type(err).__name__}: {err})") from None
 
 
 def _matrix_rows(m: np.ndarray) -> list:
@@ -151,43 +194,27 @@ def fit_result_to_dict(fit: FitResult) -> dict:
     }
 
 
-def _json_value(data: dict, key: str, *kinds: type):
-    """``data[key]``, whose JSON type must be one of ``kinds`` (a bool is no int here)."""
-    value = data[key]
-    if type(value) not in kinds:
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise TypeError(f"{key} must be {names}, got {type(value).__name__}")
-    return value
-
-
-def fit_result_from_dict(data: dict) -> FitResult:
-    if (not isinstance(data, dict) or data.get("format") != "fit_result"
-            or type(data.get("version")) is not int or data["version"] != FIT_SCHEMA_VERSION):
-        raise FileFormatError("not a supported fit_result document")
-    try:
+def fit_result_from_dict(data) -> FitResult:
+    with _decoding("fit_result document"):
+        _document(data, "fit_result", FIT_SCHEMA_VERSION)
+        matrices = _field(data, "factors", dict)
         factors = KruskalTensor(
-            np.asarray(data["factors"]["bank"], dtype=np.float64),
-            np.asarray(data["factors"]["intraday"], dtype=np.float64),
-            np.asarray(data["factors"]["interday"], dtype=np.float64),
-            np.asarray(data["weights"], dtype=np.float64),
+            *(np.asarray(_field(matrices, mode, [[_NUMBER]]), dtype=np.float64)
+              for mode in ("bank", "intraday", "interday")),
+            np.asarray(_field(data, "weights", [_NUMBER]), dtype=np.float64),
         )
-        dims, rank = _json_list(data, "dims", int), _json_value(data, "rank", int)
+        dims, rank = _field(data, "dims", [int]), _field(data, "rank", int)
         if dims != list(factors.dims) or rank != factors.rank:
             raise ValueError(f"dims {dims} and rank {rank} do not match the factors' "
                              f"{list(factors.dims)} and {factors.rank}")
-        trace = _json_value(data, "objective_trace", list)
-        if any(type(v) not in (int, float) for v in trace):
-            raise TypeError("objective_trace must be a list of numbers")
         return FitResult(
             factors=factors,
-            rel_error=float(_json_value(data, "rel_error", int, float)),
-            sweeps_used=_json_value(data, "sweeps_used", int),
-            converged=_json_value(data, "converged", bool),
-            objective_trace=tuple(map(float, trace)),
-            seed=_json_value(data, "seed", int),
+            rel_error=float(_field(data, "rel_error", _NUMBER)),
+            sweeps_used=_field(data, "sweeps_used", int),
+            converged=_field(data, "converged", bool),
+            objective_trace=tuple(map(float, _field(data, "objective_trace", [_NUMBER]))),
+            seed=_field(data, "seed", int),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise _malformed("fit_result document", err) from None
 
 
 def rank_scan_to_dict(report: RankScanReport) -> dict:
@@ -258,12 +285,29 @@ def ground_truth_to_dict(truth: GroundTruth, cfg: SyntheticConfig) -> dict:
     }
 
 
+def index_to_dict(index: TensorIndex) -> dict:
+    return {
+        "bank_ids": list(index.bank_ids),
+        "day_dates": [d.isoformat() for d in index.day_dates],
+        "delta_minutes": index.delta,
+        "window": [index.interval_label(0), index.interval_label(index.intervals)],
+    }
+
+
 def read_index(path) -> TensorIndex:
+    """The ``index.json`` at ``path``; its window must be the one binning uses."""
     data = load_json(path)
-    try:
-        return TensorIndex.from_dict(data)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise _malformed(f"tensor index {path}", err) from None
+    with _decoding(f"tensor index {path}"):
+        window = _field(data, "window", [str])
+        index = TensorIndex(
+            bank_ids=tuple(_field(data, "bank_ids", [str])),
+            day_dates=tuple(map(date.fromisoformat, _field(data, "day_dates", [str]))),
+            delta=_field(data, "delta_minutes", int),
+        )
+        expected = index_to_dict(index)["window"]
+        if window != expected:
+            raise ValueError(f"window must be {expected}, got {window}")
+        return index
 
 
 def write_bank_facts(path, facts: BankFacts, ledger_sha256: str) -> None:
@@ -281,25 +325,18 @@ def write_bank_facts(path, facts: BankFacts, ledger_sha256: str) -> None:
 def read_bank_facts(path):
     """``(facts, ledger_sha256)`` from a ``bank_facts.json`` that ingest wrote."""
     data = load_json(path)
-    if not (isinstance(data, dict) and data.get("format") == "bank_facts"
-            and type(data.get("version")) is int
-            and data["version"] == BANK_FACTS_SCHEMA_VERSION):
-        raise FileFormatError(f"{path}: not a supported bank_facts document")
-    try:
-        ledger_sha256 = data["ledger_sha256"]
-        if type(ledger_sha256) is not str:
-            raise TypeError("ledger_sha256 must be a string")
-        rows = _json_list(data, "role_counts", list)
+    with _decoding(f"bank facts {path}"):
+        _document(data, "bank_facts", BANK_FACTS_SCHEMA_VERSION)
+        ledger_sha256 = _field(data, "ledger_sha256", str)
+        rows = _field(data, "role_counts", [[int]])
         for row in rows:
-            if len(row) != len(ROLES) or any(type(c) is not int or c < 0 for c in row):
+            if len(row) != len(ROLES) or any(c < 0 for c in row):
                 raise ValueError(f"role_counts rows must hold {len(ROLES)} non-negative "
                                  f"integers, got {row}")
         facts = BankFacts(
-            tuple(_json_list(data, "bank_ids", str)),
+            tuple(_field(data, "bank_ids", [str])),
             np.array(rows, dtype=np.int64).reshape(len(rows), len(ROLES)),
-            np.array(_json_list(data, "domestic", bool), dtype=bool),
-            tuple(_json_list(data, "flag_conflicts", str)),
+            np.array(_field(data, "domestic", [bool]), dtype=bool),
+            tuple(_field(data, "flag_conflicts", [str])),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise _malformed(f"bank facts {path}", err) from None
     return facts, ledger_sha256

@@ -422,17 +422,23 @@ def test_analyze_malformed_json_inputs_exit_io(tmp_path, capsys):
 
 
 def test_analyze_fit_with_a_mistyped_field_exits_io(tmp_path, capsys):
-    # Each case changes one field of a valid fit.json; int(), float() and
-    # bool() would read every one of them.
+    # Each case changes one field of a valid fit.json; int(), float(), bool()
+    # and np.asarray would read every one of them.
     synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)
     valid = json.loads((fit_dir / "fit.json").read_text())
+    bank = valid["factors"]["bank"]
     cases = {
         "converged must be bool, got str": {"converged": "no"},
         "seed must be int, got float": {"seed": 4.5},
         "not a supported fit_result document": {"version": True},
         "sweeps_used must be int, got str": {"sweeps_used": "23"},
         "rel_error must be int or float, got str": {"rel_error": "0.5"},
-        "objective_trace must be a list of numbers": {"objective_trace": [True]},
+        "objective_trace must be a list of int or float, got an item of type bool":
+            {"objective_trace": [True]},
+        "weights must be a list of int or float, got an item of type str":
+            {"weights": [str(w) for w in valid["weights"]]},
+        "bank must be a list of lists of int or float, got an item of type bool":
+            {"factors": {**valid["factors"], "bank": [[True, *bank[0][1:]], *bank[1:]]}},
         "KeyError: 'dims'": {"dims": None},
         "dims must be a list of int": {"dims": [12.0, 5, 30]},
         "dims [12, 5, 31] and rank 2 do not match": {"dims": [12, 5, 31]},
@@ -465,7 +471,7 @@ def test_analyze_index_with_a_string_delta_exits_io(tmp_path, capsys):
                 "--out", rep) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
-    assert "delta_minutes must be an integer, got str" in err
+    assert "delta_minutes must be int, got str" in err
     assert not rep.exists()
 
 
@@ -620,8 +626,9 @@ def test_analyze_malformed_bank_facts_exit_io(tmp_path, capsys):
         "not a supported bank_facts document": [{"format": "fit_result"}, {"version": 2}],
         "bank facts need 5 rows": [{"domestic": valid["domestic"][1:]},
                                    {"role_counts": counts[1:]}],
-        "non-negative integers": [{"role_counts": [[-1, 0, 0, 0]] + counts[1:]},
-                                  {"role_counts": [[0.5, 0, 0, 0]] + counts[1:]}],
+        "non-negative integers": [{"role_counts": [[-1, 0, 0, 0]] + counts[1:]}],
+        "role_counts must be a list of lists of int, got an item of type float":
+            [{"role_counts": [[0.5, 0, 0, 0]] + counts[1:]}],
         "domestic must be a list of bool": [{"domestic": [1] + valid["domestic"][1:]}],
     }
     k = 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempofact import ingest
+from tempofact import ingest, io as tfio
 from tempofact.ingest import (
     LEDGER_COLUMNS,
     Ledger,
@@ -244,12 +244,13 @@ def test_moving_average_matches_loop_oracle():
             moving_average_loop(series, window).tobytes(), (len(series), window)
 
 
-def test_index_validation_and_round_trip():
+def test_index_validation_and_round_trip(tmp_path):
     idx = TensorIndex(("A", "B"), (date(2008, 1, 2), date(2008, 1, 3)), 15)
     assert idx.intervals == 40
     assert idx.interval_label(0) == "08:00"
     assert idx.interval_label(39) == "17:45"
-    assert TensorIndex.from_dict(idx.to_dict()) == idx
+    tfio.dump_json(tmp_path / "index.json", tfio.index_to_dict(idx))
+    assert tfio.read_index(tmp_path / "index.json") == idx
     with pytest.raises(ValueError):
         TensorIndex(("A", "A"), (date(2008, 1, 2),), 15)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import copy
 import json
 import math
 import struct
+from datetime import date
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from tempofact import io as tfio
 from tempofact.als import FitConfig, fit_once
 from tempofact.corcondia import RankScanRecord, RankScanReport, rank_scan
+from tempofact.ingest import TensorIndex
 from tempofact.synthetic import SyntheticConfig, generate
 from tempofact.tensor import DenseTensor3, reconstruct
 from util import random_kruskal, random_tensor
@@ -225,9 +227,16 @@ def test_read_tensor_returns_or_raises_file_format_error(tmp_path_factory, raw):
 @example(doc={**_VALID_FIT, "sweeps_used": math.inf})
 @example(doc={**_VALID_FIT, "weights": [10**400]})
 @example(doc={**_VALID_FIT, "weights": [math.inf]})
+@example(doc={**_VALID_FIT, "weights": ["2.0"]})
+@example(doc={**_VALID_FIT, "factors": {**_VALID_FIT["factors"], "bank": [[True], [0.8]]}})
 def test_fit_result_from_dict_returns_or_raises_file_format_error(doc):
+    """A fit that is read back holds the document's own JSON numbers."""
     with contextlib.suppress(tfio.FileFormatError):
-        tfio.fit_result_from_dict(doc)
+        fit = tfio.fit_result_from_dict(doc)
+        matrices = [doc["factors"][mode] for mode in ("bank", "intraday", "interday")]
+        assert all(type(v) in (int, float) for m in matrices for row in m for v in row)
+        assert all(type(w) in (int, float) for w in doc["weights"])
+        assert fit.factors.weights.tolist() == [float(w) for w in doc["weights"]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,6 +264,12 @@ def test_read_index_returns_or_raises_file_format_error(tmp_path_factory, raw):
         assert type(doc["delta_minutes"]) is int and doc["delta_minutes"] == index.delta
         assert len(doc["day_dates"]) == len(index.day_dates)
         assert doc["window"] == ["08:00", "18:00"]
+
+
+@pytest.mark.parametrize("delta", [d for d in range(1, 601) if 600 % d == 0])
+def test_index_to_dict_writes_the_binning_window(delta):
+    index = TensorIndex(("DE001",), (date(2008, 9, 15),), delta)
+    assert tfio.index_to_dict(index)["window"] == ["08:00", "18:00"]
 
 
 def _facts_doc(**changes) -> bytes:

@@ -22,6 +22,17 @@ def _unused_imports(tree: ast.Module) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def _private_imports(tree: ast.Module) -> list:
+    """Underscore names (dunders aside) a module imports from a tempofact module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "tempofact"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -32,3 +43,18 @@ def test_unused_import_is_found():
     tree = ast.parse("import math\nimport numpy as np\nfrom os import path, sep\n"
                      "x = np.zeros(path.sep)\n")
     assert _unused_imports(tree) == [(1, "math"), (3, "sep")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _private_imports(tree) == []
+
+
+def test_private_import_is_found():
+    tree = ast.parse("from tempofact import __version__, io as tfio\n"
+                     "from tempofact.ingest import TensorIndex, _json_list\n"
+                     "from ._util import _helper, public\n"
+                     "from os import _exit\n"
+                     "def f():\n    from tempofact.io import _field\n")
+    assert _private_imports(tree) == [(2, "_json_list"), (3, "_helper"), (6, "_field")]
