@@ -21,7 +21,6 @@ import os
 import shutil
 import sys
 import time as _time
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ from tempofact.als import FitConfig, FitError, FitResult, best_restart, fit_rest
 from tempofact.corcondia import rank_scan
 from tempofact.ingest import (
     LedgerFormatError,
-    TensorIndex,
     build_tensor,
     check_delta,
     filter_overnight,
@@ -40,12 +38,11 @@ from tempofact.ingest import (
     save_transactions,
 )
 from tempofact.synthetic import (
-    LOG_START_DATE,
     SyntheticConfig,
-    bank_label,
     generate,
     generate_with_log,
     log_to_records,
+    market_index,
 )
 
 EXIT_OK = 0
@@ -232,21 +229,13 @@ def _cmd_synth(args):
     truth_doc = tfio.ground_truth_to_dict(truth, cfg)
     writers["tensor.bin"] = lambda p: tfio.write_tensor(p, tensor)
     writers["ground_truth.json"] = lambda p: tfio.dump_json(p, truth_doc)
-    if 600 % cfg.intervals == 0:
-        index = TensorIndex(
-            tuple(bank_label(i, cfg.n_banks) for i in range(cfg.n_banks)),
-            tuple(_synth_dates(cfg.days)),
-            600 // cfg.intervals,
-        )
+    index = market_index(cfg)
+    if index is not None:
         writers["index.json"] = lambda p: tfio.dump_json(p, tfio.index_to_dict(index))
     return truth_doc["config"], {}, cfg.seed, writers, (
         f"synthetic market written to {Path(args.out)} "
         f"(dims {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]}, "
         f"total mass {tensor.values.sum():.0f})")
-
-
-def _synth_dates(days: int):
-    return [LOG_START_DATE + timedelta(days=k) for k in range(days)]
 
 
 def _cmd_ingest(args):
@@ -428,37 +417,35 @@ def _cmd_analyze(args):
     }
 
     if facts is not None:
-        flags = facts.domestic
-        p_domestic = float(flags.mean())
-        role_rows, nat_rows = [], []
-        roles_bundle, nat_bundle = {}, {}
+        p_domestic = float(facts.domestic.mean())
+        roles, nationality = {}, {}
         for c, m in zip(names, members):
             stats = analysis.attribute_frequencies(facts, m)
-            role_rows += [[c, role, stats.mean[j], *stats.ci95[j]]
-                          for j, role in enumerate(stats.roles)]
-            roles_bundle[c] = {
+            roles[c] = {
                 "mean": [float(v) for v in stats.mean],
                 "ci95": [[float(a), float(b)] for a, b in stats.ci95],
                 "n_banks": int(stats.bank_indices.size),
                 "excluded": [index.bank_ids[i] for i in stats.excluded],
             }
-            band = analysis.nationality_test(m, flags, p_domestic)
-            nat_rows.append([c, band.n_members, band.observed_share,
-                             band.band[0], band.band[1], str(band.outside).lower(), band.p])
-            nat_bundle[c] = {
+            band = analysis.nationality_test(m, facts.domestic, p_domestic)
+            nationality[c] = {
                 "n_members": band.n_members,
                 "observed_share": band.observed_share,
-                "band": [band.band[0], band.band[1]],
+                "band": list(band.band),
                 "outside": band.outside,
             }
         reports += [
-            ("role_frequencies.csv", ["component", "role", "mean", "ci_lo", "ci_hi"], role_rows),
+            ("role_frequencies.csv", ["component", "role", "mean", "ci_lo", "ci_hi"],
+             [[c, role, mean, *ci] for c, s in roles.items()
+              for role, mean, ci in zip(analysis.ROLES, s["mean"], s["ci95"])]),
             ("nationality.csv", ["component", "n_members", "observed_share", "band_lo",
-                                 "band_hi", "outside", "p"], nat_rows),
+                                 "band_hi", "outside", "p"],
+             [[c, s["n_members"], s["observed_share"], *s["band"], str(s["outside"]).lower(),
+               p_domestic] for c, s in nationality.items()]),
         ]
-        bundle["roles"] = roles_bundle
+        bundle["roles"] = roles
         bundle["nationality"] = {"p": p_domestic, "flag_conflicts": list(facts.conflicts),
-                                 "components": nat_bundle}
+                                 "components": nationality}
 
     writers = {name: lambda p, h=header, r=rows: tfio.write_csv(p, h, r)
                for name, header, rows in reports}

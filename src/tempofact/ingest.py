@@ -51,9 +51,10 @@ LEDGER_COLUMNS = (
 
 OVERNIGHT_MATURITIES = frozenset({"ON", "ONL"})
 
+#: Length of the 08:00-18:00 trading window that binning covers.
+WINDOW_MINUTES = 600
 _WINDOW_OPEN_S = 8 * 3600
-_WINDOW_CLOSE_S = 18 * 3600
-_WINDOW_MINUTES = 600
+_WINDOW_CLOSE_S = _WINDOW_OPEN_S + WINDOW_MINUTES * 60
 
 _TRUE_WORDS = frozenset({"true", "1", "t", "yes", "y"})
 _FALSE_WORDS = frozenset({"false", "0", "f", "no", "n"})
@@ -330,8 +331,8 @@ def filter_overnight(ledger: Ledger) -> Ledger:
 
 def check_delta(delta: int) -> None:
     """Raise ValueError unless ``delta`` minutes divide the trading window."""
-    if delta < 1 or _WINDOW_MINUTES % delta != 0:
-        raise ValueError(f"delta must be a divisor of {_WINDOW_MINUTES}, got {delta}")
+    if delta < 1 or WINDOW_MINUTES % delta != 0:
+        raise ValueError(f"delta must be a divisor of {WINDOW_MINUTES}, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -353,7 +354,7 @@ class TensorIndex:
 
     @property
     def intervals(self) -> int:
-        return _WINDOW_MINUTES // self.delta
+        return WINDOW_MINUTES // self.delta
 
     def interval_label(self, j: int) -> str:
         minutes = _WINDOW_OPEN_S // 60 + j * self.delta
@@ -397,7 +398,7 @@ def build_tensor(ledger: Ledger, delta: int):
     lender_rows, borrower_rows = np.searchsorted(present, lender), np.searchsorted(present, borrower)
     days, slabs = _day_codes(ledger.timestamp[inside])
     amount = ledger.amount[inside]
-    t_count = _WINDOW_MINUTES // delta
+    t_count = WINDOW_MINUTES // delta
     cols = np.minimum((seconds[inside] - _WINDOW_OPEN_S) // (delta * 60), t_count - 1)
     # One bincount over the lender entries, then the borrower entries, adds
     # every cell's amounts in the same order as a per-record loop would.

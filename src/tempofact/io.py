@@ -17,6 +17,7 @@ serialized as null.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -271,17 +272,7 @@ def ground_truth_to_dict(truth: GroundTruth, cfg: SyntheticConfig) -> dict:
         "groups": [int(g) for g in truth.groups],
         "fitness_profiles": _matrix_rows(truth.fitness_profiles),
         "participation": _matrix_rows(truth.participation),
-        "config": {
-            "n_banks": cfg.n_banks,
-            "intervals": cfg.intervals,
-            "days": cfg.days,
-            "group_sizes": list(cfg.resolved_group_sizes),
-            "sigma": cfg.resolved_sigma,
-            "mus": list(cfg.resolved_mus),
-            "peak_fitness": cfg.peak_fitness,
-            "rescale": cfg.rescale,
-            "seed": cfg.seed,
-        },
+        "config": dataclasses.asdict(cfg),
     }
 
 

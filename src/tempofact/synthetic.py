@@ -25,7 +25,7 @@ from datetime import date, datetime, time, timedelta
 
 import numpy as np
 
-from tempofact.ingest import Ledger
+from tempofact.ingest import WINDOW_MINUTES, Ledger, TensorIndex
 from tempofact.tensor import DenseTensor3
 
 # Calendar anchor for exported trade logs: synthetic day 0 maps to this date.
@@ -41,9 +41,12 @@ class SyntheticConfig:
 
     Defaults follow the reference configuration: 120 banks in three equal
     groups, 20 intraday intervals, 1000 days, Gaussian fitness profiles with
-    means (0, T/2, T) and spread T/4.  Profiles are rescaled so each group
-    peaks at ``peak_fitness`` (raw density values with ``rescale=False``
-    are only valid when they already lie in [0, 1]).
+    means (0, T/2, T) and spread T/4.  Those defaults are resolved at
+    construction: ``group_sizes``, ``sigma`` and ``mus`` left as None hold
+    the resolved values afterwards, so equal markets compare equal.
+    Profiles are rescaled so each group peaks at ``peak_fitness`` (raw
+    density values with ``rescale=False`` are only valid when they already
+    lie in [0, 1]).
     """
 
     n_banks: int = 120
@@ -63,38 +66,28 @@ class SyntheticConfig:
             raise ValueError("intervals must be >= 1")
         if self.days < 1:
             raise ValueError("days must be >= 1")
-        sizes = self.resolved_group_sizes
+        third = self.n_banks // 3
+        sizes = ((third, third, self.n_banks - 2 * third) if self.group_sizes is None
+                 else tuple(int(s) for s in self.group_sizes))
+        object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "sigma", self.intervals / 4.0 if self.sigma is None
+                           else float(self.sigma))
+        object.__setattr__(self, "mus", (0.0, self.intervals / 2.0, float(self.intervals))
+                           if self.mus is None else tuple(float(m) for m in self.mus))
         if len(sizes) != 3 or any(s < 0 for s in sizes):
             raise ValueError(f"group_sizes must be three nonnegative ints, got {sizes!r}")
         if sum(sizes) != self.n_banks:
             raise ValueError(f"group_sizes {sizes} do not sum to n_banks={self.n_banks}")
-        if not self.resolved_sigma > 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be > 0")
-        if len(self.resolved_mus) != 3:
+        if len(self.mus) != 3:
             raise ValueError("mus must have three entries")
         if not 0.0 < self.peak_fitness <= 1.0:
             raise ValueError("peak_fitness must lie in (0, 1]")
-        if not self.rescale and self.resolved_sigma < _MIN_RAW_SIGMA:
+        if not self.rescale and self.sigma < _MIN_RAW_SIGMA:
             raise ValueError(
                 f"raw density values exceed 1 for sigma < {_MIN_RAW_SIGMA:.4f}"
             )
-
-    @property
-    def resolved_group_sizes(self) -> tuple[int, int, int]:
-        if self.group_sizes is not None:
-            return tuple(int(s) for s in self.group_sizes)  # type: ignore[return-value]
-        third = self.n_banks // 3
-        return (third, third, self.n_banks - 2 * third)
-
-    @property
-    def resolved_sigma(self) -> float:
-        return float(self.sigma) if self.sigma is not None else self.intervals / 4.0
-
-    @property
-    def resolved_mus(self) -> tuple[float, float, float]:
-        if self.mus is not None:
-            return tuple(float(m) for m in self.mus)  # type: ignore[return-value]
-        return (0.0, self.intervals / 2.0, float(self.intervals))
 
 
 @dataclass(frozen=True)
@@ -120,8 +113,8 @@ def fitness_profile(cfg: SyntheticConfig, group: int) -> np.ndarray:
     """
     if group not in (0, 1, 2):
         raise ValueError(f"group must be 0, 1 or 2, got {group!r}")
-    sigma = cfg.resolved_sigma
-    mu = cfg.resolved_mus[group]
+    sigma = cfg.sigma
+    mu = cfg.mus[group]
     t = np.arange(1, cfg.intervals + 1, dtype=np.float64)
     pdf = np.exp(-((t - mu) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
     if cfg.rescale:
@@ -149,7 +142,7 @@ def participation(cfg: SyntheticConfig, group: int) -> np.ndarray:
 
 
 def _ground_truth(cfg: SyntheticConfig) -> GroundTruth:
-    groups = np.repeat(np.arange(3), cfg.resolved_group_sizes)
+    groups = np.repeat(np.arange(3), cfg.group_sizes)
     profiles = np.stack([fitness_profile(cfg, s) for s in range(3)])
     schedules = np.stack([participation(cfg, s) for s in range(3)])
     return GroundTruth(groups, profiles, schedules)
@@ -203,32 +196,46 @@ def bank_label(index: int, n_banks: int) -> str:
     return f"B{index:0{width}d}"
 
 
+def market_index(cfg: SyntheticConfig) -> TensorIndex | None:
+    """The index of every bank and every day of the market: banks by
+    :func:`bank_label`, day d on ``LOG_START_DATE`` + d, and the trading
+    window cut into ``cfg.intervals`` intervals; None when that count does
+    not divide the window."""
+    if WINDOW_MINUTES % cfg.intervals != 0:
+        return None
+    return TensorIndex(
+        tuple(bank_label(b, cfg.n_banks) for b in range(cfg.n_banks)),
+        tuple(LOG_START_DATE + timedelta(days=d) for d in range(cfg.days)),
+        WINDOW_MINUTES // cfg.intervals,
+    )
+
+
 def log_to_records(log, cfg: SyntheticConfig) -> Ledger:
     """Express simulated trades in the transaction-log schema.
 
-    Timestamps sit at interval midpoints of the 08:00-18:00 trading window
-    (requires the interval count to divide 600 minutes); the lower-index
-    bank is written as the proposing lender, volumes are 1.0 and all banks
-    are flagged domestic.  Intended for pipeline testing: binning these
-    records at the matching resolution rebuilds the generated tensor.
-    Trades with the same stamp share one datetime object.
+    Each trade is stamped at the midpoint of its interval on its day, both
+    read off :func:`market_index` (so the interval count must divide the
+    trading window); the lower-index bank is written as the proposing
+    lender, volumes are 1.0 and all banks are flagged domestic.  Intended
+    for pipeline testing: binning these records at the matching resolution
+    rebuilds the generated tensor.  Trades with the same stamp share one
+    datetime object.
     """
-    if 600 % cfg.intervals != 0:
+    index = market_index(cfg)
+    if index is None:
         raise ValueError(
-            f"cannot place {cfg.intervals} intervals on a 600-minute trading window"
+            f"cannot place {cfg.intervals} intervals on a {WINDOW_MINUTES}-minute trading window"
         )
-    delta_s = 600 * 60 // cfg.intervals
+    starts = [time.fromisoformat(index.interval_label(j)) for j in range(cfg.intervals)]
+    half = timedelta(minutes=index.delta / 2)
     log = np.asarray(log, dtype=np.intp).reshape(-1, 4)
     day, interval, i, j = log.T
     slots, slot_of = np.unique(day * cfg.intervals + interval, return_inverse=True)
     stamps = np.empty(slots.size, dtype=object)
     for k, slot in enumerate(slots.tolist()):
-        stamp_s = 8 * 3600 + (slot % cfg.intervals) * delta_s + delta_s // 2
-        stamps[k] = datetime.combine(
-            LOG_START_DATE + timedelta(days=slot // cfg.intervals),
-            time(stamp_s // 3600, stamp_s % 3600 // 60, stamp_s % 60),
-        )
-    labels = np.array([bank_label(b, cfg.n_banks) for b in range(cfg.n_banks)], dtype=object)
+        d, t = divmod(slot, cfg.intervals)
+        stamps[k] = datetime.combine(index.day_dates[d], starts[t]) + half
+    labels = np.array(index.bank_ids, dtype=object)
     n = len(log)
     return Ledger(
         timestamp=stamps[slot_of],

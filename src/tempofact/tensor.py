@@ -64,7 +64,7 @@ class DenseTensor3:
 
 @dataclass(frozen=True)
 class KruskalTensor:
-    """Factor-matrix representation of a rank-R nonnegative CP model.
+    """Factor-matrix representation of a rank-R nonnegative CP model, R >= 1.
 
     ``A`` (banks x R), ``B`` (intervals x R) and ``C`` (days x R) hold one
     component per column; ``weights`` carries per-component scales.  After
@@ -92,6 +92,8 @@ class KruskalTensor:
         r = mats[0].shape[1]
         if mats[1].shape[1] != r or mats[2].shape[1] != r:
             raise ValueError("factor matrices must share the same column count")
+        if r == 0:
+            raise ValueError("factor matrices need at least one column")
         w = self.weights
         w = np.ones(r) if w is None else np.asarray(w, dtype=np.float64).view()
         if w.shape != (r,):

@@ -443,6 +443,9 @@ def test_analyze_fit_with_a_mistyped_field_exits_io(tmp_path, capsys):
         "dims must be a list of int": {"dims": [12.0, 5, 30]},
         "dims [12, 5, 31] and rank 2 do not match": {"dims": [12, 5, 31]},
         "dims [12, 5, 30] and rank 3 do not match": {"rank": 3},
+        "factor matrices need at least one column": {
+            "rank": 0, "weights": [],
+            "factors": {mode: [[] for _ in rows] for mode, rows in valid["factors"].items()}},
     }
     for k, (expected, change) in enumerate(cases.items()):
         fit = {**valid, **change}

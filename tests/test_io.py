@@ -143,15 +143,17 @@ def test_dump_json_serializes_nan_as_null(tmp_path):
     assert data["c"] == 2.0
 
 
-def test_ground_truth_dict_shape():
+def test_ground_truth_dict_shape(tmp_path):
     cfg = SyntheticConfig(n_banks=6, intervals=4, days=3, seed=5)
     _, truth = generate(cfg)
-    data = tfio.ground_truth_to_dict(truth, cfg)
+    tfio.dump_json(tmp_path / "ground_truth.json", tfio.ground_truth_to_dict(truth, cfg))
+    data = json.loads((tmp_path / "ground_truth.json").read_text())
     assert len(data["groups"]) == 6
     assert len(data["fitness_profiles"]) == 3
     assert len(data["fitness_profiles"][0]) == 4
     assert len(data["participation"][0]) == 3
     assert data["config"]["group_sizes"] == [2, 2, 2]
+    assert data["config"]["mus"] == [0.0, 2.0, 4.0]
     assert not math.isnan(data["config"]["sigma"])
 
 

@@ -58,3 +58,23 @@ def test_private_import_is_found():
                      "from os import _exit\n"
                      "def f():\n    from tempofact.io import _field\n")
     assert _private_imports(tree) == [(2, "_json_list"), (3, "_helper"), (6, "_field")]
+
+
+def _window_literals(tree: ast.Module) -> list:
+    """The integer literals 600 and 3600 (the trading window in minutes, an
+    hour in seconds) in a module: ``ingest`` owns the window."""
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is int
+                  and node.value in (600, 3600))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "ingest.py"],
+                         ids=lambda p: p.name)
+def test_window_literals_only_in_ingest(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _window_literals(tree) == []
+
+
+def test_window_literal_is_found():
+    tree = ast.parse("if 600 % n:\n    s = 8 * 3600 + 600.0\nlabel = '600'\nflag = 3600 > True\n")
+    assert _window_literals(tree) == [(1, 600), (2, 3600), (4, 3600)]

@@ -14,6 +14,7 @@ from tempofact.synthetic import (
     generate,
     generate_with_log,
     log_to_records,
+    market_index,
     participation,
 )
 
@@ -139,20 +140,24 @@ def test_monte_carlo_mean_matches_analytic_expectation():
     assert (mean[expected == 0.0] == 0.0).all()
 
 
-def test_log_reproduces_tensor_exactly():
-    cfg = SyntheticConfig(n_banks=10, intervals=5, days=25, seed=77)
+@pytest.mark.parametrize("intervals", [1, 5, 8, 24, 40])
+def test_log_reproduces_tensor_exactly(intervals):
+    cfg = SyntheticConfig(n_banks=10, intervals=intervals, days=25, seed=77)
     tensor, _ = generate(cfg)
     tensor2, _, log = generate_with_log(cfg)
     assert np.array_equal(tensor.values, tensor2.values)
     assert 2 * len(log) == tensor.values.sum()
 
+    market = market_index(cfg)
     records = log_to_records(log, cfg)
-    built, index, excluded = build_tensor(filter_overnight(records), delta=600 // cfg.intervals)
+    built, index, excluded = build_tensor(filter_overnight(records), delta=market.delta)
     assert not excluded
+    # The binned index holds the banks and days that traded; place its slabs
+    # on the market's full calendar.
+    banks = [market.bank_ids.index(b) for b in index.bank_ids]
+    days = [market.day_dates.index(d) for d in index.day_dates]
     rebuilt = np.zeros_like(tensor.values)
-    for bi, bank in enumerate(index.bank_ids):
-        for di, day in enumerate(index.day_dates):
-            rebuilt[int(bank[1:]), :, (day - LOG_START_DATE).days] = built.values[bi, :, di]
+    rebuilt[np.ix_(banks, range(cfg.intervals), days)] = built.values
     assert np.array_equal(rebuilt, tensor.values)
 
 
@@ -178,6 +183,12 @@ def test_bank_labels_sort_like_indices():
     assert labels == sorted(labels)
 
 
+def test_config_resolves_its_defaults_at_construction():
+    cfg = SyntheticConfig()
+    assert cfg == SyntheticConfig(group_sizes=(40, 40, 40), sigma=5.0, mus=(0.0, 10.0, 20.0))
+    assert (cfg.group_sizes, cfg.sigma, cfg.mus) == ((40, 40, 40), 5.0, (0.0, 10.0, 20.0))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SyntheticConfig(days=0)
@@ -200,8 +211,9 @@ def test_config_validation():
 
 def test_log_export_requires_divisible_window():
     cfg = SyntheticConfig(n_banks=4, intervals=7, days=2, group_sizes=(2, 1, 1), seed=1)
+    assert market_index(cfg) is None
     _, _, log = generate_with_log(cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot place 7 intervals on a 600-minute trading window"):
         log_to_records(log, cfg)
 
 
