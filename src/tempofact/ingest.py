@@ -14,6 +14,10 @@ Input ledgers are comma-separated with a mandatory header row::
 
 The file must be UTF-8 text; a file that is not, or that holds a field
 longer than the ``csv`` module's field size limit, fails as a whole.
+Rows are read as ``csv.reader`` reads them, but while the text holds no
+quote character each line is split at its commas, a chunk of lines at a
+time; ``csv.reader`` reads from the first chunk with a quote on.  The
+writer quotes fields as ``csv.writer`` does.
 
 Trades travel as a :class:`Ledger`, one array per column: parsing,
 filtering, binning and export all take and return ledgers and work on
@@ -31,7 +35,7 @@ import csv
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,8 +63,9 @@ _WINDOW_CLOSE_S = _WINDOW_OPEN_S + WINDOW_MINUTES * 60
 _TRUE_WORDS = frozenset({"true", "1", "t", "yes", "y"})
 _FALSE_WORDS = frozenset({"false", "0", "f", "no", "n"})
 
-# Rows parsed per batch: large enough to amortize the per-column passes,
-# small enough that the raw rows of one batch stay a small share of memory.
+# Lines read and rows parsed or written per batch: large enough to amortize
+# the per-column passes, small enough that the text and cells of one batch
+# stay a small share of memory.
 _CHUNK_ROWS = 65536
 
 
@@ -205,30 +210,94 @@ def load_transactions(source) -> LoadResult:
 
 
 def _parse_stream(handle) -> LoadResult:
-    reader = csv.reader(handle)
+    """Read the header with ``csv.reader``, then the rows in chunks of lines.
+
+    Chunks of unquoted lines are split at their commas; from the first chunk
+    that :func:`_unquoted_records` refuses on, ``csv.reader`` reads that chunk
+    and the rest of the stream.  Either way a row is numbered by the rows
+    before it, and a ``csv.Error`` by the physical line it stopped at.
+    """
+    reader, before = csv.reader(handle), 0  # before: the lines read ahead of ``reader``
     try:
-        return _parse_reader(reader)
+        header = next(reader, None)
+        if header is None:
+            raise LedgerFormatError("empty file: missing header row")
+        if [h.strip() for h in header] != list(LEDGER_COLUMNS):
+            raise LedgerFormatError(
+                f"bad header {header!r}; expected {','.join(LEDGER_COLUMNS)}"
+            )
+        parts, issues = [], []
+        line, read = 2, reader.line_num
+        while chunk := list(islice(handle, _CHUNK_ROWS)):
+            records = _unquoted_records(chunk)
+            if records is None:
+                reader, before = csv.reader(chain(chunk, handle)), read
+                break
+            read += len(chunk)
+            del chunk  # hold one copy of the chunk's text at a time
+            split = _split_lines(records, line)
+            line += len(records)
+            del records
+            parts.append(_parse_cells(*split, issues))
+        # Unless a chunk was refused, this is the header's reader at the end.
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            parts.append(_parse_cells(*_split_rows(rows, line), issues))
+            line += len(rows)
     except UnicodeDecodeError as err:  # a ValueError, which would read as a usage error
         raise LedgerFormatError(f"not UTF-8 text: {err.reason}") from None
     except csv.Error as err:
-        raise LedgerFormatError(f"line {reader.line_num}: {err}") from None
-
-
-def _parse_reader(reader) -> LoadResult:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise LedgerFormatError("empty file: missing header row") from None
-    if [h.strip() for h in header] != list(LEDGER_COLUMNS):
-        raise LedgerFormatError(
-            f"bad header {header!r}; expected {','.join(LEDGER_COLUMNS)}"
-        )
-    parts, issues = [], []
-    line = 2
-    while rows := list(islice(reader, _CHUNK_ROWS)):
-        parts.append(_parse_rows(rows, line, issues))
-        line += len(rows)
+        raise LedgerFormatError(f"line {before + reader.line_num}: {err}") from None
     return LoadResult(_concat(parts), issues)
+
+
+def _unquoted_records(chunk: list):
+    """The lines of ``chunk`` without their line breaks, or None when only
+    ``csv.reader`` reads them right.
+
+    That is when the chunk holds a quote character, a line break inside a
+    line (from a stream not opened with ``newline=""``) or a line longer
+    than the ``csv`` field size limit, which may hold a field over it.
+    Any other line is one row, its fields split at its commas.
+    """
+    records = [line.rstrip("\r\n") for line in chunk]
+    text = "".join(records)
+    if ('"' in text or "\r" in text or "\n" in text
+            or max(map(len, records)) > csv.field_size_limit()):
+        return None
+    return records
+
+
+def _split_lines(records: list, first_line: int):
+    """``(cells, lines, rejected)`` for unquoted lines, split at their commas."""
+    # An empty line counts one field here and none in csv: blank either way.
+    widths = [record.count(",") + 1 for record in records]
+    records, lines, rejected = _full_width(
+        records, widths, lambda record: _blank(record.split(",")), first_line)
+    cells = ",".join(records).split(",") if records else []
+    width = len(LEDGER_COLUMNS)
+    return [cells[k::width] for k in range(width)], lines, rejected
+
+
+def _split_rows(rows: list, first_line: int):
+    """``(cells, lines, rejected)`` for the rows of ``csv.reader``."""
+    rows, lines, rejected = _full_width(rows, list(map(len, rows)), _blank, first_line)
+    return [[row[k] for row in rows] for k in range(len(LEDGER_COLUMNS))], lines, rejected
+
+
+def _full_width(rows: list, widths: list, blank, first_line: int):
+    """``(rows, lines, rejected)``: the rows of the ledger's width with their
+    line numbers, and ``{line: message}`` for the other rows, but for the
+    ``blank`` ones."""
+    width = len(LEDGER_COLUMNS)
+    lines = range(first_line, first_line + len(rows))
+    rejected = {}
+    if set(widths) != {width}:
+        kept = [k for k, w in enumerate(widths) if w == width]
+        for line, row, w in zip(lines, rows, widths):
+            if w != width and not blank(row):
+                rejected[line] = f"expected {width} fields, got {w}"
+        rows, lines = [rows[k] for k in kept], [lines[k] for k in kept]
+    return rows, lines, rejected
 
 
 def _blank(row) -> bool:
@@ -255,20 +324,11 @@ def _convert(parse, cells, problems: dict, fill) -> list:
     return values
 
 
-def _parse_rows(rows: list, first_line: int, issues: list) -> Ledger:
-    """Parse one batch of CSV rows; rejected rows are appended to ``issues``."""
-    width = len(LEDGER_COLUMNS)
-    rejected = {}  # line -> message
-    lines = range(first_line, first_line + len(rows))
-    if set(map(len, rows)) != {width}:
-        kept = [k for k, row in enumerate(rows) if len(row) == width]
-        for line, row in zip(lines, rows):
-            if len(row) != width and not _blank(row):
-                rejected[line] = f"expected {width} fields, got {len(row)}"
-        rows, lines = [rows[k] for k in kept], [lines[k] for k in kept]
-
+def _parse_cells(cells: list, lines: list, rejected: dict, issues: list) -> Ledger:
+    """Parse one batch of full-width rows, given as cell columns with the
+    rows' line numbers; the rows it rejects join the ``rejected`` lines of
+    the batch, and all of them are appended to ``issues`` in line order."""
     problems = {}  # row position -> message, in the order the checks run
-    cells = [[row[k] for row in rows] for k in range(width)]
     columns = {
         "timestamp": _convert(_parse_timestamp, cells[0], problems, None),
         "lender_id": _convert(str.strip, cells[1], problems, None),
@@ -295,31 +355,50 @@ def _parse_rows(rows: list, first_line: int, issues: list) -> Ledger:
         for k in np.flatnonzero(broken).tolist():
             problems.setdefault(k, message(k))
 
-    keep = np.ones(len(rows), dtype=bool)
+    keep = np.ones(len(lines), dtype=bool)
     for k, message in problems.items():
         keep[k] = False
-        if not _blank(rows[k]):  # a blank row fails the timestamp check; skip it silently
+        # A blank row fails the timestamp check; it is skipped silently.
+        if not _blank(column[k] for column in cells):
             rejected[lines[k]] = message
     issues.extend(RowIssue(line, rejected[line]) for line in sorted(rejected))
     return batch.take(keep)
 
 
+def _csv_column(texts: np.ndarray) -> list:
+    """The texts as ``csv.writer`` writes them, each distinct text formatted
+    once: in quotes, with its quotes doubled, when it holds a comma, a quote
+    or a line break."""
+    texts = texts.tolist()
+    done = {}
+    for text in dict.fromkeys(texts):
+        quote = "," in text or '"' in text or "\r" in text or "\n" in text
+        done[text] = '"' + text.replace('"', '""') + '"' if quote else text
+    return list(map(done.__getitem__, texts))
+
+
 def save_transactions(path, ledger: Ledger) -> None:
-    """Write a ledger out in the documented ledger schema."""
-    columns = (
-        _per_object(lambda ts: ts.isoformat(sep="T"), ledger.timestamp),
-        ledger.lender_id.tolist(),
-        ledger.borrower_id.tolist(),
-        list(map(repr, ledger.amount.tolist())),
-        ledger.proposer.tolist(),
-        ledger.maturity.tolist(),
-        np.where(ledger.lender_domestic, "true", "false").tolist(),
-        np.where(ledger.borrower_domestic, "true", "false").tolist(),
-    )
+    """Write a ledger out in the documented ledger schema.
+
+    The bytes are those of ``csv.writer``: CRLF line ends, and the fields
+    that need it quoted.  The rows are formatted a column at a time, and
+    ``_CHUNK_ROWS`` trades at a time.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(LEDGER_COLUMNS)
-        writer.writerows(zip(*columns))
+        handle.write(",".join(LEDGER_COLUMNS) + "\r\n")
+        for start in range(0, len(ledger), _CHUNK_ROWS):
+            part = ledger.take(slice(start, start + _CHUNK_ROWS))
+            columns = (
+                _per_object(lambda ts: ts.isoformat(sep="T"), part.timestamp),
+                _csv_column(part.lender_id),
+                _csv_column(part.borrower_id),
+                list(map(repr, part.amount.tolist())),
+                _csv_column(part.proposer),
+                _csv_column(part.maturity),
+                np.where(part.lender_domestic, "true", "false").tolist(),
+                np.where(part.borrower_domestic, "true", "false").tolist(),
+            )
+            handle.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def filter_overnight(ledger: Ledger) -> Ledger:

@@ -195,6 +195,22 @@ def fit_result_to_dict(fit: FitResult) -> dict:
     }
 
 
+def _check_scale(k: KruskalTensor) -> None:
+    """Refuse a model whose scale overflows float64, checked without a warning.
+
+    ``normalize`` takes each factor column's norm.  Each weight times its
+    three columns' sums is its component's mass, and the total mass bounds
+    every sum ``analyze`` takes and every weight ``normalize`` makes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [np.linalg.norm(m, axis=0) for m in (k.A, k.B, k.C)]
+        mass = np.sum(k.weights * k.A.sum(axis=0) * k.B.sum(axis=0) * k.C.sum(axis=0))
+    if not all(np.isfinite(n).all() for n in norms):
+        raise ValueError("a factor column's norm overflows")
+    if not np.isfinite(mass):
+        raise ValueError("the weights scaled by the factor column sums overflow")
+
+
 def fit_result_from_dict(data) -> FitResult:
     with _decoding("fit_result document"):
         _document(data, "fit_result", FIT_SCHEMA_VERSION)
@@ -208,6 +224,7 @@ def fit_result_from_dict(data) -> FitResult:
         if dims != list(factors.dims) or rank != factors.rank:
             raise ValueError(f"dims {dims} and rank {rank} do not match the factors' "
                              f"{list(factors.dims)} and {factors.rank}")
+        _check_scale(factors)
         return FitResult(
             factors=factors,
             rel_error=float(_field(data, "rel_error", _NUMBER)),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tempofact import io as tfio
+from tempofact import ingest, io as tfio
 from tempofact.cli import main
 from tempofact.tensor import KruskalTensor, reconstruct
 
@@ -290,21 +290,27 @@ def test_analyze_bad_ledger_exits_io_without_creating_out(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["ingest", "analyze"])
-@pytest.mark.parametrize("fault", ["non-utf8", "oversized-field"])
-def test_undecodable_ledger_exits_io_without_creating_out(tmp_path, capsys, command, fault):
+@pytest.mark.parametrize(("fault", "fault_line"), [
+    ("non-utf8", 3), ("oversized-field", 3), ("non-utf8", 9), ("oversized-field", 9)],
+    ids=["non-utf8", "oversized-field", "non-utf8-line9", "oversized-field-line9"])
+def test_undecodable_ledger_exits_io_without_creating_out(tmp_path, capsys, monkeypatch,
+                                                          command, fault, fault_line):
     # Both faults hit the whole file, not one row: a byte that is not UTF-8
-    # and a field past the csv module's size limit.
+    # and a field past the csv module's size limit.  With chunks of three
+    # lines, line 3 is in the first chunk of rows and line 9 in the third.
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 3)
     start = ("timestamp,lender_id,borrower_id,amount_mEUR,proposer,maturity,"
-             "lender_domestic,borrower_domestic\n"
-             "2008-09-15T09:10,AAA,BBB,5.0,lender,ON,true,false\n").encode()
+             "lender_domestic,borrower_domestic\n").encode()
+    start += b"2008-09-15T09:10,AAA,BBB,5.0,lender,ON,true,false\n" * (fault_line - 2)
     if fault == "non-utf8":
-        bad_row, expected = b"2008-09-15T09:11,AA\xff,BBB,5.0,lender,ON,true,false\n", "not UTF-8"
+        bad_row = b"2008-09-15T09:11,AA\xff,BBB,5.0,lender,ON,true,false\n"
+        expected = "not UTF-8 text: invalid start byte"
     else:
         maturity = b"O" * (csv.field_size_limit() + 1)
         bad_row = b"2008-09-15T09:11,AAA,BBB,5.0,lender," + maturity + b",true,false\n"
-        expected = "larger than field limit"
+        expected = f"line {fault_line}: field larger than field limit ({csv.field_size_limit()})"
     ledger = tmp_path / "ledger.csv"
-    ledger.write_bytes(start + bad_row)
+    ledger.write_bytes(start + bad_row + b"2008-09-15T09:12,AAA,BBB,5.0,lender,ON,true,false\n")
     out = tmp_path / "out"
     if command == "ingest":
         argv = ["ingest", ledger, "--out", out]
@@ -316,7 +322,7 @@ def test_undecodable_ledger_exits_io_without_creating_out(tmp_path, capsys, comm
     assert _run(*argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
-    assert expected in err
+    assert err.strip().endswith(expected), err
     assert not out.exists()
 
 
@@ -371,6 +377,29 @@ def _loaded_modules(module, package):
     return set(out.stdout.split())
 
 
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads it, so each count
+    # runs in a fresh interpreter.
+    synth = tmp_path / "synth"
+    assert _run("synth", "--banks", 40, "--intervals", 10, "--days", 100,
+                "--seed", 3, "--out", synth) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    commands = {"fit": ["--rank", "2"], "corcondia": ["--rmax", "2"]}
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        for command, options in commands.items():
+            out = tmp_path / f"{command}-{threads}"
+            subprocess.run([sys.executable, "-m", "tempofact.cli", command,
+                            str(synth / "tensor.bin"), *options, "--restarts", "3",
+                            "--seed", "1", "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            manifest = json.loads((out / "manifest.json").read_text())
+            outputs.setdefault(command, []).append(manifest["outputs"])
+    for command, (one, two) in outputs.items():
+        assert one == two, command
+
+
 def test_cli_import_does_not_load_scipy_stats():
     loaded = _loaded_modules("tempofact.cli", "scipy")
     assert "scipy.stats" not in loaded
@@ -421,6 +450,7 @@ def test_analyze_malformed_json_inputs_exit_io(tmp_path, capsys):
         assert not rep.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_analyze_fit_with_a_mistyped_field_exits_io(tmp_path, capsys):
     # Each case changes one field of a valid fit.json; int(), float(), bool()
     # and np.asarray would read every one of them.
@@ -446,6 +476,11 @@ def test_analyze_fit_with_a_mistyped_field_exits_io(tmp_path, capsys):
         "factor matrices need at least one column": {
             "rank": 0, "weights": [],
             "factors": {mode: [[] for _ in rows] for mode, rows in valid["factors"].items()}},
+        # Finite, but a column norm or the model's mass overflows float64.
+        "a factor column's norm overflows":
+            {"factors": {**valid["factors"], "bank": [[1e308, *bank[0][1:]], *bank[1:]]}},
+        "the weights scaled by the factor column sums overflow":
+            {"weights": [1e308, *valid["weights"][1:]]},
     }
     for k, (expected, change) in enumerate(cases.items()):
         fit = {**valid, **change}

@@ -1,7 +1,8 @@
 import csv
 import dataclasses
 import io
-from datetime import date, datetime
+import tracemalloc
+from datetime import date, datetime, timedelta
 from unittest import mock
 
 import numpy as np
@@ -295,12 +296,17 @@ def _reference_timestamp(text):
     return stamp
 
 
-def _reference_parse(text):
-    """Parse a ledger one row at a time: row tuples and (line, message) issues."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
+def _reference_parse(text, newline=""):
+    """Parse a ledger one row at a time: row tuples and (line, message)
+    issues, or the message of the ``csv.Error`` that stops the reader."""
+    reader = csv.reader(io.StringIO(text, newline=newline))
+    try:
+        next(reader)
+        rows = list(enumerate(reader, start=2))
+    except csv.Error as err:
+        return f"line {reader.line_num}: {err}"
     records, issues = [], []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(LEDGER_COLUMNS):
@@ -404,3 +410,138 @@ def test_build_tensor_adds_like_a_per_record_loop():
             minute = stamp.hour * 60 + stamp.minute - 8 * 60
             expected[bank_pos[r[side]], min(minute // 30, 19), day_pos[stamp.date()]] += amount
     assert np.array_equal(tensor.values, expected)
+
+
+# -- the line splitter and the column writer against the csv module --------
+
+_ENDS = st.sampled_from(["\r\n", "\n", "\r"])
+_PLAIN_LINE = st.one_of(
+    _ROW.map(",".join),
+    st.just(""),
+    st.text(alphabet=", \t", max_size=12),  # only commas and spaces: blank
+    st.lists(st.sampled_from(["x", "2008-09-15T09:10", "", " ", "AAA"]),
+             min_size=1, max_size=10).map(",".join),  # ragged
+    _ROW.map(lambda row: ",".join([row[0], "A\x00A", *row[2:]])),
+)
+_QUOTED_LINE = st.lists(
+    st.sampled_from(["2008-09-15T09:10", "AAA", "7.25", "lender", "true", "",
+                     '"BBB"', '"A,B"', '"x""y"', '"two\r\nlines"', '"cr\ronly"', 'stray"quote']),
+    min_size=1, max_size=9).map(",".join)
+
+
+def _load_or_error(text, newline):
+    try:
+        result = load_transactions(io.StringIO(text, newline=newline))
+    except LedgerFormatError as err:
+        return str(err)
+    return ledger_rows(result.records), [(i.line, i.message) for i in result.issues]
+
+
+def _recording_reader(seen):
+    """``csv.reader``, recording every line it reads in ``seen``."""
+    real = csv.reader
+
+    def reader(lines):
+        def recorded():
+            for line in lines:
+                seen.append(line)
+                yield line
+        return real(recorded())
+    return reader
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.lists(st.tuples(_PLAIN_LINE, _ENDS), max_size=30),
+       tail=st.lists(st.tuples(st.one_of(_PLAIN_LINE, _QUOTED_LINE), _ENDS), max_size=8),
+       header_end=_ENDS, final_break=st.booleans(), chunk=st.integers(1, 9))
+@example(head=[(",".join(_breaking()), "\n")] * 5, tail=[('"AAA",BBB', "\r\n")],
+         header_end="\r\n", final_break=False, chunk=2)
+def test_reader_matches_csv_reader_on_raw_text(head, tail, header_end, final_break, chunk):
+    # Texts built line by line, not by csv.writer: mixed line endings, a
+    # last line with or without its break, blank and ragged lines, NUL, and
+    # quotes only in the tail, which may start past the first chunk.
+    lines = [(HEADER, header_end), *head, *tail]
+    text = "".join(content + end for content, end in lines)
+    if not final_break:
+        text = text[:-len(lines[-1][1])]
+    seen = []
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+        with mock.patch.object(csv, "reader", _recording_reader(seen)):
+            result = _load_or_error(text, "")
+        # Streams that do not split lines as csv does reach csv.reader.
+        for newline in (None, "\n"):
+            assert _load_or_error(text, newline) == _reference_parse(text, newline), newline
+    assert result == _reference_parse(text)
+
+    # csv.reader reads the header, and the rows only from the chunk of the first quote on.
+    physical = io.StringIO(text, newline="").readlines()
+    quoted = [k for k, line in enumerate(physical[1:]) if '"' in line]
+    first = 1 + quoted[0] // chunk * chunk if quoted else len(physical)
+    assert seen == physical[:1] + physical[first:]
+
+
+_FIELD_TEXT = st.text(alphabet=list('ab ,"\r\n\x00'), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trades=st.lists(st.tuples(
+    st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2030, 1, 1)),
+    _FIELD_TEXT, _FIELD_TEXT, st.floats(),
+    st.one_of(st.sampled_from(["lender", "borrower"]), _FIELD_TEXT), _FIELD_TEXT,
+    st.booleans(), st.booleans()), max_size=30), chunk=st.integers(1, 5))
+@example(trades=[], chunk=1)
+def test_ledger_writer_matches_csv_writer(tmp_path_factory, trades, chunk):
+    ledger = Ledger(*(zip(*trades) if trades else [[]] * len(LEDGER_COLUMNS)))
+    path = tmp_path_factory.mktemp("ledger") / "ledger.csv"
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+        save_transactions(path, ledger)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(LEDGER_COLUMNS)
+    writer.writerows((ts.isoformat(sep="T"), lender, borrower, repr(amount), proposer, maturity,
+                      str(lender_domestic).lower(), str(borrower_domestic).lower())
+                     for ts, lender, borrower, amount, proposer, maturity, lender_domestic,
+                     borrower_domestic in trades)
+    assert path.read_bytes() == buffer.getvalue().encode()
+
+    # The parser gives back every trade that passes its rules, as it reads them.
+    expected = []
+    for ts, lender, borrower, amount, proposer, maturity, *flags in trades:
+        lender, borrower, proposer = lender.strip(), borrower.strip(), proposer.strip().lower()
+        if record_problem(amount, lender, borrower, proposer) is None:
+            expected.append((ts, lender, borrower, amount, proposer, maturity.strip(), *flags))
+    result = load_transactions(path)
+    assert ledger_rows(result.records) == expected
+    assert len(result.issues) == len(trades) - len(expected)
+
+
+def test_reader_holds_one_chunk_of_lines_at_a_time(tmp_path, monkeypatch):
+    # The parse keeps the file's cells, one chunk at a time, and the ledger
+    # it builds; a reader that took in the whole file would hold its text
+    # and its list of lines as well.
+    n = 50_000
+    stamps = [datetime(2008, 9, 15, 8) + timedelta(days=k // 600, minutes=k % 600)
+              for k in range(0, n, 50)]
+    banks = [f"B{k:03d}" for k in range(100)]
+    ledger = Ledger(
+        timestamp=[stamps[k // 50] for k in range(n)],
+        lender_id=[banks[k % 100] for k in range(n)],
+        borrower_id=[banks[(k + 1) % 100] for k in range(n)],
+        amount=np.arange(1, n + 1) / 8.0,
+        proposer=["lender", "borrower"] * (n // 2),
+        maturity=["ON"] * n,
+        lender_domestic=np.arange(n) % 3 == 0,
+        borrower_domestic=np.arange(n) % 5 == 0,
+    )
+    path = tmp_path / "ledger.csv"
+    save_transactions(path, ledger)
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1000)
+    tracemalloc.start()
+    try:
+        result = load_transactions(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == n and not result.issues
+    size = path.stat().st_size
+    assert peak < 3 * size, (peak, size)
