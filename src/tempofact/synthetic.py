@@ -218,8 +218,10 @@ def log_to_records(log, cfg: SyntheticConfig) -> Ledger:
     trading window); the lower-index bank is written as the proposing
     lender, volumes are 1.0 and all banks are flagged domestic.  Intended
     for pipeline testing: binning these records at the matching resolution
-    rebuilds the generated tensor.  Trades with the same stamp share one
-    datetime object.
+    rebuilds the generated tensor.  The columns share their objects: trades
+    with the same stamp hold one datetime, each bank one label, and all
+    trades one ``"lender"`` and one ``"ON"`` string (``np.full`` with
+    ``dtype=object`` would store a new string per trade).
     """
     index = market_index(cfg)
     if index is None:
@@ -242,8 +244,8 @@ def log_to_records(log, cfg: SyntheticConfig) -> Ledger:
         lender_id=labels[np.minimum(i, j)],
         borrower_id=labels[np.maximum(i, j)],
         amount=np.ones(n),
-        proposer=np.full(n, "lender", dtype=object),
-        maturity=np.full(n, "ON", dtype=object),
+        proposer=np.repeat(np.array(["lender"], dtype=object), n),
+        maturity=np.repeat(np.array(["ON"], dtype=object), n),
         lender_domestic=np.ones(n, dtype=bool),
         borrower_domestic=np.ones(n, dtype=bool),
     )

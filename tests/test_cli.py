@@ -1,15 +1,21 @@
+import contextlib
 import copy
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempofact import ingest, io as tfio
 from tempofact.cli import main
@@ -753,3 +759,75 @@ def test_scan_without_failures_has_no_failure_keys(tmp_path):
     rows = json.loads((tmp_path / "fit/restarts.json").read_text())
     assert [sorted(r) for r in rows] == [["converged", "rel_error", "restart", "seed",
                                           "sweeps_used"]] * 3
+
+
+# -- ingest against the exit-code contract, on mutated ledgers -------------
+
+_HAND_LINES = _HAND_LEDGER.splitlines()
+_FUZZ_TEXT = st.one_of(
+    st.sampled_from([
+        "", " ", "x", "0", "-1", "nan", "inf", "-inf", "1e400", "1e-400", "true", "maybe",
+        "lender", "BORROWER", "ON", "ONL", "1W", "AAA", "2008-09-15T07:59", "2008-09-15T18:00",
+        "2008-09-15T18:00:01", "2008-02-30T09:00", "2008-09-15T09:10+01:00", "2008-09-15",
+        '"', '"A,B"', '"two\r\nlines"', "A\x00B", "é", "\udcff",  # a byte that is not UTF-8
+        "x" * (csv.field_size_limit() + 1),
+    ]),
+    st.text(max_size=8),
+)
+_LINE = st.integers(0, len(_HAND_LINES) - 1)
+_FIELD = st.integers(0, len(ingest.LEDGER_COLUMNS) - 1)
+_MUTATION = st.one_of(
+    st.tuples(st.just("replace field"), _LINE, _FIELD, _FUZZ_TEXT),
+    st.tuples(st.just("delete field"), _LINE, _FIELD),
+    st.tuples(st.just("duplicate field"), _LINE, _FIELD),
+    st.tuples(st.just("replace line"), _LINE, _FUZZ_TEXT),
+    st.tuples(st.just("delete line"), _LINE),
+    st.tuples(st.just("duplicate line"), _LINE),
+)
+
+
+def _mutated_ledger(mutation) -> bytes:
+    """The hand ledger with one field or line replaced, deleted or
+    duplicated, as raw bytes; a lone surrogate stands for a byte that is
+    not UTF-8."""
+    lines = list(_HAND_LINES)
+    kind, line, *rest = mutation
+    if kind.endswith("field"):
+        fields = lines[line].split(",")
+        k = rest[0]
+        if kind == "replace field":
+            fields[k] = rest[1]
+        elif kind == "delete field":
+            del fields[k]
+        else:
+            fields.insert(k, fields[k])
+        lines[line] = ",".join(fields)
+    elif kind == "replace line":
+        lines[line] = rest[0]
+    elif kind == "delete line":
+        del lines[line]
+    else:
+        lines.insert(line, lines[line])
+    return "".join(line + "\r\n" for line in lines).encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(mutation=_MUTATION)
+def test_ingest_of_a_mutated_ledger_keeps_the_exit_code_contract(tmp_path_factory, mutation):
+    # Chunks of four lines put most mutants past the reader's first chunk.
+    work = tmp_path_factory.mktemp("fuzz")
+    ledger, out = work / "ledger.csv", work / "out"
+    ledger.write_bytes(_mutated_ledger(mutation))
+    stderr = io.StringIO()
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 4), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ingest", str(ledger), "--delta", "30", "--out", str(out)])
+    assert caught == []
+    assert "Traceback" not in stderr.getvalue()
+    assert len(stderr.getvalue().splitlines()) <= 1, stderr.getvalue()
+    assert code in (0, 2), (code, stderr.getvalue())
+    if code == 0:
+        assert json.loads((out / "manifest.json").read_text())["command"] == "ingest"
+    else:
+        assert not out.exists()

@@ -412,6 +412,47 @@ def test_build_tensor_adds_like_a_per_record_loop():
     assert np.array_equal(tensor.values, expected)
 
 
+def test_build_tensor_bins_shared_and_distinct_stamps_like_a_per_record_loop():
+    # Stamps are binned once per object: trades share stamp objects or hold
+    # equal but distinct ones, and some fall before 08:00, after 18:00 or at
+    # exactly 18:00.  2010-03-05 has out-of-window trades only, so it is no
+    # day of the index, and bank E trades only then.
+    rng = np.random.default_rng(23)
+    seconds = [7 * 3600 + 59 * 60, 8 * 3600, 8 * 3600 + 1, 12 * 3600 + 17 * 60 + 30,
+               17 * 3600 + 59 * 60 + 59, 18 * 3600, 18 * 3600 + 1, 23 * 3600, 0]
+    shared = [datetime(2010, 3, day) + timedelta(seconds=s) for day in (1, 2, 4) for s in seconds]
+    late = [datetime(2010, 3, 5, 7), datetime(2010, 3, 5, 18, 0, 1), datetime(2010, 3, 5, 20)]
+    records = []
+    for _ in range(400):
+        stamp = shared[int(rng.integers(len(shared)))]
+        if rng.random() < 0.5:
+            stamp = datetime(*stamp.timetuple()[:6])  # equal, not the same object
+        i, j = rng.choice(4, size=2, replace=False)
+        records.append((stamp, "ABCD"[i], "ABCD"[j], float(rng.choice([0.1, 0.7, 1e-3]))))
+    for k, stamp in enumerate(late * 3):
+        records.insert(37 * k, (stamp, "E", "ABCD"[k % 4], 0.3))
+    tensor, index, excluded = build_tensor(ledger_of(records), 60)
+
+    def second(stamp):
+        return stamp.hour * 3600 + stamp.minute * 60 + stamp.second
+
+    kept = [r for r in records if 8 * 3600 <= second(r[0]) <= 18 * 3600]
+    assert index.bank_ids == tuple(sorted({b for r in kept for b in r[1:3]})) == tuple("ABCD")
+    assert index.day_dates == tuple(sorted({r[0].date() for r in kept}))
+    assert date(2010, 3, 5) not in index.day_dates
+    expected_excluded = [(r[0], f"timestamp {r[0].time()} outside 08:00-18:00 window")
+                         for r in records if r not in kept]
+    assert excluded == expected_excluded
+    assert all(got is want for (got, _), (want, _) in zip(excluded, expected_excluded))
+    expected = np.zeros(tensor.dims)
+    for side in (1, 2):  # the lender, then the borrower
+        for r in kept:
+            interval = min((second(r[0]) - 8 * 3600) // 3600, 9)
+            expected[index.bank_ids.index(r[side]), interval,
+                     index.day_dates.index(r[0].date())] += r[3]
+    assert np.array_equal(tensor.values, expected)
+
+
 # -- the line splitter and the column writer against the csv module --------
 
 _ENDS = st.sampled_from(["\r\n", "\n", "\r"])
@@ -515,15 +556,13 @@ def test_ledger_writer_matches_csv_writer(tmp_path_factory, trades, chunk):
     assert len(result.issues) == len(trades) - len(expected)
 
 
-def test_reader_holds_one_chunk_of_lines_at_a_time(tmp_path, monkeypatch):
-    # The parse keeps the file's cells, one chunk at a time, and the ledger
-    # it builds; a reader that took in the whole file would hold its text
-    # and its list of lines as well.
-    n = 50_000
+def _large_ledger(n: int = 50_000) -> Ledger:
+    """A valid ledger of ``n`` trades: 50 trades share each stamp object and
+    100 banks share their labels, as in parsed and synthetic ledgers."""
     stamps = [datetime(2008, 9, 15, 8) + timedelta(days=k // 600, minutes=k % 600)
               for k in range(0, n, 50)]
     banks = [f"B{k:03d}" for k in range(100)]
-    ledger = Ledger(
+    return Ledger(
         timestamp=[stamps[k // 50] for k in range(n)],
         lender_id=[banks[k % 100] for k in range(n)],
         borrower_id=[banks[(k + 1) % 100] for k in range(n)],
@@ -533,15 +572,59 @@ def test_reader_holds_one_chunk_of_lines_at_a_time(tmp_path, monkeypatch):
         lender_domestic=np.arange(n) % 3 == 0,
         borrower_domestic=np.arange(n) % 5 == 0,
     )
-    path = tmp_path / "ledger.csv"
-    save_transactions(path, ledger)
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1000)
+
+
+def _traced_peak(fn):
+    """``(result, peak)``: what ``fn()`` returns and the most memory that
+    ``tracemalloc`` saw allocated during the call."""
     tracemalloc.start()
     try:
-        result = load_transactions(path)
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_reader_holds_one_chunk_of_lines_at_a_time(tmp_path, monkeypatch):
+    # The parse keeps the file's cells, one chunk at a time, and the ledger
+    # it builds; a reader that took in the whole file would hold its text
+    # and its list of lines as well.
+    n = 50_000
+    path = tmp_path / "ledger.csv"
+    save_transactions(path, _large_ledger(n))
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1000)
+    result, peak = _traced_peak(lambda: load_transactions(path))
     assert len(result.records) == n and not result.issues
     size = path.stat().st_size
     assert peak < 3 * size, (peak, size)
+
+
+def test_writer_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch):
+    # Formatting and joining a chunk at a time keeps well under the file's
+    # size; a writer that joined the whole ledger's text would hold more.
+    ledger = _large_ledger()
+    path = tmp_path / "ledger.csv"
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1000)
+    _, peak = _traced_peak(lambda: save_transactions(path, ledger))
+    size = path.stat().st_size
+    assert peak < size, (peak, size)
+
+
+def test_ingest_path_holds_little_beside_the_ledger(tmp_path, monkeypatch):
+    # Parsing, filtering and binning 50,000 trades as ingest does, with the
+    # parsed ledger kept: binning holds a few integer arrays per trade beside
+    # it.  A binning that built per-trade Python lists, or a filter that
+    # copied a ledger it keeps whole, would pass three times the file's size.
+    n = 50_000
+    path = tmp_path / "ledger.csv"
+    save_transactions(path, _large_ledger(n))
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1000)
+
+    def ingest_path():
+        records = load_transactions(path).records
+        return build_tensor(filter_overnight(records), 30)
+
+    (tensor, _, excluded), peak = _traced_peak(ingest_path)
+    assert tensor.values.sum() == 2 * np.arange(1, n + 1).sum() / 8.0 and not excluded
+    assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)

@@ -78,3 +78,35 @@ def test_window_literals_only_in_ingest(path):
 def test_window_literal_is_found():
     tree = ast.parse("if 600 % n:\n    s = 8 * 3600 + 600.0\nlabel = '600'\nflag = 3600 > True\n")
     assert _window_literals(tree) == [(1, 600), (2, 3600), (4, 3600)]
+
+
+def _object_fills(tree: ast.Module) -> list:
+    """Lines that call ``full`` with an object dtype.  ``np.full`` converts
+    its fill to an array first, so an object array of a string fill holds a
+    new string per entry, not one shared object."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "full":
+            dtypes = node.args[2:3] + [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(isinstance(d, ast.Name) and d.id == "object"
+                   or isinstance(d, ast.Constant) and d.value in ("O", "object")
+                   for d in dtypes):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_object_arrays_filled_by_np_full(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _object_fills(tree) == []
+
+
+def test_object_fill_is_found():
+    tree = ast.parse("a = np.full(n, 'lender', dtype=object)\nb = np.full(n, 0.5)\n"
+                     "c = numpy.full(n, 'ON', object)\nd = np.full(n, 3, dtype=int)\n"
+                     "e = full((2, 3), 'x', dtype='O')\nf = np.full_like(a, 'x')\n"
+                     "g = np.repeat(np.array(['ON'], dtype=object), n)\n")
+    assert _object_fills(tree) == [1, 3, 5]

@@ -237,3 +237,17 @@ def test_ledger_export_matches_per_trade_writer(tmp_path):
     assert len(log) > 100
     assert data == (tmp_path / "reference.csv").read_bytes()
     assert data.count(b"\r\n") == len(log) + 1
+
+
+def test_exported_columns_share_their_objects():
+    # A column of one repeated text holds one object, as the bank labels and
+    # stamps do; a new string per trade costs tens of MB on a large ledger.
+    cfg = SyntheticConfig(n_banks=12, intervals=10, days=9, seed=5)
+    _, _, log = generate_with_log(cfg)
+    records = log_to_records(log, cfg)
+    assert len(records) > 100
+    for column, text in ((records.proposer, "lender"), (records.maturity, "ON")):
+        assert len({id(v) for v in column.tolist()}) == 1
+        assert column[0] == text
+    assert len({id(v) for v in records.timestamp.tolist()}) == len(set(records.timestamp.tolist()))
+    assert len({id(v) for v in records.lender_id.tolist()}) == len(set(records.lender_id.tolist()))
