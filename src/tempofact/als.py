@@ -18,6 +18,12 @@ its large operand into a buffer and then reads it only once, so a skinny
 whole-tensor product pays for two trips through memory, while a slab is
 packed while it is still in cache.
 
+A restart is the generator :func:`_restart`, which holds the factors, beta
+and the trace but never the tensor: it yields C for ``X x_3 C`` and the
+``(A kr B)`` slabs for the C product.  :func:`fit_once` answers it and is
+the only function that reads the tensor.  Each sweep's misfit ``||X -
+Xhat||_F^2`` comes from the same products, with no reconstruction.
+
 Each NNLS update is warm-started from the support (``> 0`` pattern) of the
 factor it replaces, which barely changes from one sweep to the next (Kim,
 He & Park, J. Global Optim. 2014).  The rows of a factor share a handful
@@ -25,10 +31,6 @@ of distinct supports, and the solver factors one system per distinct
 support, so most updates cost a few small factorizations and one batched
 product.  The first sweep starts from the random initial factors, so a
 restart remains a function of its seed alone.
-
-The squared misfit ``||X - Xhat||_F^2`` after each sweep is evaluated from
-the same products (no reconstruction), which keeps the per-sweep objective
-trace cheap and exactly consistent with the updates.
 
 From the second sweep on, each sweep is followed by an extrapolation step
 (Ang & Gillis, Neural Computation 2019).  If the plain sweep took the
@@ -41,10 +43,8 @@ that lowers the misfit below the plain sweep's is kept and beta grows to
 1.5 beta; otherwise F is kept, the next sweep recomputes its first pass
 from F's C (one extra pass), and beta shrinks to beta / 1.5.  Beta starts
 at 0.5 and, as in Bro's PARAFAC line search (1998), has no cap: capped at
-1, it sat there in 59-83% of an over-factored rank's sweeps while 95-97%
-of candidates were accepted.  Uncapped, the sweeps fall by another third.
-The trace is non-increasing: a plain sweep never raises the misfit and a
-candidate is kept only when it lowers it.
+1, it took a third more sweeps.  The trace is non-increasing: a plain sweep
+never raises the misfit and a candidate is kept only when it lowers it.
 """
 
 from __future__ import annotations
@@ -76,12 +76,9 @@ class FitConfig:
     init: str = "random-scaled"
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name in ("rank", "max_sweeps", "restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be > 0")
         if self.init not in _INIT_MODES:
@@ -100,23 +97,8 @@ class FitResult:
     seed: int
 
 
-class _Workspace:
-    """Per-tensor state reused across sweeps: the 3-way data array and its norm.
-
-    The sweep multiplies the array one bank slab at a time (``np.matmul``):
-    a GEMM with R columns over the whole tensor would pack that large
-    operand into a buffer only to read it once.
-    """
-
-    def __init__(self, x: DenseTensor3):
-        self.dims = x.dims
-        self.values = x.values
-        self.norm2 = float(np.vdot(x.values, x.values))
-
-
-def _update_factor(
-    proj: np.ndarray, gram_u: np.ndarray, gram_v: np.ndarray, passive: np.ndarray
-):
+def _update_factor(proj: np.ndarray, gram_u: np.ndarray, gram_v: np.ndarray,
+                   passive: np.ndarray):
     """NNLS update of one factor from its MTTKRP ``proj`` and the other two Grams.
 
     ``passive`` is the ``> 0`` pattern of the factor being replaced; the
@@ -134,49 +116,71 @@ def _update_factor(
     return sol.W, gram
 
 
-def _sweep(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray, y=None):
-    """One A -> B -> C update cycle; returns factors and the post-sweep misfit.
-
-    ``y`` is ``X x_3 C`` when the caller already has it.
-    """
-    n, t, _ = ws.dims
-    gram_c = C.T @ C
-    if y is None:
-        y = np.matmul(ws.values, C)  # Y = X x_3 C, N x T x R, one product per slab
-    A, _ = _update_factor(np.einsum("ijr,jr->ir", y, B), gram_c, B.T @ B, A > 0)
-    gram_a = A.T @ A
-    B, _ = _update_factor(np.einsum("ijr,ir->jr", y, A), gram_c, gram_a, B > 0)
-    kr = khatri_rao(A, B).reshape(n, t, -1).transpose(0, 2, 1)  # slab i: (B * A[i])^T
-    proj = np.matmul(kr, ws.values).sum(axis=0).T
-    C, gram = _update_factor(proj, B.T @ B, gram_a, C > 0)
-    xhat2 = float(((C.T @ C) * gram).sum())
-    inner = float((proj * C).sum())
-    obj = max(ws.norm2 - 2.0 * inner + xhat2, 0.0)
-    return A, B, C, obj
+def _misfit(norm2: float, inner: float, xhat2: float) -> float:
+    """``||X - Xhat||^2`` from ``||X||^2``, ``<X, Xhat>`` and ``||Xhat||^2``."""
+    return max(norm2 - 2.0 * inner + xhat2, 0.0)
 
 
-def _objective(ws: _Workspace, A: np.ndarray, B: np.ndarray, C: np.ndarray, y: np.ndarray):
-    """Squared misfit of (A, B, C), given ``y = X x_3 C``."""
-    inner = float((A * np.einsum("ijr,jr->ir", y, B)).sum())
-    xhat2 = float(((A.T @ A) * (B.T @ B) * (C.T @ C)).sum())
-    return max(ws.norm2 - 2.0 * inner + xhat2, 0.0)
+def _extrapolate(factors, prev, beta: float) -> list:
+    """The candidate ``max(F + beta (F - F_prev), 0)`` of each factor."""
+    return [np.maximum(f + beta * (f - p), 0.0) for f, p in zip(factors, prev)]
 
 
-def _initial_factors(ws: _Workspace, rank: int, seed: int, init: str):
+def _initial_factors(dims, norm2: float, rank: int, seed: int, init: str):
     rng = np.random.default_rng(seed)
-    n, t, d = ws.dims
-    A = rng.random((n, rank))
-    B = rng.random((t, rank))
-    C = rng.random((d, rank))
+    A, B, C = (rng.random((m, rank)) for m in dims)
     if init == "random-scaled":
         # Match the initial reconstruction norm to the data norm.
         g = (A.T @ A) * (B.T @ B) * (C.T @ C)
         init_norm = float(np.sqrt(max(g.sum(), 0.0)))
-        scale = (np.sqrt(ws.norm2) / init_norm) ** (1.0 / 3.0) if init_norm > 0 else 0.0
-        A *= scale
-        B *= scale
-        C *= scale
+        scale = (np.sqrt(norm2) / init_norm) ** (1.0 / 3.0) if init_norm > 0 else 0.0
+        A, B, C = A * scale, B * scale, C * scale
     return A, B, C
+
+
+def _restart(dims, norm2: float, cfg: FitConfig, seed: int):
+    """One restart on a tensor of ``dims`` with ``norm2 = ||X||^2``: yields C
+    (D x R) for ``X x_3 C`` (N x T x R), or the N x R x T stack of ``(A kr
+    B)`` slabs, slab i being ``(B * A[i])^T``, for the C update's ``sum_i (A
+    kr B)_i^T X[i]`` (D x R); is sent each product and returns the FitResult.
+    """
+    A, B, C = _initial_factors(dims, norm2, cfg.rank, seed, cfg.init)
+    y = None  # X x_3 C, when the last candidate left it
+    beta = 0.5
+    trace: list[float] = []
+    converged = False
+    for sweep_no in range(1, cfg.max_sweeps + 1):
+        if y is None:
+            y = yield C
+        prev = A, B, C
+        try:
+            gram_c = C.T @ C
+            A, _ = _update_factor(np.einsum("ijr,jr->ir", y, B), gram_c, B.T @ B, A > 0)
+            gram_a = A.T @ A
+            B, _ = _update_factor(np.einsum("ijr,ir->jr", y, A), gram_c, gram_a, B > 0)
+            proj = yield khatri_rao(A, B).reshape(len(A), len(B), -1).transpose(0, 2, 1)
+            C, gram = _update_factor(proj, B.T @ B, gram_a, C > 0)
+        except FitError as err:
+            raise FitError(f"sweep {sweep_no}: {err}") from err
+        obj = _misfit(norm2, float((proj * C).sum()), float(((C.T @ C) * gram).sum()))
+        y = None
+        if sweep_no > 1:  # the candidate's first pass is the next sweep's
+            ae, be, ce = cand = _extrapolate((A, B, C), prev, beta)
+            y_cand = yield ce
+            obj_cand = _misfit(norm2, float((ae * np.einsum("ijr,jr->ir", y_cand, be)).sum()),
+                               float(((ae.T @ ae) * (be.T @ be) * (ce.T @ ce)).sum()))
+            if obj_cand < obj:
+                (A, B, C), y, obj = cand, y_cand, obj_cand
+                beta *= 1.5
+            else:
+                beta /= 1.5
+        trace.append(obj)
+        if len(trace) > 1 and abs(obj - trace[-2]) / max(trace[-2], 1e-300) < cfg.rel_tol:
+            converged = True
+            break
+    rel = float(np.sqrt(trace[-1] / norm2)) if norm2 > 0 else 0.0
+    return FitResult(KruskalTensor(A, B, C).normalize(), rel, len(trace), converged,
+                     tuple(trace), seed)
 
 
 def fit_once(x: DenseTensor3, cfg: FitConfig, seed: int) -> FitResult:
@@ -185,41 +189,23 @@ def fit_once(x: DenseTensor3, cfg: FitConfig, seed: int) -> FitResult:
     Sweeps run until the relative change of the squared misfit drops below
     ``cfg.rel_tol`` or ``cfg.max_sweeps`` is reached; each sweep after the
     first is followed by the extrapolation step of the module docstring.
-    Deterministic for a fixed (tensor, config, seed).
+    Deterministic for a fixed (tensor, config, seed).  Drives :func:`_restart`
+    and answers each of its requests with one ``np.matmul`` per bank slab.
     """
     if x.values.size == 0:
         raise ValueError("cannot fit an empty tensor")
-    ws = _Workspace(x)
-    factors = _initial_factors(ws, cfg.rank, seed, cfg.init)
-    y = None
-    beta = 0.5
-    trace: list[float] = []
-    converged = False
-    for sweep_no in range(1, cfg.max_sweeps + 1):
-        try:
-            *swept, obj = _sweep(ws, *factors, y)
-        except FitError as err:
-            raise FitError(f"sweep {sweep_no}: {err}") from err
-        y = None
-        if sweep_no > 1:  # the candidate's first pass is the next sweep's
-            cand = [np.maximum(f + beta * (f - p), 0.0) for f, p in zip(swept, factors)]
-            y_cand = np.matmul(ws.values, cand[2])
-            obj_cand = _objective(ws, *cand, y_cand)
-            if obj_cand < obj:
-                swept, y, obj = cand, y_cand, obj_cand
-                beta *= 1.5
-            else:
-                beta /= 1.5
-        factors = swept
-        trace.append(obj)
-        if len(trace) > 1:
-            prev = trace[-2]
-            if abs(obj - prev) / max(prev, 1e-300) < cfg.rel_tol:
-                converged = True
-                break
-    rel = float(np.sqrt(trace[-1] / ws.norm2)) if ws.norm2 > 0 else 0.0
-    return FitResult(KruskalTensor(*factors).normalize(), rel, len(trace), converged,
-                     tuple(trace), seed)
+    values = x.values
+    restart = _restart(x.dims, float(np.vdot(values, values)), cfg, seed)
+    product = None
+    try:
+        while True:
+            request = restart.send(product)
+            if request.ndim == 2:  # C: X x_3 C, N x T x R
+                product = np.matmul(values, request)
+            else:  # (A kr B) slabs: the C update's MTTKRP, D x R
+                product = np.matmul(request, values).sum(axis=0).T
+    except StopIteration as done:
+        return done.value
 
 
 def fit_restarts(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> list:
@@ -277,8 +263,5 @@ def best_restart(results: list) -> FitResult:
 
 
 def fit_best(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> FitResult:
-    """Best-of-restarts fit, chosen by :func:`best_restart`.
-
-    The outcome does not depend on the degree of parallelism.
-    """
+    """Best-of-restarts fit, chosen by :func:`best_restart`; the same for any ``jobs``."""
     return best_restart(fit_restarts(x, cfg, jobs))

@@ -51,7 +51,8 @@ def tucker_core(x: DenseTensor3, k: KruskalTensor) -> np.ndarray:
     of each (weight-folded) factor, which solves the core least squares
     problem without materializing any Kronecker product.  Raises
     :class:`DegenerateFactorError` when a factor's condition number exceeds
-    1e12 (a zeroed component at an over-specified rank does this).
+    1e12 (a zeroed component at an over-specified rank does this); a factor
+    with more columns than rows has condition number inf.
     """
     if k.dims != x.dims:
         raise ValueError(f"factor dims {k.dims} do not match tensor dims {x.dims}")
@@ -59,7 +60,7 @@ def tucker_core(x: DenseTensor3, k: KruskalTensor) -> np.ndarray:
     pinvs = []
     for name, mat in (("A", kn.A), ("B", kn.B), ("C", kn.weighted_C)):
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
+        cond = np.inf if len(s) < mat.shape[1] or s[-1] == 0.0 else float(s[0] / s[-1])
         if cond > _COND_LIMIT:
             raise DegenerateFactorError(name, cond)
         # No small singular value is left to cut: past the check each exceeds

@@ -141,10 +141,14 @@ class Ledger:
 _FIELDS = tuple(f.name for f in fields(Ledger))
 
 
-def _concat(parts) -> Ledger:
+def _concat(parts: list) -> Ledger:
+    """One ledger of ``parts``, which it empties; each field's parts are freed
+    once joined, so the parts and the whole are never both held."""
     if not parts:
         return Ledger(*([] for _ in _FIELDS))
-    return Ledger(*(np.concatenate([getattr(p, name) for p in parts]) for name in _FIELDS))
+    columns = [[getattr(p, name) for p in parts] for name in _FIELDS]
+    parts.clear()
+    return Ledger(*(np.concatenate(columns.pop(0)) for _ in _FIELDS))
 
 
 def _distinct(objects: np.ndarray):

@@ -90,9 +90,12 @@ def read_tensor(path) -> DenseTensor3:
         if handle.readinto(values) != expected or handle.read(1):
             raise FileFormatError(f"{path}: file changed size while being read")
     try:
-        return DenseTensor3(values.reshape(n, t, d), tag.decode("utf-8"))
+        tensor = DenseTensor3(values.reshape(n, t, d), tag.decode("utf-8"))
     except ValueError as err:  # a tag that is not UTF-8, or values DenseTensor3 refuses
         raise FileFormatError(f"{path}: {err}") from None
+    if not 2.0 * float(np.vdot(values, values)) < math.inf:  # the fit's misfit needs 2 ||X||^2
+        raise FileFormatError(f"{path}: twice the sum of squared entries exceeds float64's range")
+    return tensor
 
 
 def _sanitize(obj):

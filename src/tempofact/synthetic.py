@@ -78,16 +78,24 @@ class SyntheticConfig:
             raise ValueError(f"group_sizes must be three nonnegative ints, got {sizes!r}")
         if sum(sizes) != self.n_banks:
             raise ValueError(f"group_sizes {sizes} do not sum to n_banks={self.n_banks}")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
-        if len(self.mus) != 3:
-            raise ValueError("mus must have three entries")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        if len(self.mus) != 3 or not all(map(math.isfinite, self.mus)):
+            raise ValueError(f"mus must be three finite numbers, got {self.mus!r}")
         if not 0.0 < self.peak_fitness <= 1.0:
             raise ValueError("peak_fitness must lie in (0, 1]")
         if not self.rescale and self.sigma < _MIN_RAW_SIGMA:
             raise ValueError(
                 f"raw density values exceed 1 for sigma < {_MIN_RAW_SIGMA:.4f}"
             )
+        with np.errstate(all="ignore"):  # refused below, not warned about
+            try:
+                profiles = [fitness_profile(self, g) for g in range(3)]
+            except OverflowError:  # sigma ** 2 beyond float64
+                profiles = [np.array(math.nan)]
+        if not all(np.isfinite(p).all() and p.max() > 0 for p in profiles):
+            raise ValueError(f"sigma={self.sigma!r} and mus={self.mus!r} leave a group's fitness "
+                             f"without a finite positive peak on {self.intervals} intervals")
 
 
 @dataclass(frozen=True)

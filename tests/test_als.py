@@ -6,8 +6,7 @@ import pytest
 from tempofact.als import (
     FitConfig,
     FitError,
-    _sweep,
-    _Workspace,
+    _restart,
     best_restart,
     fit_best,
     fit_once,
@@ -26,28 +25,67 @@ def _objective(x, k):
     return float(np.sum((x.values - reconstruct(k).values) ** 2))
 
 
-def _swept(x, k):
+def _start_from(monkeypatch, A, B, C):
+    """Make every restart start from the given factors instead of its seed's."""
+    import tempofact.als as als_mod
+
+    monkeypatch.setattr(als_mod, "_initial_factors", lambda *args: (A, B, C))
+
+
+def _swept(monkeypatch, x, k):
     """One sweep from ``k``, with its weights folded into the day factors."""
-    A, B, C, _ = _sweep(_Workspace(x), k.A, k.B, k.C * k.weights)
-    return KruskalTensor(A, B, C)
+    _start_from(monkeypatch, k.A, k.B, k.C * k.weights)
+    return fit_once(x, FitConfig(rank=k.rank, max_sweeps=1), seed=0).factors
 
 
-def test_sweep_is_fixed_point_on_exact_rank_one():
+def test_sweep_is_fixed_point_on_exact_rank_one(monkeypatch):
     rng = np.random.default_rng(2)
     k = random_kruskal(rng, (5, 4, 6), 1)
     x = reconstruct(k)
     before = _objective(x, k)
-    after = _objective(x, _swept(x, k))
+    after = _objective(x, _swept(monkeypatch, x, k))
     assert abs(after - before) < 1e-12
 
 
-def test_sweep_never_increases_objective():
+def test_sweep_never_increases_objective(monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(100):
         dims = tuple(rng.integers(3, 7, size=3))
         x = random_tensor(rng, dims)
         k = random_kruskal(rng, dims, 2)
-        assert _objective(x, _swept(x, k)) <= _objective(x, k) + 1e-10
+        assert _objective(x, _swept(monkeypatch, x, k)) <= _objective(x, k) + 1e-10
+
+
+def _oracle_fit(x, cfg, seed):
+    """Drive :func:`_restart` to its end, answering each request from the
+    textbook unfolding ``matricize(x, 3)`` instead of the slab products."""
+    n, t, d = x.dims
+    x3 = matricize(x, 3)  # D x NT, column i + N j
+    restart, product = _restart(x.dims, float(np.sum(x.values**2)), cfg, seed), None
+    try:
+        while True:
+            request = restart.send(product)
+            if request.ndim == 2:  # C, for X x_3 C
+                product = (x3.T @ request).reshape(n, t, -1, order="F")
+            else:  # slab i is (B * A[i])^T; as rows j N + i it is khatri_rao(B, A)
+                kr = request.transpose(2, 0, 1).reshape(n * t, -1)
+                product = x3 @ kr
+    except StopIteration as done:
+        return done.value
+
+
+def test_restart_answered_by_the_unfolded_oracle_matches_fit_once(monkeypatch):
+    counts = _count_candidates(monkeypatch)
+    rng = np.random.default_rng(30)
+    for trial in range(24):
+        dims = tuple(int(v) for v in rng.integers(3, 10, size=3))
+        x = random_tensor(rng, dims)
+        cfg = FitConfig(rank=1 + trial % 4, max_sweeps=60)
+        want, got = fit_once(x, cfg, seed=trial), _oracle_fit(x, cfg, seed=trial)
+        assert got.sweeps_used == want.sweeps_used, trial
+        np.testing.assert_allclose(got.objective_trace, want.objective_trace,
+                                   rtol=1e-10, atol=0.0)
+    assert counts["accepted"] > 0 and counts["rejected"] > 0
 
 
 def test_zero_tensor_reaches_zero_objective():
@@ -194,6 +232,7 @@ def test_two_pass_products_match_unfolded_oracle(monkeypatch, shape, rank):
     n, t, d = shape
     x = random_tensor(rng, shape)
     A0, B0, C0 = rng.random((n, rank)), rng.random((t, rank)), rng.random((d, rank))
+    _start_from(monkeypatch, A0, B0, C0)
     seen = []
     real_update = als_mod._update_factor
 
@@ -203,7 +242,7 @@ def test_two_pass_products_match_unfolded_oracle(monkeypatch, shape, rank):
         return W, gram
 
     monkeypatch.setattr(als_mod, "_update_factor", recording_update)
-    als_mod._sweep(als_mod._Workspace(x), A0, B0, C0)
+    fit_once(x, FitConfig(rank=rank, max_sweeps=1), seed=0)
     (proj_a, gram_a, A1), (proj_b, gram_b, B1), (proj_c, gram_c, _) = seen
     for mode, proj, gram, left, right in (
         (1, proj_a, gram_a, C0, B0),
@@ -218,17 +257,14 @@ def test_two_pass_products_match_unfolded_oracle(monkeypatch, shape, rank):
 def test_sweep_never_copies_the_tensor():
     # The slab products must take the read-only tensor as it is; a strided
     # operand that numpy had to copy would allocate the whole tensor again.
+    # Two sweeps make all three kinds of pass, the candidate's included.
     import tracemalloc
-
-    import tempofact.als as als_mod
 
     rng = np.random.default_rng(33)
     x = random_tensor(rng, (40, 10, 300))
-    ws = als_mod._Workspace(x)
-    A, B, C = rng.random((40, 3)), rng.random((10, 3)), rng.random((300, 3))
     tracemalloc.start()
     try:
-        als_mod._sweep(ws, A, B, C)
+        fit_once(x, FitConfig(rank=3, max_sweeps=2), seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -242,30 +278,46 @@ def test_fit_restarts_rejects_nonpositive_jobs():
             fit_restarts(x, FitConfig(rank=1, restarts=2), jobs=jobs)
 
 
-def _count_candidates(monkeypatch):
-    """Count the extrapolation candidates that are accepted or rejected.
+def _on_candidates(monkeypatch, score):
+    """Call ``score(candidate, beta, misfit, swept_misfit)`` on each
+    extrapolation candidate, where ``beta`` is its step, ``misfit`` is
+    ``_misfit``'s value for it and ``swept_misfit`` that of the sweep it
+    follows; ``score`` may return a misfit to use instead.
 
-    Each ``_objective`` call scores the candidate that follows a sweep; it is
-    accepted when its score is below that sweep's misfit.
+    ``_extrapolate`` makes the candidate and the next ``_misfit`` call
+    scores it; every other ``_misfit`` call scores a plain sweep.
     """
     import tempofact.als as als_mod
 
+    state = {"candidate": None, "swept": None}
+    real_extrapolate, real_misfit = als_mod._extrapolate, als_mod._misfit
+
+    def recording_extrapolate(factors, prev, beta):
+        state["candidate"] = real_extrapolate(factors, prev, beta), beta
+        return state["candidate"][0]
+
+    def recording_misfit(*args):
+        obj = real_misfit(*args)
+        if state["candidate"] is None:
+            state["swept"] = obj
+            return obj
+        (cand, beta), state["candidate"] = state["candidate"], None
+        scored = score(cand, beta, obj, state["swept"])
+        return obj if scored is None else scored
+
+    monkeypatch.setattr(als_mod, "_extrapolate", recording_extrapolate)
+    monkeypatch.setattr(als_mod, "_misfit", recording_misfit)
+
+
+def _count_candidates(monkeypatch):
+    """Count the extrapolation candidates that are accepted or rejected: a
+    candidate is accepted when its score is below its sweep's misfit."""
     counts = {"accepted": 0, "rejected": 0}
-    swept = []
-    real_sweep, real_objective = als_mod._sweep, als_mod._objective
 
-    def recording_sweep(*args):
-        out = real_sweep(*args)
-        swept.append(out[-1])
-        return out
+    def count(cand, beta, obj, swept):
+        counts["accepted" if obj < swept else "rejected"] += 1
 
-    def counting_objective(*args):
-        obj = real_objective(*args)
-        counts["accepted" if obj < swept[-1] else "rejected"] += 1
-        return obj
-
-    monkeypatch.setattr(als_mod, "_sweep", recording_sweep)
-    monkeypatch.setattr(als_mod, "_objective", counting_objective)
+    _on_candidates(monkeypatch, count)
     return counts
 
 
@@ -286,26 +338,19 @@ def test_extrapolated_fit_trace_never_increases(monkeypatch):
 def test_candidate_score_matches_reconstruction(monkeypatch):
     # The candidate's misfit is computed from Ye = X x_3 Ce, the next
     # sweep's first pass; the oracle reconstructs the candidate densely.
-    import tempofact.als as als_mod
-
     scored = []
-    real_objective = als_mod._objective
-
-    def recording_objective(ws, A, B, C, y):
-        obj = real_objective(ws, A, B, C, y)
-        scored.append((ws.values, A, B, C, obj))
-        return obj
-
-    monkeypatch.setattr(als_mod, "_objective", recording_objective)
+    current = {}
+    _on_candidates(monkeypatch,
+                   lambda cand, beta, obj, swept: scored.append((current["x"], *cand, obj)))
     rng = np.random.default_rng(24)
     sweeps = 0
     for rank in (1, 2, 3, 4):
-        x = random_tensor(rng, (7, 5, 9))
+        x = current["x"] = random_tensor(rng, (7, 5, 9))
         res = fit_once(x, FitConfig(rank=rank, max_sweeps=15, restarts=1), seed=rank)
         sweeps += res.sweeps_used - 1  # every sweep after the first scores a candidate
     assert len(scored) == sweeps > 20
-    for values, A, B, C, obj in scored:
-        want = float(np.sum((values - reconstruct(KruskalTensor(A, B, C)).values) ** 2))
+    for x, A, B, C, obj in scored:
+        want = float(np.sum((x.values - reconstruct(KruskalTensor(A, B, C)).values) ** 2))
         assert abs(obj - want) <= 1e-9 * want
 
 
@@ -386,29 +431,15 @@ def test_pool_has_no_more_workers_than_restarts(monkeypatch):
 
 
 def _step_sizes(monkeypatch, candidate_wins: bool):
-    """The extrapolation steps of a fit's 7 candidates under a stubbed sweep.
-
-    The stub moves every factor entry by +1, so a candidate lies ``beta``
-    past the swept factors along that fixed direction; ``_objective`` scores
-    every candidate below (or above) the sweep it follows.
-    """
-    import tempofact.als as als_mod
-
-    state = {"obj": 1.0}
+    """The extrapolation steps of a fit's 7 candidates, each scored below (or
+    above) the sweep it follows, whatever its real misfit."""
     steps = []
 
-    def stub_sweep(ws, A, B, C, y=None):
-        state["prev"], state["swept"] = A, A + 1.0
-        state["obj"] *= 0.5
-        return A + 1.0, B + 1.0, C + 1.0, state["obj"]
+    def score(cand, beta, obj, swept):
+        steps.append(beta)
+        return swept * (0.5 if candidate_wins else 2.0)
 
-    def stub_objective(ws, A, B, C, y):
-        swept, prev = state["swept"], state["prev"]
-        steps.append(float(np.mean((A - swept) / (swept - prev))))
-        return state["obj"] * (0.5 if candidate_wins else 2.0)
-
-    monkeypatch.setattr(als_mod, "_sweep", stub_sweep)
-    monkeypatch.setattr(als_mod, "_objective", stub_objective)
+    _on_candidates(monkeypatch, score)
     x = random_tensor(np.random.default_rng(28), (4, 3, 5))
     assert fit_once(x, FitConfig(rank=2, max_sweeps=8), seed=0).sweeps_used == 8
     return steps

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from tempofact import ingest, io as tfio
 from tempofact.cli import main
-from tempofact.tensor import KruskalTensor, reconstruct
+from tempofact.tensor import DenseTensor3, KruskalTensor, reconstruct
 
 SAMPLE_LEDGER = Path(__file__).resolve().parent.parent / "data" / "sample_ledger.csv"
 
@@ -58,6 +58,22 @@ def test_synth_rejects_zero_days(tmp_path):
 
 def test_synth_rejects_bad_group_sizes(tmp_path):
     assert _run("synth", "--banks", 10, "--group-sizes", "3,3,3", "--out", tmp_path) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--mus", "nan,5,10"],
+    ["--mus", "100,2,4", "--intervals", 4],  # every grid density underflows to 0
+    ["--mus", "inf,5,10"],
+    ["--sigma", "inf"],
+], ids=["nan-mu", "zero-profile", "inf-mu", "inf-sigma"])
+def test_synth_refuses_a_profile_it_cannot_build(tmp_path, capsys, args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run("synth", "--banks", 9, "--days", 4, *args, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert caught == []
+    assert (code, len(err.splitlines())) == (1, 1), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_group_sizes_need_three_values(tmp_path, capsys):
@@ -154,6 +170,22 @@ def test_fit_exact_rank_one(tmp_path, capsys):
     restarts = json.loads((tmp_path / "fit/restarts.json").read_text())
     assert len(restarts) == 3
     assert {r["seed"] for r in restarts} == {2, 3, 4}
+
+
+def test_fit_refuses_a_tensor_whose_squared_norm_overflows(tmp_path, capsys):
+    # Each entry is finite, but the misfit's 2 ||X||^2 is not: the fit would
+    # warn and fail every restart, or clamp its misfit to 0 and stop.
+    values = np.ones((2, 2, 2))
+    for big, code in ((2e153, 0), (6.7e154, 2)):
+        values[0, 0, 0] = big
+        tfio.write_tensor(tmp_path / "t.bin", DenseTensor3(values))
+        out = tmp_path / f"out{code}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run("fit", tmp_path / "t.bin", "--rank", 1, "--restarts", 2,
+                        "--out", out) == code
+        assert out.exists() == (code == 0)
+    assert "exceeds float64's range" in capsys.readouterr().err
 
 
 def test_fit_missing_tensor(tmp_path):
@@ -811,23 +843,125 @@ def _mutated_ledger(mutation) -> bytes:
     return "".join(line + "\r\n" for line in lines).encode("utf-8", "surrogateescape")
 
 
+def _run_under_contract(*argv, usage_error=None) -> int:
+    """Run ``main(argv)`` and check the exit-code contract: no warning and no
+    traceback, at most one stderr line, exit 0 or 2, or exit 1 only with a
+    line that starts with ``usage_error``, and no ``--out`` after a failure."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(*argv)
+    err = stderr.getvalue()
+    assert caught == []
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1, err
+    assert code in (0, 2) or code == 1 and usage_error and err.startswith(usage_error), \
+        (code, err)
+    out = Path(argv[argv.index("--out") + 1])
+    if code == 0:
+        assert json.loads((out / "manifest.json").read_text())["command"] == argv[0]
+    else:
+        assert not out.exists()
+    return code
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(mutation=_MUTATION)
 def test_ingest_of_a_mutated_ledger_keeps_the_exit_code_contract(tmp_path_factory, mutation):
     # Chunks of four lines put most mutants past the reader's first chunk.
     work = tmp_path_factory.mktemp("fuzz")
-    ledger, out = work / "ledger.csv", work / "out"
+    ledger = work / "ledger.csv"
     ledger.write_bytes(_mutated_ledger(mutation))
-    stderr = io.StringIO()
-    with mock.patch.object(ingest, "_CHUNK_ROWS", 4), contextlib.redirect_stderr(stderr), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["ingest", str(ledger), "--delta", "30", "--out", str(out)])
-    assert caught == []
-    assert "Traceback" not in stderr.getvalue()
-    assert len(stderr.getvalue().splitlines()) <= 1, stderr.getvalue()
-    assert code in (0, 2), (code, stderr.getvalue())
-    if code == 0:
-        assert json.loads((out / "manifest.json").read_text())["command"] == "ingest"
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 4):
+        _run_under_contract("ingest", ledger, "--delta", "30", "--out", work / "out")
+
+
+# -- analyze and fit against the exit-code contract, on mutated inputs ------
+
+@pytest.fixture(scope="module")
+def hand_run(tmp_path_factory):
+    """The hand ledger after ingest and a rank-1 fit: ``ledger.csv``,
+    ``ingest/`` and ``fit/`` in one directory, made once for the module."""
+    work = tmp_path_factory.mktemp("hand")
+    _hand_pipeline(work)
+    return work
+
+
+_JSON_VALUE = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 2, 10**30, 1e308, -1e308, 5e-324, "",
+                     "x", "DE001", "2008-09-15", "08:00", "ab" * 32, [], {}, [0.0], [[1.0]]]),
+    st.floats(), st.integers(), st.text(max_size=6),
+)
+# (kind, which value of the document, the new value)
+_JSON_MUTATION = st.tuples(st.sampled_from(["replace", "delete", "duplicate"]),
+                           st.integers(0, 10**6), _JSON_VALUE)
+
+
+def _json_paths(doc, path=()):
+    """The path (keys and list positions) of every value inside ``doc``."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield (*path, key)
+            yield from _json_paths(value, (*path, key))
+
+
+def _mutated_json(text: str, mutation) -> str:
+    """The JSON document ``text`` with one value replaced, deleted or
+    duplicated (in a list, a second copy; in an object, a list of two)."""
+    kind, pick, new = mutation
+    doc = json.loads(text)
+    paths = list(_json_paths(doc))
+    *parent_path, key = paths[pick % len(paths)]
+    parent = doc
+    for step in parent_path:
+        parent = parent[step]
+    if kind == "replace":
+        parent[key] = new
+    elif kind == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
     else:
-        assert not out.exists()
+        parent[key] = [parent[key]] * 2
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", ["fit/fit.json", "ingest/index.json",
+                                  "ingest/bank_facts.json"])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mutation=_JSON_MUTATION)
+def test_analyze_of_a_mutated_input_keeps_the_exit_code_contract(hand_run, tmp_path_factory,
+                                                                  name, mutation):
+    # The bank facts are read beside the index, so both directories are copied.
+    work = tmp_path_factory.mktemp("fuzz")
+    for rel in ("fit/fit.json", "ingest/index.json", "ingest/bank_facts.json"):
+        (work / rel).parent.mkdir(exist_ok=True)
+        text = (hand_run / rel).read_text()
+        (work / rel).write_text(_mutated_json(text, mutation) if rel == name else text)
+    _run_under_contract("analyze", work / "fit/fit.json", "--index", work / "ingest/index.json",
+                        "--ledger", hand_run / "ledger.csv", "--out", work / "out",
+                        usage_error="error: index describes")
+
+
+# (kind, byte position, bytes written there)
+_BYTES_MUTATION = st.tuples(st.sampled_from(["cut", "overwrite", "insert"]),
+                            st.integers(0, 10**6), st.binary(min_size=1, max_size=8))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mutation=_BYTES_MUTATION)
+def test_fit_of_a_mutated_tensor_keeps_the_exit_code_contract(hand_run, tmp_path_factory,
+                                                               mutation):
+    kind, pick, data = mutation
+    raw = (hand_run / "ingest/tensor.bin").read_bytes()
+    at = pick % (len(raw) + 1)
+    if kind == "cut":
+        raw = raw[:at]
+    elif kind == "overwrite":
+        raw = raw[:at] + data + raw[at + len(data):]
+    else:
+        raw = raw[:at] + data + raw[at:]
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "tensor.bin").write_bytes(raw)
+    _run_under_contract("fit", work / "tensor.bin", "--rank", 1, "--restarts", 2, "--seed", 1,
+                        "--out", work / "out")

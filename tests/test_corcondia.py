@@ -125,6 +125,22 @@ def test_degenerate_factor_raises_with_name():
         assert err2.value.factor == name
 
 
+@pytest.mark.parametrize("dims,name", [((3, 6, 40), "A"), ((6, 3, 40), "B"),
+                                       ((6, 8, 4), "C")])
+def test_factor_wider_than_tall_is_degenerate(dims, name):
+    # R = 5 above one mode's size: that factor's rank is at most its row
+    # count, and an economy SVD does not show the missing singular values.
+    rng = np.random.default_rng(57)
+    x = random_tensor(rng, dims)
+    with pytest.raises(DegenerateFactorError) as err:
+        tucker_core(x, random_kruskal(rng, dims, 5))
+    assert (err.value.factor, err.value.cond) == (name, np.inf)
+    report = rank_scan(x, 5, 85.0, FitConfig(rank=1, restarts=2, max_sweeps=30, seed=3))
+    scan = report.records[-1]
+    assert scan.cc_values == (None, None)
+    assert [k for k, why in scan.failures if why.startswith(f"factor {name} ")] == [0, 1]
+
+
 def test_core_dim_mismatch():
     rng = np.random.default_rng(55)
     with pytest.raises(ValueError):

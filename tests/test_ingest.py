@@ -600,6 +600,23 @@ def test_reader_holds_one_chunk_of_lines_at_a_time(tmp_path, monkeypatch):
     assert peak < 3 * size, (peak, size)
 
 
+def test_load_joins_its_chunks_without_a_second_copy(tmp_path, monkeypatch):
+    # The parsed chunks are joined a column at a time and dropped as they
+    # go; joining every column while all chunks were still held took the
+    # load's traced peak to twice what the ledger keeps.
+    path = tmp_path / "ledger.csv"
+    save_transactions(path, _large_ledger(50_000))
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1000)
+    tracemalloc.start()
+    try:
+        result = load_transactions(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 50_000
+    assert peak < 1.6 * kept, (peak, kept)
+
+
 def test_writer_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch):
     # Formatting and joining a chunk at a time keeps well under the file's
     # size; a writer that joined the whole ledger's text would hold more.

@@ -110,3 +110,29 @@ def test_object_fill_is_found():
                      "e = full((2, 3), 'x', dtype='O')\nf = np.full_like(a, 'x')\n"
                      "g = np.repeat(np.array(['ON'], dtype=object), n)\n")
     assert _object_fills(tree) == [1, 3, 5]
+
+
+def _tensor_reads(tree: ast.Module) -> list:
+    """Lines outside ``fit_once`` that name ``matmul`` or the tensor's array
+    (``.values``, or a name or parameter ``values``): in ``als`` only the
+    driver makes tensor passes, and a restart gets each product from it."""
+    driver = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == "fit_once"
+              for node in ast.walk(top)}
+    names = {ast.Attribute: "attr", ast.Name: "id", ast.arg: "arg", ast.alias: "name"}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in driver
+                  and getattr(node, names.get(type(node), ""), None) in ("matmul", "values"))
+
+
+def test_only_fit_once_reads_the_tensor_in_als():
+    tree = ast.parse((SRC / "als.py").read_text(encoding="utf-8"))
+    assert _tensor_reads(tree) == []
+
+
+def test_tensor_read_outside_fit_once_is_found():
+    tree = ast.parse("def fit_once(x):\n    values = x.values\n    return np.matmul(values, c)\n"
+                     "def _restart(dims, values):\n    y = yield c\n    z = np.matmul(y, c)\n"
+                     "    w = np.einsum('ijk,kr->ijr', values, c)\n"
+                     "def helper(x, c):\n    return x.values @ c\n"
+                     "from numpy import matmul\n")
+    assert _tensor_reads(tree) == [4, 6, 7, 9, 10]
