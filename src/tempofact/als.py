@@ -84,8 +84,10 @@ class FitConfig:
             raise ValueError("max_sweeps must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be > 0")
+        if not 0.0 < self.rel_tol < np.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.init not in _INIT_MODES:
             raise ValueError(f"init must be one of {_INIT_MODES}, got {self.init!r}")
 

@@ -133,46 +133,44 @@ class BankFacts:
                              f"{n} domestic flags")
 
 
-def bank_facts(ledger: Ledger, index: TensorIndex, rows=None) -> BankFacts:
-    """Role counts, domestic flags and flag conflicts of the index banks.
+def bank_facts(ledger: Ledger, index: TensorIndex) -> BankFacts:
+    """Role counts, domestic flags and flag conflicts of the index banks,
+    counted over the trades of ``ledger`` whose two sides are index banks.
 
-    They are counted over the trades of ``ledger`` where the boolean mask
-    ``rows`` holds (every trade by default), so a caller selects trades
-    without copying the ledger.  Each side of a trade gets one role: the
-    lender aggresses when the borrower posted the quote and quotes when it
-    posted the quote itself, and the borrower the other way round.  Each
-    side also carries one domestic flag; a bank's flag is its first
-    occurrence in ledger order, the lender before the borrower.  Conflicts
-    cover every bank of the selected trades, in the index or not.
+    Each side of a trade gets one role: the lender aggresses when the
+    borrower posted the quote and quotes when it posted the quote itself,
+    and the borrower the other way round.  Each side also carries one
+    domestic flag; a bank's flag is its first occurrence in ledger order,
+    the lender before the borrower, and a bank's flags conflict when some
+    side of its trades is flagged domestic and some side is not.
     """
     labels, lender, borrower = ledger.bank_codes
-    by_borrower = ledger.proposer == "borrower"
-    lender_flag, borrower_flag = ledger.lender_domestic, ledger.borrower_domestic
-    if rows is not None:
-        lender, borrower, by_borrower, lender_flag, borrower_flag = (
-            column[rows] for column in (lender, borrower, by_borrower, lender_flag, borrower_flag))
-    n = len(labels)
-    # Codes label * 4 + role, in ROLES order: the lender aggresses when the
+    pos = {bank: i for i, bank in enumerate(index.bank_ids)}
+    at = np.array([pos.get(bank, -1) for bank in labels], dtype=np.intp)
+    kept = (at[lender] >= 0) & (at[borrower] >= 0)
+    lender, borrower = at[lender[kept]], at[borrower[kept]]
+    by_borrower = ledger.proposer[kept] == "borrower"
+    lender_flag, borrower_flag = ledger.lender_domestic[kept], ledger.borrower_domestic[kept]
+    n, m = len(index.bank_ids), lender.size
+    # Codes bank * 4 + role, in ROLES order: the lender aggresses when the
     # borrower quoted, the borrower aggresses when the lender quoted.
-    codes = np.concatenate([lender * 4 + np.where(by_borrower, 0, 3),
-                            borrower * 4 + np.where(by_borrower, 1, 2)])
-    roles = np.bincount(codes, minlength=4 * n).reshape(n, 4)
-    banks = np.column_stack([lender, borrower]).ravel()
-    seen = np.column_stack([lender_flag, borrower_flag]).ravel()
-    present, first = np.unique(banks, return_index=True)
-    first_seen = np.zeros(n, dtype=bool)
-    first_seen[present] = seen[first]
-    domestic = np.bincount(banks, weights=seen, minlength=n)
-    total = np.bincount(banks, minlength=n)
-    # Row n of the padded tables stands for an index bank without trades.
-    pos = {bank: i for i, bank in enumerate(labels)}
-    at = np.array([pos.get(bank, n) for bank in index.bank_ids], dtype=np.intp)
-    return BankFacts(
-        index.bank_ids,
-        np.vstack([roles, np.zeros((1, 4), roles.dtype)])[at],
-        np.append(first_seen, False)[at],
-        tuple(labels[i] for i in np.flatnonzero((domestic > 0) & (domestic < total))),
-    )
+    roles = (np.bincount(lender * 4 + np.where(by_borrower, 0, 3), minlength=4 * n)
+             + np.bincount(borrower * 4 + np.where(by_borrower, 1, 2), minlength=4 * n))
+    roles = roles.reshape(n, 4)
+    # Each bank's first trade as lender and as borrower (m when it has none).
+    first_lent, first_borrowed = np.full(n, m), np.full(n, m)
+    np.minimum.at(first_lent, lender, np.arange(m))
+    np.minimum.at(first_borrowed, borrower, np.arange(m))
+    borrows_first = first_borrowed < first_lent
+    lends_first = ~borrows_first & (first_lent < m)
+    domestic = np.zeros(n, dtype=bool)
+    domestic[lends_first] = lender_flag[first_lent[lends_first]]
+    domestic[borrows_first] = borrower_flag[first_borrowed[borrows_first]]
+    domestic_sides = (np.bincount(lender[lender_flag], minlength=n)
+                      + np.bincount(borrower[borrower_flag], minlength=n))
+    mixed = (domestic_sides > 0) & (domestic_sides < roles.sum(axis=1))
+    return BankFacts(index.bank_ids, roles, domestic,
+                     tuple(sorted(index.bank_ids[i] for i in np.flatnonzero(mixed))))
 
 
 @dataclass(frozen=True)
@@ -265,6 +263,7 @@ def nationality_test(members, domestic_flags, p: float) -> NationalityBand:
 
 
 def domestic_flags_from_records(ledger: Ledger, index: TensorIndex):
-    """``(flags, conflicts)`` of :func:`bank_facts` over every trade of ``ledger``."""
+    """``(flags, conflicts)`` of :func:`bank_facts`, over the trades of
+    ``ledger`` between two index banks."""
     facts = bank_facts(ledger, index)
     return facts.domestic, list(facts.conflicts)

@@ -244,7 +244,7 @@ def _cmd_ingest(args):
     ledger = _input(args.ledger)
     overnight = filter_overnight(loaded.records)
     tensor, index, excluded = build_tensor(overnight, args.delta)
-    facts = _index_facts(overnight, index)
+    facts = analysis.bank_facts(overnight, index)
     report = {
         "rows_parsed": len(loaded.records),
         "rows_rejected": [{"line": i.line, "message": i.message} for i in loaded.issues],
@@ -338,11 +338,6 @@ def _cmd_corcondia(args):
     return config, {"tensor": _input(args.tensor)}, cfg.seed, writers, "\n".join(lines)
 
 
-def _index_facts(overnight, index) -> analysis.BankFacts:
-    """The per-bank facts over the overnight trades between two index banks."""
-    return analysis.bank_facts(overnight, index, overnight.among(index.bank_ids))
-
-
 def _ledger_facts(ledger, index, index_dir: Path, inputs: dict) -> analysis.BankFacts:
     """The facts ingest wrote beside the index if they describe this ledger
     and these banks, else the facts of the parsed ledger.  Records the files
@@ -355,7 +350,7 @@ def _ledger_facts(ledger, index, index_dir: Path, inputs: dict) -> analysis.Bank
         if recorded_sha256 == ledger_sha256 and facts.bank_ids == index.bank_ids:
             inputs["bank_facts"] = _input(stored)
             return facts
-    return _index_facts(filter_overnight(load_transactions(ledger).records), index)
+    return analysis.bank_facts(filter_overnight(load_transactions(ledger).records), index)
 
 
 def _day_rows(index, *blocks) -> list:

@@ -123,6 +123,8 @@ def rank_scan(
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
+    if not np.isfinite(l_cc):
+        raise ValueError(f"l_cc must be finite, got {l_cc!r}")
     records = []
     for rank in range(1, r_max + 1):
         fits = fit_restarts(x, replace(cfg, rank=rank), jobs)

@@ -120,12 +120,6 @@ class Ledger:
         """The trades at the given positions, or where a boolean mask is true."""
         return Ledger(*(getattr(self, name)[rows] for name in _FIELDS))
 
-    def among(self, banks) -> np.ndarray:
-        """Mask of the trades whose lender and borrower both belong to ``banks``."""
-        labels, lender, borrower = self.bank_codes
-        known = np.fromiter(map(set(banks).__contains__, labels), bool, len(labels))
-        return known[lender] & known[borrower]
-
     @cached_property
     def bank_codes(self):
         """``(labels, lender, borrower)``: the sorted distinct bank ids and,

@@ -66,6 +66,8 @@ class SyntheticConfig:
             raise ValueError("intervals must be >= 1")
         if self.days < 1:
             raise ValueError("days must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         third = self.n_banks // 3
         sizes = ((third, third, self.n_banks - 2 * third) if self.group_sizes is None
                  else tuple(int(s) for s in self.group_sizes))

@@ -212,6 +212,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(rank=1, rel_tol=0.0)
     with pytest.raises(ValueError):
+        FitConfig(rank=1, rel_tol=np.inf)
+    with pytest.raises(ValueError):
+        FitConfig(rank=1, seed=-1)
+    with pytest.raises(ValueError):
         FitConfig(rank=1, init="gaussian")
     with pytest.raises(ValueError):
         fit_once(DenseTensor3(np.zeros((0, 0, 0))), FitConfig(rank=1), seed=0)

@@ -276,17 +276,33 @@ def _random_trades(rng, banks, n):
         out.append(("2008-09-15T09:00", banks[i], banks[j], 1.0,
                     str(rng.choice(["lender", "borrower"])), "ON",
                     bool(rng.random() < 0.8), bool(rng.random() < 0.8)))
-    return ledger_of(out)
+    return out
+
+
+# An index in no sorted order, with a bank that never trades (K6), and K5
+# outside it.  K0 first trades with K5, flagged foreign, then with index
+# banks: first as a domestic borrower, later as a foreign lender.
+_FACTS_INDEX = _toy_index(["K3", "K0", "K6", "K4", "K1", "K2"])
+_FACTS_LEAD = [
+    ("2008-09-15T09:00", "K5", "K0", 1.0, "lender", "ON", True, False),
+    ("2008-09-15T09:00", "K1", "K0", 1.0, "borrower", "ON", True, True),
+    ("2008-09-15T09:00", "K0", "K2", 1.0, "lender", "ON", False, True),
+]
+
+
+def _index_trades(records, index):
+    """The row tuples of the trades whose two sides are index banks."""
+    return [r for r in ledger_rows(records) if {r[1], r[2]} <= set(index.bank_ids)]
 
 
 def test_domestic_flags_match_row_reference():
     rng = np.random.default_rng(23)
-    banks = [f"K{i}" for i in range(7)]
-    index = _toy_index(banks[:5] + ["absent"])
+    index = _FACTS_INDEX
     for n in (0, 1, 3, 40):
-        records = _random_trades(rng, banks, n)
+        records = ledger_of(_FACTS_LEAD + _random_trades(rng, [f"K{i}" for i in range(6)], n))
         seen, conflicts = {}, set()
-        for _, lender, borrower, _, _, _, lender_flag, borrower_flag in ledger_rows(records):
+        for _, lender, borrower, _, _, _, lender_flag, borrower_flag in _index_trades(records,
+                                                                                   index):
             for bank, flag in ((lender, lender_flag), (borrower, borrower_flag)):  # lender first
                 if bank not in seen:
                     seen[bank] = flag
@@ -295,20 +311,23 @@ def test_domestic_flags_match_row_reference():
         flags, got_conflicts = domestic_flags_from_records(records, index)
         assert flags.tolist() == [seen.get(b, False) for b in index.bank_ids]
         assert got_conflicts == sorted(conflicts)
+        # K0's trade with K5 sets no flag; its first index trade, as borrower, does.
+        assert seen["K0"] is True and "K0" in conflicts and "K6" not in seen
 
 
 def test_role_counts_match_classify_role():
     rng = np.random.default_rng(29)
-    banks = [f"K{i}" for i in range(6)]
-    records = _random_trades(rng, banks, 60)
-    index = _toy_index(banks[:5])  # K5 trades but is not in the index
-    counts = np.zeros((5, len(ROLES)))
-    for r in ledger_rows(records):
+    index = _FACTS_INDEX
+    records = ledger_of(_FACTS_LEAD + _random_trades(rng, [f"K{i}" for i in range(6)], 60))
+    counts = np.zeros((len(index.bank_ids), len(ROLES)), dtype=np.int64)
+    for r in _index_trades(records, index):
         for side in r[1:3]:  # the lender and the borrower
-            if side in index.bank_ids:
-                counts[index.bank_ids.index(side), ROLES.index(classify_role(r, side))] += 1
+            counts[index.bank_ids.index(side), ROLES.index(classify_role(r, side))] += 1
+    facts = bank_facts(records, index)
+    assert np.array_equal(facts.role_counts, counts)
+    assert counts[index.bank_ids.index("K6")].tolist() == [0, 0, 0, 0]
     members = np.flatnonzero(counts.sum(axis=1) > 0)
-    stats = attribute_frequencies(bank_facts(records, index), members)
+    stats = attribute_frequencies(facts, members)
     assert stats.bank_indices.tolist() == members.tolist()
     assert np.array_equal(stats.per_bank,
                           counts[members] / counts[members].sum(axis=1, keepdims=True))

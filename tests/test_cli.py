@@ -228,6 +228,37 @@ def test_rejects_nonpositive_jobs_before_creating_out(tmp_path, command, extra):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(("argv", "value"), [
+    (["corcondia", "--rmax", 1, "--lcc", "nan"], "nan"),
+    (["corcondia", "--rmax", 1, "--lcc", "inf"], "inf"),
+    (["corcondia", "--rmax", 1, "--lcc=-inf"], "-inf"),
+    (["corcondia", "--rmax", 1, "--lcc", "1e309"], "inf"),
+    (["corcondia", "--rmax", 1, "--seed", -1], "-1"),
+    (["fit", "--rank", 1, "--rel-tol", "inf"], "inf"),
+    (["fit", "--rank", 1, "--seed", -1], "-1"),
+    (["synth", "--days", 2, "--seed", -1], "-1"),
+], ids=["lcc-nan", "lcc-inf", "lcc-minus-inf", "lcc-overflow", "corcondia-seed", "rel-tol-inf",
+        "fit-seed", "synth-seed"])
+def test_numeric_option_out_of_range_exits_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                         argv, value):
+    from tempofact import cli, corcondia
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused option must stop the command before any fit")
+
+    monkeypatch.setattr(cli, "fit_restarts", never)
+    monkeypatch.setattr(corcondia, "fit_restarts", never)
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    command, *options = argv
+    inputs = [] if command == "synth" else [tensor_path]
+    out = tmp_path / "out"
+    assert _run(command, *inputs, *options, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(f"got {value}"), err
+    assert not out.exists()
+
+
 def test_corcondia_small_scan(tmp_path, capsys):
     tensor_path = tmp_path / "t.bin"
     _write_rank_one_tensor(tensor_path)
@@ -666,6 +697,22 @@ def test_analyze_stored_and_parsed_bank_facts_give_the_same_bytes(tmp_path):
     assert "bank_facts" not in inputs
     assert bundle["nationality"]["flag_conflicts"] == ["AAA", "EEE"]
     assert bundle["nationality"]["p"] == 0.4
+
+
+def test_ingest_of_the_hand_ledger_writes_pinned_bytes(tmp_path):
+    # ingest uses no BLAS, so its bytes do not depend on the platform; a
+    # change to parsing, binning or the facts that moves any of them fails.
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(_HAND_LEDGER)
+    assert _run("ingest", ledger, "--delta", 120, "--out", tmp_path / "ingest") == 0
+    digests = {name: hashlib.sha256((tmp_path / "ingest" / name).read_bytes()).hexdigest()
+               for name in ("tensor.bin", "index.json", "bank_facts.json", "ingest_report.json")}
+    assert digests == {
+        "tensor.bin": "33205a5dc2bfb5d0543ece2ec5502384c3d987eb14fcfc7502e07d862916cf02",
+        "index.json": "0521347d38f478ad0c2f4ac074457ba7f834c1e9eda39f4ec9071d79524f9ec6",
+        "bank_facts.json": "cf0461d153cfdf733e0ce2a3c0bea9eb80a71b2be6cc9bf29c6dbff308fc6ba6",
+        "ingest_report.json": "28967d7b052e54346c99c0466fcc3194d68cff6dbbc5f98cbd1accb9f5818e52",
+    }
 
 
 def test_analyze_ignores_bank_facts_of_other_banks(tmp_path):
