@@ -19,10 +19,12 @@ whole-tensor product pays for two trips through memory, while a slab is
 packed while it is still in cache.
 
 A restart is the generator :func:`_restart`, which holds the factors, beta
-and the trace but never the tensor: it yields C for ``X x_3 C`` and the
-``(A kr B)`` slabs for the C product.  :func:`fit_once` answers it and is
-the only function that reads the tensor.  Each sweep's misfit ``||X -
-Xhat||_F^2`` comes from the same products, with no reconstruction.
+and the trace but never the tensor: it yields C for ``X x_3 C``, the
+``(A kr B)`` slabs for the C product, and a few days' columns for the
+correction below.  :func:`fit_once` answers it and is the only function
+that reads the tensor.  Each sweep's misfit ``||X - Xhat||_F^2`` comes from
+the same products and the tensor's cached ``||X||^2``, with no
+reconstruction.
 
 Each NNLS update is warm-started from the support (``> 0`` pattern) of the
 factor it replaces, which barely changes from one sweep to the next (Kim,
@@ -40,8 +42,18 @@ accepted: its misfit needs ``Ye = X x_3 Ce``, which is exactly the first
 pass of the next sweep, so ``||X||^2 - 2 sum(Ae * (Ye x_2 Be)) + sum(Ae^T Ae
 * Be^T Be * Ce^T Ce)`` is evaluated and ``Ye`` is handed on.  A candidate
 that lowers the misfit below the plain sweep's is kept and beta grows to
-1.5 beta; otherwise F is kept, the next sweep recomputes its first pass
-from F's C (one extra pass), and beta shrinks to beta / 1.5.  Beta starts
+1.5 beta; otherwise F is kept and beta shrinks to beta / 1.5.  A rejected
+candidate's pass still serves: ``X x_3`` is linear, so with ``L = C +
+beta (C - C_prev)``, the candidate before clipping,
+
+    X x_3 C = (X x_3 Ce + X x_3 min(L, 0) + beta X x_3 C_prev) / (1 + beta),
+
+where ``X x_3 C_prev`` is the sweep's own first pass and ``min(L, 0)`` is
+zero outside the few days with a clipped entry, so the correction reads
+only those days' columns.  Every sweep after the first makes two full
+passes.  The derivation runs in this direction only: dividing by 1 + beta
+damps the roundoff carried in ``X x_3 C_prev``, while deriving ``X x_3 Ce``
+from ``X x_3 C`` would multiply it by beta.  Beta starts
 at 0.5 and, as in Bro's PARAFAC line search (1998), has no cap: capped at
 1, it sat there in 59-83% of an over-factored rank's sweeps while 95-97%
 of candidates were accepted.  Uncapped, the sweeps fall by another third.
@@ -153,12 +165,14 @@ def _initial_factors(dims, norm2: float, rank: int, seed: int, init: str):
 
 def _restart(dims, norm2: float, cfg: FitConfig, seed: int):
     """One restart on a tensor of ``dims`` with ``norm2 = ||X||^2``: yields C
-    (D x R) for ``X x_3 C`` (N x T x R), or the N x R x T stack of ``(A kr
-    B)`` slabs, slab i being ``(B * A[i])^T``, for the C update's ``sum_i (A
-    kr B)_i^T X[i]`` (D x R); is sent each product and returns the FitResult.
+    (D x R) for ``X x_3 C`` (N x T x R), the N x R x T stack of ``(A kr B)``
+    slabs, slab i being ``(B * A[i])^T``, for the C update's ``sum_i (A kr
+    B)_i^T X[i]`` (D x R), or, after a rejected candidate, a pair ``(days,
+    M)`` of day indices and a len(days) x R matrix for ``X[:, :, days] @ M``
+    (N x T x R); is sent each product and returns the FitResult.
     """
     A, B, C = _initial_factors(dims, norm2, cfg.rank, seed, cfg.init)
-    y = None  # X x_3 C, when the last candidate left it
+    y = None  # X x_3 C, when the last sweep left it
     beta = 0.5
     trace: list[float] = []
     converged = False
@@ -176,7 +190,7 @@ def _restart(dims, norm2: float, cfg: FitConfig, seed: int):
         except FitError as err:
             raise FitError(f"sweep {sweep_no}: {err}") from err
         obj = _misfit(norm2, float((proj * C).sum()), float(((C.T @ C) * gram).sum()))
-        y = None
+        y_sweep, y = y, None
         if sweep_no > 1:  # the candidate's first pass is the next sweep's
             ae, be, ce = cand = _extrapolate((A, B, C), prev, beta)
             y_cand = yield ce
@@ -185,7 +199,13 @@ def _restart(dims, norm2: float, cfg: FitConfig, seed: int):
             if obj_cand < obj:
                 (A, B, C), y, obj = cand, y_cand, obj_cand
                 beta *= 1.5
-            else:
+            else:  # derive X x_3 C in place, as in the module docstring
+                lift = C + beta * (C - prev[2])
+                days = np.flatnonzero((lift < 0.0).any(axis=1))
+                y_cand += yield days, np.minimum(lift[days], 0.0)
+                y_cand += np.multiply(y_sweep, beta, out=y_sweep)
+                y_cand /= 1.0 + beta
+                y = y_cand
                 beta /= 1.5
         trace.append(obj)
         if len(trace) > 1 and abs(obj - trace[-2]) / max(trace[-2], 1e-300) < cfg.rel_tol:
@@ -208,12 +228,15 @@ def fit_once(x: DenseTensor3, cfg: FitConfig, seed: int) -> FitResult:
     if x.values.size == 0:
         raise ValueError("cannot fit an empty tensor")
     values = x.values
-    restart = _restart(x.dims, float(np.vdot(values, values)), cfg, seed)
+    restart = _restart(x.dims, x.norm2, cfg, seed)
     product = None
     try:
         while True:
             request = restart.send(product)
-            if request.ndim == 2:  # C: X x_3 C, N x T x R
+            if isinstance(request, tuple):  # a few days' columns: X[:, :, days] @ M
+                days, m = request
+                product = np.matmul(values[:, :, days], m)
+            elif request.ndim == 2:  # C: X x_3 C, N x T x R
                 product = np.matmul(values, request)
             else:  # (A kr B) slabs: the C update's MTTKRP, D x R
                 product = np.matmul(request, values).sum(axis=0).T

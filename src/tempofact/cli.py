@@ -301,14 +301,14 @@ def _restart_summary(results) -> list:
 
 def _cmd_fit(args):
     cfg = _fit_config(args, args.rank)
-    tensor = tfio.read_tensor(args.tensor)
+    tensor, digest = tfio.read_tensor(args.tensor)
     results = fit_restarts(tensor, cfg, jobs=args.jobs)
     best = best_restart(results)
     writers = {
         "fit.json": lambda p: tfio.dump_json(p, tfio.fit_result_to_dict(best)),
         "restarts.json": lambda p: tfio.dump_json(p, _restart_summary(results)),
     }
-    return _cfg_dict(cfg, args.jobs), {"tensor": _input(args.tensor)}, cfg.seed, writers, (
+    return _cfg_dict(cfg, args.jobs), {"tensor": (args.tensor, digest)}, cfg.seed, writers, (
         f"rank {cfg.rank}: best rel_error {best.rel_error:.6e} "
         f"(restart seed {best.seed}, {best.sweeps_used} sweeps)")
 
@@ -321,7 +321,7 @@ def _cmd_corcondia(args):
     if args.rmax < 1:
         raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
     cfg = _fit_config(args, rank=1)
-    tensor = tfio.read_tensor(args.tensor)
+    tensor, digest = tfio.read_tensor(args.tensor)
     report = rank_scan(tensor, args.rmax, args.lcc, cfg, jobs=args.jobs)
     writers = {
         "rank_scan.json": lambda p: tfio.dump_json(p, tfio.rank_scan_to_dict(report)),
@@ -335,7 +335,7 @@ def _cmd_corcondia(args):
         mean = "failed" if rec.cc_mean is None else f"{rec.cc_mean:.2f}"
         lines.append(f"R={rec.rank}: mean cc {mean} ({rec.n_failed} failed runs)")
     lines.append(f"selected rank: {report.selected_rank if report.selected_rank else 'none'}")
-    return config, {"tensor": _input(args.tensor)}, cfg.seed, writers, "\n".join(lines)
+    return config, {"tensor": (args.tensor, digest)}, cfg.seed, writers, "\n".join(lines)
 
 
 def _ledger_facts(ledger, index, index_dir: Path, inputs: dict) -> analysis.BankFacts:

@@ -18,10 +18,12 @@ serialized as null.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
@@ -69,33 +71,60 @@ def _read_exact(handle, size: int, path, what: str) -> bytes:
     return data
 
 
-def read_tensor(path) -> DenseTensor3:
-    with open(path, "rb") as handle:
+# Payload bytes per read: big enough that the hasher thread gets long
+# stretches outside the interpreter lock, small enough to hash one chunk
+# while the next is read.
+_CHUNK_BYTES = 1 << 22
+
+
+def read_tensor(path):
+    """``(tensor, sha256)`` of a TENSOR3 file, read once.
+
+    The digest covers the bytes as they were read, so it describes the
+    tensor returned even if the file changes afterwards.  A helper thread
+    hashes each payload chunk while the next one is read and while the
+    entries are checked; it has ended when this returns.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle, ThreadPoolExecutor(max_workers=1) as hasher:
         magic = handle.read(8)
         if magic != TENSOR_MAGIC:
             raise FileFormatError(f"{path}: bad magic {magic!r}")
-        version, tag_len = struct.unpack("<II", _read_exact(handle, 8, path, "header"))
+        head = _read_exact(handle, 8, path, "header")
+        version, tag_len = struct.unpack("<II", head)
         if version != TENSOR_FORMAT_VERSION:
             raise FileFormatError(f"{path}: unsupported format version {version}")
         tag = _read_exact(handle, tag_len, path, "semantics tag")
-        n, t, d = struct.unpack("<QQQ", _read_exact(handle, 24, path, "dimensions"))
+        dims = _read_exact(handle, 24, path, "dimensions")
+        n, t, d = struct.unpack("<QQQ", dims)
         expected = 8 * n * t * d
         size = _bytes_left(handle)
         if size != expected:
             raise FileFormatError(
                 f"{path}: payload holds {size} bytes, dims {n}x{t}x{d} need {expected}"
             )
+        digest.update(magic + head + tag + dims)
         # One buffer, filled in place: no intermediate bytes object.
         values = np.empty(n * t * d, dtype="<f8")
-        if handle.readinto(values) != expected or handle.read(1):
+        payload = memoryview(values).cast("B")
+        hashed = []
+        for start in range(0, expected, _CHUNK_BYTES):
+            chunk = payload[start:start + _CHUNK_BYTES]
+            if handle.readinto(chunk) != len(chunk):
+                raise FileFormatError(f"{path}: file changed size while being read")
+            hashed.append(hasher.submit(digest.update, chunk))
+        if handle.read(1):
             raise FileFormatError(f"{path}: file changed size while being read")
-    try:
-        tensor = DenseTensor3(values.reshape(n, t, d), tag.decode("utf-8"))
-    except ValueError as err:  # a tag that is not UTF-8, or values DenseTensor3 refuses
-        raise FileFormatError(f"{path}: {err}") from None
-    if not 2.0 * float(np.vdot(values, values)) < math.inf:  # the fit's misfit needs 2 ||X||^2
-        raise FileFormatError(f"{path}: twice the sum of squared entries exceeds float64's range")
-    return tensor
+        try:
+            tensor = DenseTensor3(values.reshape(n, t, d), tag.decode("utf-8"))
+        except ValueError as err:  # a tag that is not UTF-8, or values DenseTensor3 refuses
+            raise FileFormatError(f"{path}: {err}") from None
+        if not 2.0 * tensor.norm2 < math.inf:  # the fit's misfit needs 2 ||X||^2
+            raise FileFormatError(
+                f"{path}: twice the sum of squared entries exceeds float64's range")
+        for done in hashed:
+            done.result()
+    return tensor, digest.hexdigest()
 
 
 def _sanitize(obj):

@@ -16,6 +16,7 @@ bank slab at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class DenseTensor3:
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(self.values.shape)  # type: ignore[return-value]
+
+    @cached_property
+    def norm2(self) -> float:
+        """``||X||_F^2``, computed on first use and kept: a pool's forked
+        workers inherit it, so no restart reads the tensor for it."""
+        return float(np.vdot(self.values, self.values))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from tempofact.als import (
     FitConfig,
     FitError,
+    FitResult,
     _restart,
     best_restart,
     fit_best,
@@ -65,7 +66,10 @@ def _oracle_fit(x, cfg, seed):
     try:
         while True:
             request = restart.send(product)
-            if request.ndim == 2:  # C, for X x_3 C
+            if isinstance(request, tuple):  # days and M, for X[:, :, days] @ M
+                days, m = request
+                product = (x3[days].T @ m).reshape(n, t, -1, order="F")
+            elif request.ndim == 2:  # C, for X x_3 C
                 product = (x3.T @ request).reshape(n, t, -1, order="F")
             else:  # slab i is (B * A[i])^T; as rows j N + i it is khatri_rao(B, A)
                 kr = request.transpose(2, 0, 1).reshape(n * t, -1)
@@ -86,6 +90,82 @@ def test_restart_answered_by_the_unfolded_oracle_matches_fit_once(monkeypatch):
         np.testing.assert_allclose(got.objective_trace, want.objective_trace,
                                    rtol=1e-10, atol=0.0)
     assert counts["accepted"] > 0 and counts["rejected"] > 0
+
+
+def _answered_requests(x, cfg, seed):
+    """Drive one restart with direct slab products; yield each request with
+    the generator, which is suspended at that request."""
+    values = x.values
+    restart, product = _restart(x.dims, x.norm2, cfg, seed), None
+    try:
+        while True:
+            request = restart.send(product)
+            yield request, restart
+            if isinstance(request, tuple):
+                product = np.matmul(values[:, :, request[0]], request[1])
+            elif request.ndim == 2:
+                product = np.matmul(values, request)
+            else:
+                product = np.matmul(request, values).sum(axis=0).T
+    except StopIteration:
+        return
+
+
+def _random_fits(seed, trials):
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        dims = tuple(int(v) for v in rng.integers(3, 12, size=3))
+        yield random_tensor(rng, dims), FitConfig(rank=1 + trial % 4, max_sweeps=60), trial
+
+
+def test_derived_first_pass_matches_the_direct_pass():
+    # After a rejected candidate the next sweep's A and B updates use X x_3 C
+    # derived from the candidate's pass, a correction over the clipped days
+    # and the sweep's own pass; when the sweep asks for its C product, y
+    # and C are still those of the sweep's start.
+    checked, corrections, clipped = 0, 0, 0
+    for x, cfg, seed in _random_fits(34, 40):
+        corrected = False
+        for request, restart in _answered_requests(x, cfg, seed):
+            if corrected:
+                state = restart.gi_frame.f_locals
+                want = np.matmul(x.values, state["C"])
+                assert np.abs(state["y"] - want).max() <= 1e-12 * np.abs(want).max()
+                checked += 1
+            corrected = isinstance(request, tuple)
+            if corrected:
+                days, m = request
+                assert m.shape == (len(days), cfg.rank) and (m <= 0.0).all()
+                corrections += 1
+                clipped += len(days) > 0
+    assert checked > 20 and corrections > checked / 2 and clipped > 0, (checked, clipped)
+
+
+def test_restart_never_recomputes_a_first_pass_after_a_rejected_candidate():
+    # Sweep 1 asks for X x_3 C; from sweep 2 on every first pass is a
+    # candidate's, used as is or corrected, so a restart of S >= 2 sweeps
+    # makes 2 S + 1 full passes.
+    rejected = 0
+    for x, cfg, seed in _random_fits(35, 40):
+        kinds = [("days" if isinstance(request, tuple) else request.ndim)
+                 for request, _ in _answered_requests(x, cfg, seed)]
+        rejected += kinds.count("days")
+        assert all(after != 2 for before, after in zip(kinds, kinds[1:]) if before == "days")
+        sweeps = kinds.count(3)
+        assert len(kinds) - kinds.count("days") == (2 * sweeps + 1 if sweeps > 1 else 2)
+    assert rejected > 20
+
+
+def test_restarts_share_one_squared_norm(monkeypatch):
+    # ||X||^2 is a pass over the tensor: the tensor takes it once, not each restart.
+    calls = []
+    real_vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(a.size) or real_vdot(a, b))
+    x = random_tensor(np.random.default_rng(36), (5, 4, 6))
+    cfg = FitConfig(rank=2, max_sweeps=5, restarts=3)
+    for _ in range(2):
+        assert all(isinstance(r, FitResult) for r in fit_restarts(x, cfg))
+    assert calls == [x.values.size]
 
 
 def test_zero_tensor_reaches_zero_objective():

@@ -81,7 +81,7 @@ def test_synth_builds_a_raw_profile_of_zeros(tmp_path):
     out = tmp_path / "out"
     assert _run("synth", "--banks", 9, "--days", 40, "--mus", "100,2,4", "--intervals", 4,
                 "--raw-pdf", "--out", out) == 0
-    values = tfio.read_tensor(out / "tensor.bin").values
+    values = tfio.read_tensor(out / "tensor.bin")[0].values
     assert values[:3].sum() == 0 and values[3:].sum() > 0
 
 
@@ -96,7 +96,7 @@ def test_synth_group_sizes_need_three_values(tmp_path, capsys):
 def test_ingest_sample_ledger(tmp_path):
     code = _run("ingest", SAMPLE_LEDGER, "--delta", 15, "--out", tmp_path)
     assert code == 0
-    tensor = tfio.read_tensor(tmp_path / "tensor.bin")
+    tensor, _ = tfio.read_tensor(tmp_path / "tensor.bin")
     # documented sample totals: 18 overnight rows summing to 217.0 mEUR
     assert tensor.values.sum() == 434.0
     report = json.loads((tmp_path / "ingest_report.json").read_text())
@@ -159,7 +159,7 @@ def test_ingest_rejects_infinite_amount_as_row_issue(tmp_path, amount):
     report = json.loads((tmp_path / "out/ingest_report.json").read_text())
     assert report["rows_parsed"] == 2
     assert report["rows_rejected"] == [{"line": 3, "message": "amount must be finite, got inf"}]
-    assert tfio.read_tensor(tmp_path / "out/tensor.bin").values.sum() == 15.0
+    assert tfio.read_tensor(tmp_path / "out/tensor.bin")[0].values.sum() == 15.0
 
 
 def _write_rank_one_tensor(path):
@@ -271,6 +271,43 @@ def test_corcondia_small_scan(tmp_path, capsys):
     assert scan["ranks"][0]["cc_mean"] == pytest.approx(100.0, abs=1e-6)
     csv_lines = (tmp_path / "scan/rank_scan.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "R,cc_mean,cc_lo,cc_hi"
+
+
+_TENSOR_COMMANDS = [("fit", ["--rank", 1], "fit_restarts"),
+                    ("corcondia", ["--rmax", 1], "rank_scan")]
+
+
+@pytest.mark.parametrize("command,extra,_", _TENSOR_COMMANDS)
+def test_tensor_manifest_records_the_file_sha256(tmp_path, command, extra, _):
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    assert _run(command, tensor_path, *extra, "--restarts", 2, "--out", tmp_path / "o") == 0
+    inputs = json.loads((tmp_path / "o/manifest.json").read_text())["inputs"]
+    assert inputs == {"tensor": {"path": str(tensor_path),
+                                 "sha256": hashlib.sha256(tensor_path.read_bytes()).hexdigest()}}
+
+
+@pytest.mark.parametrize("command,extra,stage", _TENSOR_COMMANDS)
+def test_tensor_replaced_during_the_fit_keeps_the_digest_of_the_bytes_fitted(
+        tmp_path, monkeypatch, command, extra, stage):
+    from tempofact import cli
+
+    tensor_path = tmp_path / "t.bin"
+    _write_rank_one_tensor(tensor_path)
+    fitted = hashlib.sha256(tensor_path.read_bytes()).hexdigest()
+    other = tmp_path / "other.bin"
+    tfio.write_tensor(other, DenseTensor3(np.ones((2, 2, 2))))
+    real = getattr(cli, stage)
+
+    def replacing(*args, **kwargs):
+        os.replace(other, tensor_path)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, stage, replacing)
+    assert _run(command, tensor_path, *extra, "--restarts", 2, "--out", tmp_path / "o") == 0
+    manifest = json.loads((tmp_path / "o/manifest.json").read_text())
+    assert not other.exists()
+    assert manifest["inputs"]["tensor"]["sha256"] == fitted
 
 
 def test_corcondia_rejects_rmax_zero(tmp_path):

@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import hashlib
 import json
 import math
 import struct
+import threading
 from datetime import date
 
 import numpy as np
@@ -24,9 +26,10 @@ def test_tensor_binary_round_trip(tmp_path):
     x = DenseTensor3(rng.random((4, 6, 3)), "count")
     path = tmp_path / "t.bin"
     tfio.write_tensor(path, x)
-    back = tfio.read_tensor(path)
+    back, digest = tfio.read_tensor(path)
     assert np.array_equal(back.values, x.values)
     assert back.semantics == "count"
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_tensor_binary_rejects_corruption(tmp_path):
@@ -71,11 +74,35 @@ def test_tensor_binary_rejects_every_cut_header_and_trailing_bytes(tmp_path):
         tfio.read_tensor(cut)
 
 
+@pytest.mark.parametrize("chunk", [8, 200, 1 << 22])
+def test_read_tensor_hashes_the_bytes_it_reads_and_leaves_no_thread(tmp_path, monkeypatch,
+                                                                     chunk):
+    # Small chunks make the hashing loop run many times, one that does not
+    # divide the payload leaves a short last chunk.  A pool forks after the
+    # read, so the hasher thread must be gone when read_tensor returns or raises.
+    monkeypatch.setattr(tfio, "_CHUNK_BYTES", chunk)
+    x = random_tensor(np.random.default_rng(85), (5, 7, 11))
+    path = tmp_path / "t.bin"
+    tfio.write_tensor(path, x)
+    before = set(threading.enumerate())
+    back, digest = tfio.read_tensor(path)
+    assert set(threading.enumerate()) == before
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert np.array_equal(back.values, x.values)
+    assert back.norm2 == float(np.vdot(x.values, x.values))
+    negative = tmp_path / "n.bin"
+    negative.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", -1.0))
+    with pytest.raises(tfio.FileFormatError, match="nonnegative"):
+        tfio.read_tensor(negative)
+    assert set(threading.enumerate()) == before
+
+
 def test_tensor_binary_round_trip_empty(tmp_path):
     path = tmp_path / "e.bin"
     tfio.write_tensor(path, DenseTensor3(np.zeros((0, 4, 0))))
-    back = tfio.read_tensor(path)
+    back, digest = tfio.read_tensor(path)
     assert back.dims == (0, 4, 0)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_fit_result_round_trip(tmp_path):
@@ -221,7 +248,8 @@ def test_read_tensor_returns_or_raises_file_format_error(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "fuzz-tensor.bin"
     path.write_bytes(raw)
     with contextlib.suppress(tfio.FileFormatError):
-        tfio.read_tensor(path)
+        _, digest = tfio.read_tensor(path)
+        assert digest == hashlib.sha256(raw).hexdigest()
 
 
 @settings(max_examples=300, deadline=None)
