@@ -126,7 +126,9 @@ def _update_factor(
     """
     gram = gram_u * gram_v
     gram = 0.5 * (gram + gram.T)
-    tol = 1e-8 * max(1.0, float(np.abs(proj).max()) if proj.size else 0.0)
+    # In proj's units, whatever the tensor's.  W = 0 solves a zero proj
+    # exactly, so the smallest positive tolerance serves there.
+    tol = 1e-8 * float(np.abs(proj).max()) or np.finfo(float).smallest_subnormal
     sol = solve_nnls(NnlsProblem(gram, proj.T), tol=tol, passive=passive)
     if not sol.converged:
         raise FitError(

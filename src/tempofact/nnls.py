@@ -26,11 +26,14 @@ A variable is infeasible when it is passive with ``X < 0`` (primal) or
 inactive with gradient ``Y < 0`` (dual), each below a small threshold.  The
 two live in different units: Y is in crossterm units and X in W units,
 which are smaller by about ``max|gram|``.  So the dual threshold is
-``eps = 1e-12 * max(1, max|gram|, max|crossterm_j|)`` and the primal one is
-``eps / max(1, max|gram|)``.  A single threshold in crossterm units would
-pass a passive X of, say, -4e-7 as feasible when ``max|gram|`` is 6e5; the
-final ``max(X, 0)`` would then clip it and leave a gradient error of
-``gram[:, k] * 4e-7`` on the other variables, far above the KKT tolerance.
+``eps = 1e-12 * max(max|gram|, max|crossterm_j|)`` and the primal one is
+``eps / max|gram|`` (``eps`` itself when the Gram is zero).  A single
+threshold in crossterm units would pass a passive X of, say, -4e-7 as
+feasible when ``max|gram|`` is 6e5; the final ``max(X, 0)`` would then clip
+it and leave a gradient error of ``gram[:, k] * 4e-7`` on the other
+variables, far above the KKT tolerance.  No threshold has an absolute
+floor: scaling the data by a power of two scales every threshold with it,
+so the pivoting sequence does not depend on the data's units.
 
 The pivoting rule is full block exchange with an anti-cycling safeguard:
 a column that goes three consecutive exchanges without reducing its
@@ -71,8 +74,7 @@ class NnlsProblem:
             raise ValueError(
                 f"crossterm shape {c.shape} inconsistent with gram shape {g.shape}"
             )
-        scale = max(1.0, float(np.abs(g).max())) if g.size else 1.0
-        if g.size and float(np.abs(g - g.T).max()) > 1e-12 * scale:
+        if g.size and float(np.abs(g - g.T).max()) > 1e-12 * float(np.abs(g).max()):
             raise ValueError("gram matrix is not symmetric")
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "crossterm", c)
@@ -133,10 +135,10 @@ def solve_nnls(
     # below signal, and a function of that column's own right-hand side.
     # ``eps`` is in crossterm units and tests the gradient Y; the primal X is
     # in W units, a factor ``max|gram|`` smaller, and is tested against
-    # ``eps_x``.
-    g_scale = max(1.0, float(np.abs(gram).max()))
+    # ``eps_x``.  A zero Gram has no W units: X is then tested against eps.
+    g_scale = float(np.abs(gram).max())
     eps = 1e-12 * np.maximum(g_scale, np.abs(ct).max(axis=0))
-    eps_x = eps / g_scale
+    eps_x = eps / g_scale if g_scale > 0.0 else eps
 
     F = np.zeros((r, m), dtype=bool) if passive is None else passive.T.copy()
     X, Y = _solve_passive(gram, ct, F)

@@ -13,6 +13,7 @@ from tempofact.als import (
     fit_once,
     fit_restarts,
 )
+from tempofact.synthetic import SyntheticConfig, generate
 from tempofact.tensor import (
     DenseTensor3,
     KruskalTensor,
@@ -166,6 +167,22 @@ def test_restarts_share_one_squared_norm(monkeypatch):
     for _ in range(2):
         assert all(isinstance(r, FitResult) for r in fit_restarts(x, cfg))
     assert calls == [x.values.size]
+
+
+@pytest.mark.parametrize("k", [-60, -30, 30])
+def test_fit_does_not_depend_on_the_tensor_units(k):
+    # Scaling by 2^k is exact, so only the cube root in the scaled start
+    # differs: every threshold must scale with the data, none may have a floor.
+    x, _ = generate(SyntheticConfig(n_banks=60, intervals=10, days=300, seed=7))
+    cfg = FitConfig(rank=3)
+    base = fit_once(x, cfg, seed=3)
+    scaled = fit_once(DenseTensor3(x.values * 2.0**k), cfg, seed=3)
+    assert scaled.sweeps_used == base.sweeps_used
+    for mat in ("A", "B", "C"):
+        np.testing.assert_allclose(getattr(scaled.factors, mat), getattr(base.factors, mat),
+                                   rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(scaled.factors.weights, base.factors.weights * 2.0**k,
+                               rtol=1e-12)
 
 
 def test_zero_tensor_reaches_zero_objective():
