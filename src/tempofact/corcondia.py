@@ -49,7 +49,9 @@ def tucker_core(x: DenseTensor3, k: KruskalTensor) -> np.ndarray:
 
     Computed as the tensor contracted with the Moore-Penrose pseudoinverse
     of each (weight-folded) factor, which solves the core least squares
-    problem without materializing any Kronecker product.  Raises
+    problem without materializing any Kronecker product.  The day mode is
+    contracted first, one product per bank slab, so the tensor is read
+    once; the bank and interval contractions then act on N x T x R.  Raises
     :class:`DegenerateFactorError` when a factor's condition number exceeds
     1e12 (a zeroed component at an over-specified rank does this); a factor
     with more columns than rows has condition number inf.
@@ -67,9 +69,11 @@ def tucker_core(x: DenseTensor3, k: KruskalTensor) -> np.ndarray:
         # s[0] / 1e12.  Same order of operations as np.linalg.pinv.
         pinvs.append(vt.T @ ((1.0 / s)[:, None] * u.T))
     ap, bp, cp = pinvs
-    g = np.einsum("ni,ijk->njk", ap, x.values, optimize=True)
-    g = np.einsum("mj,njk->nmk", bp, g, optimize=True)
-    return np.einsum("pk,nmk->nmp", cp, g, optimize=True)
+    n, t, _ = x.dims
+    r = k.rank
+    y = np.matmul(x.values, cp.T)  # the one pass over the tensor, N x T x R
+    g = (ap @ y.reshape(n, t * r)).reshape(r, t, r)
+    return np.matmul(bp, g)
 
 
 def core_consistency(core: np.ndarray) -> float:

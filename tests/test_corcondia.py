@@ -89,13 +89,19 @@ def test_core_matches_dense_least_squares_oracle():
     assert np.abs(g1.ravel(order="F") - g1_vec).max() < 1e-8
 
 
-def _pinv_core(x, k):
-    """The core from ``np.linalg.pinv`` of each factor: the reference formula."""
+def _pinv_core(x, k, bank_mode_first=False):
+    """The core from ``np.linalg.pinv`` of each factor: the reference formula,
+    contracted day mode first as ``tucker_core`` does, or bank mode first."""
     kn = k.normalize()
     ap, bp, cp = (np.linalg.pinv(m, rcond=1e-12) for m in (kn.A, kn.B, kn.weighted_C))
-    g = np.einsum("ni,ijk->njk", ap, x.values, optimize=True)
-    g = np.einsum("mj,njk->nmk", bp, g, optimize=True)
-    return np.einsum("pk,nmk->nmp", cp, g, optimize=True)
+    if bank_mode_first:
+        g = np.einsum("ni,ijk->njk", ap, x.values, optimize=True)
+        g = np.einsum("mj,njk->nmk", bp, g, optimize=True)
+        return np.einsum("pk,nmk->nmp", cp, g, optimize=True)
+    n, t, _ = x.dims
+    r = k.rank
+    g = (ap @ np.matmul(x.values, cp.T).reshape(n, t * r)).reshape(r, t, r)
+    return np.matmul(bp, g)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -104,7 +110,10 @@ def test_core_equals_pinv_formula(rank):
     for dims in ((6, 5, 7), (4, 9, 5), (40, 12, 300)):
         x = random_tensor(rng, dims)
         k = random_kruskal(rng, dims, rank)
-        assert np.array_equal(tucker_core(x, k), _pinv_core(x, k))
+        core = tucker_core(x, k)
+        assert np.array_equal(core, _pinv_core(x, k))
+        other_order = _pinv_core(x, k, bank_mode_first=True)
+        assert np.abs(core - other_order).max() <= 1e-12 * np.abs(other_order).max()
 
 
 def test_degenerate_factor_raises_with_name():
