@@ -20,7 +20,7 @@ packed while it is still in cache.
 
 A restart is the generator :func:`_restart`, which holds the factors, beta
 and the trace but never the tensor: it yields C for ``X x_3 C``, the
-``(A kr B)`` slabs for the C product, and a few days' columns for the
+``(A kr B)`` slabs for the C product, and some days' columns for the
 correction below.  :func:`fit_once` answers it and is the only function
 that reads the tensor.  Each sweep's misfit ``||X - Xhat||_F^2`` comes from
 the same products and the tensor's cached ``||X||^2``, with no
@@ -49,14 +49,15 @@ beta (C - C_prev)``, the candidate before clipping,
     X x_3 C = (X x_3 Ce + X x_3 min(L, 0) + beta X x_3 C_prev) / (1 + beta),
 
 where ``X x_3 C_prev`` is the sweep's own first pass and ``min(L, 0)`` is
-zero outside the few days with a clipped entry, so the correction reads
-only those days' columns.  Every sweep after the first makes two full
-passes.  The derivation runs in this direction only: dividing by 1 + beta
-damps the roundoff carried in ``X x_3 C_prev``, while deriving ``X x_3 Ce``
-from ``X x_3 C`` would multiply it by beta.  Beta starts
-at 0.5 and, as in Bro's PARAFAC line search (1998), has no cap: capped at
-1, it sat there in 59-83% of an over-factored rank's sweeps while 95-97%
-of candidates were accepted.  Uncapped, the sweeps fall by another third.
+zero outside the days with a clipped entry, so the correction reads only
+those days' columns.  From the third sweep on, every sweep makes two full
+passes: its C product and its candidate's.  The derivation runs in this
+direction only: dividing by 1 + beta damps the roundoff carried in ``X x_3
+C_prev``, while deriving ``X x_3 Ce`` from ``X x_3 C`` would multiply it
+by beta.  Beta starts at 0.5 and, as in Bro's PARAFAC line search (1998),
+has no cap: capped at 1, it sat there in 59-83% of an over-factored rank's
+sweeps while 95-97% of candidates were accepted.  Uncapped, the sweeps
+fall by another third.
 The trace is non-increasing: a plain sweep never raises the misfit and a
 candidate is kept only when it lowers it.
 """
@@ -235,7 +236,7 @@ def fit_once(x: DenseTensor3, cfg: FitConfig, seed: int) -> FitResult:
     try:
         while True:
             request = restart.send(product)
-            if isinstance(request, tuple):  # a few days' columns: X[:, :, days] @ M
+            if isinstance(request, tuple):  # some days' columns: X[:, :, days] @ M
                 days, m = request
                 product = np.matmul(values[:, :, days], m)
             elif request.ndim == 2:  # C: X x_3 C, N x T x R
