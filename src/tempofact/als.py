@@ -19,11 +19,14 @@ whole-tensor product pays for two trips through memory, while a slab is
 packed while it is still in cache.
 
 A restart is the generator :func:`_restart`, which holds the factors, beta
-and the trace but never the tensor: it yields C for ``X x_3 C``, the
-``(A kr B)`` slabs for the C product, and some days' columns for the
-correction below.  :func:`fit_once` answers it and is the only function
-that reads the tensor.  Each sweep's misfit ``||X - Xhat||_F^2`` comes from
-the same products and the tensor's cached ``||X||^2``, with no
+and the trace but never the tensor.  Each request it yields names its
+product: ``(op, *operands)``, where ``op`` is one of the
+:class:`~tempofact.tensor.DenseTensor3` methods ``mode3`` (``X x_3 C``),
+``slab_sum`` (with the ``(A kr B)`` slabs, for the C product) or
+``mode3_days`` (some days' columns, for the correction below).
+:func:`fit_once` answers it with ``op(x, *operands)``; no code in this
+module reads the tensor's values.  Each sweep's misfit ``||X - Xhat||_F^2``
+comes from the same products and the tensor's cached ``||X||^2``, with no
 reconstruction.
 
 Each NNLS update is warm-started from the support (``> 0`` pattern) of the
@@ -167,12 +170,13 @@ def _initial_factors(dims, norm2: float, rank: int, seed: int, init: str):
 
 
 def _restart(dims, norm2: float, cfg: FitConfig, seed: int):
-    """One restart on a tensor of ``dims`` with ``norm2 = ||X||^2``: yields C
-    (D x R) for ``X x_3 C`` (N x T x R), the N x R x T stack of ``(A kr B)``
-    slabs, slab i being ``(B * A[i])^T``, for the C update's ``sum_i (A kr
-    B)_i^T X[i]`` (D x R), or, after a rejected candidate, a pair ``(days,
-    M)`` of day indices and a len(days) x R matrix for ``X[:, :, days] @ M``
-    (N x T x R); is sent each product and returns the FitResult.
+    """One restart on a tensor of ``dims`` with ``norm2 = ||X||^2``.
+
+    Yields ``(mode3, C)`` for ``X x_3 C`` (N x T x R), ``(slab_sum, S)`` with
+    the N x R x T stack of ``(A kr B)`` slabs, slab i being ``(B * A[i])^T``,
+    for the C update's ``sum_i (A kr B)_i^T X[i]`` (R x D), or, after a
+    rejected candidate, ``(mode3_days, days, M)`` with day indices and a
+    len(days) x R matrix; is sent each product and returns the FitResult.
     """
     A, B, C = _initial_factors(dims, norm2, cfg.rank, seed, cfg.init)
     y = None  # X x_3 C, when the last sweep left it
@@ -181,14 +185,15 @@ def _restart(dims, norm2: float, cfg: FitConfig, seed: int):
     converged = False
     for sweep_no in range(1, cfg.max_sweeps + 1):
         if y is None:
-            y = yield C
+            y = yield DenseTensor3.mode3, C
         prev = A, B, C
         try:
             gram_c = C.T @ C
             A, _ = _update_factor(np.einsum("ijr,jr->ir", y, B), gram_c, B.T @ B, A > 0)
             gram_a = A.T @ A
             B, _ = _update_factor(np.einsum("ijr,ir->jr", y, A), gram_c, gram_a, B > 0)
-            proj = yield khatri_rao(A, B).reshape(len(A), len(B), -1).transpose(0, 2, 1)
+            slabs = khatri_rao(A, B).reshape(len(A), len(B), -1).transpose(0, 2, 1)
+            proj = (yield DenseTensor3.slab_sum, slabs).T
             C, gram = _update_factor(proj, B.T @ B, gram_a, C > 0)
         except FitError as err:
             raise FitError(f"sweep {sweep_no}: {err}") from err
@@ -196,7 +201,7 @@ def _restart(dims, norm2: float, cfg: FitConfig, seed: int):
         y_sweep, y = y, None
         if sweep_no > 1:  # the candidate's first pass is the next sweep's
             ae, be, ce = cand = _extrapolate((A, B, C), prev, beta)
-            y_cand = yield ce
+            y_cand = yield DenseTensor3.mode3, ce
             obj_cand = _misfit(norm2, float((ae * np.einsum("ijr,jr->ir", y_cand, be)).sum()),
                                float(((ae.T @ ae) * (be.T @ be) * (ce.T @ ce)).sum()))
             if obj_cand < obj:
@@ -205,7 +210,7 @@ def _restart(dims, norm2: float, cfg: FitConfig, seed: int):
             else:  # derive X x_3 C in place, as in the module docstring
                 lift = C + beta * (C - prev[2])
                 days = np.flatnonzero((lift < 0.0).any(axis=1))
-                y_cand += yield days, np.minimum(lift[days], 0.0)
+                y_cand += yield DenseTensor3.mode3_days, days, np.minimum(lift[days], 0.0)
                 y_cand += np.multiply(y_sweep, beta, out=y_sweep)
                 y_cand /= 1.0 + beta
                 y = y_cand
@@ -226,23 +231,17 @@ def fit_once(x: DenseTensor3, cfg: FitConfig, seed: int) -> FitResult:
     ``cfg.rel_tol`` or ``cfg.max_sweeps`` is reached; each sweep after the
     first is followed by the extrapolation step of the module docstring.
     Deterministic for a fixed (tensor, config, seed).  Drives :func:`_restart`
-    and answers each of its requests with one ``np.matmul`` per bank slab.
+    and answers each of its requests ``(op, *operands)`` with ``op(x,
+    *operands)``.
     """
-    if x.values.size == 0:
+    if 0 in x.dims:
         raise ValueError("cannot fit an empty tensor")
-    values = x.values
     restart = _restart(x.dims, x.norm2, cfg, seed)
     product = None
     try:
         while True:
-            request = restart.send(product)
-            if isinstance(request, tuple):  # some days' columns: X[:, :, days] @ M
-                days, m = request
-                product = np.matmul(values[:, :, days], m)
-            elif request.ndim == 2:  # C: X x_3 C, N x T x R
-                product = np.matmul(values, request)
-            else:  # (A kr B) slabs: the C update's MTTKRP, D x R
-                product = np.matmul(request, values).sum(axis=0).T
+            op, *operands = restart.send(product)
+            product = op(x, *operands)
     except StopIteration as done:
         return done.value
 

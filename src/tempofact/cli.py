@@ -235,13 +235,13 @@ def _cmd_synth(args):
     return truth_doc["config"], {}, cfg.seed, writers, (
         f"synthetic market written to {Path(args.out)} "
         f"(dims {tensor.dims[0]}x{tensor.dims[1]}x{tensor.dims[2]}, "
-        f"total mass {tensor.values.sum():.0f})")
+        f"total mass {tensor.mass:.0f})")
 
 
 def _cmd_ingest(args):
     check_delta(args.delta)
     loaded = load_transactions(args.ledger)
-    ledger = _input(args.ledger)
+    ledger = args.ledger, loaded.sha256
     overnight = filter_overnight(loaded.records)
     tensor, index, excluded = build_tensor(overnight, args.delta)
     facts = analysis.bank_facts(overnight, index)
@@ -255,7 +255,7 @@ def _cmd_ingest(args):
         "banks": len(index.bank_ids),
         "days": len(index.day_dates),
         "delta_minutes": args.delta,
-        "total_mass": float(tensor.values.sum()),
+        "total_mass": tensor.mass,
     }
     writers = {
         "tensor.bin": lambda p: tfio.write_tensor(p, tensor),
@@ -341,16 +341,18 @@ def _cmd_corcondia(args):
 def _ledger_facts(ledger, index, index_dir: Path, inputs: dict) -> analysis.BankFacts:
     """The facts ingest wrote beside the index if they describe this ledger
     and these banks, else the facts of the parsed ledger.  Records the files
-    used in ``inputs``."""
+    used in ``inputs``, the ledger with the digest of the bytes parsed when
+    it is parsed."""
     inputs["ledger"] = _input(ledger)
-    ledger_sha256 = inputs["ledger"][1]
     stored = index_dir / "bank_facts.json"
     if stored.exists():
         facts, recorded_sha256 = tfio.read_bank_facts(stored)
-        if recorded_sha256 == ledger_sha256 and facts.bank_ids == index.bank_ids:
+        if recorded_sha256 == inputs["ledger"][1] and facts.bank_ids == index.bank_ids:
             inputs["bank_facts"] = _input(stored)
             return facts
-    return analysis.bank_facts(filter_overnight(load_transactions(ledger).records), index)
+    loaded = load_transactions(ledger)
+    inputs["ledger"] = ledger, loaded.sha256
+    return analysis.bank_facts(filter_overnight(loaded.records), index)
 
 
 def _day_rows(index, *blocks) -> list:

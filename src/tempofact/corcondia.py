@@ -71,7 +71,7 @@ def tucker_core(x: DenseTensor3, k: KruskalTensor) -> np.ndarray:
     ap, bp, cp = pinvs
     n, t, _ = x.dims
     r = k.rank
-    y = np.matmul(x.values, cp.T)  # the one pass over the tensor, N x T x R
+    y = x.mode3(cp.T)  # the one pass over the tensor, N x T x R
     g = (ap @ y.reshape(n, t * r)).reshape(r, t, r)
     return np.matmul(bp, g)
 

@@ -32,6 +32,8 @@ trade volume.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime
 from functools import cached_property
@@ -179,8 +181,27 @@ class RowIssue:
 
 @dataclass
 class LoadResult:
+    """A parsed ledger: its valid trades, its rejected rows and, when it was
+    read from a path, the SHA-256 of the bytes parsed."""
+
     records: Ledger
     issues: list = field(default_factory=list)
+    sha256: str | None = None
+
+
+class _HashingReader(io.RawIOBase):
+    """Reads a binary file and hashes every byte read through it."""
+
+    def __init__(self, raw):
+        self._raw, self.sha256 = raw, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -212,14 +233,19 @@ def _parse_bool(text: str) -> bool:
 def load_transactions(source) -> LoadResult:
     """Parse a ledger CSV; malformed rows become issues, never silent drops.
 
-    ``source`` is a path or an open text stream.  A missing or wrong header,
-    text that is not UTF-8 and a field over the ``csv`` field size limit
-    raise :class:`LedgerFormatError`; unreadable paths raise OSError.
+    ``source`` is a path or an open text stream.  A path's bytes are hashed
+    as they are decoded, so the result's ``sha256`` describes the bytes
+    parsed.  A missing or wrong header, text that is not UTF-8 and a field
+    over the ``csv`` field size limit raise :class:`LedgerFormatError`;
+    unreadable paths raise OSError.
     """
     if hasattr(source, "read"):
         return _parse_stream(source)
-    with open(source, newline="", encoding="utf-8") as handle:
-        return _parse_stream(handle)
+    with open(source, "rb") as raw:
+        hashing = _HashingReader(raw)
+        result = _parse_stream(io.TextIOWrapper(hashing, encoding="utf-8", newline=""))
+    result.sha256 = hashing.sha256.hexdigest()
+    return result
 
 
 def _parse_stream(handle) -> LoadResult:

@@ -56,7 +56,7 @@ def write_tensor(path, x: DenseTensor3) -> None:
         handle.write(struct.pack("<II", TENSOR_FORMAT_VERSION, len(tag)))
         handle.write(tag)
         handle.write(struct.pack("<QQQ", n, t, d))
-        handle.write(np.ascontiguousarray(x.values, dtype="<f8").tobytes())
+        handle.write(np.ascontiguousarray(x.values, dtype="<f8"))  # its buffer, not a copy
 
 
 def _bytes_left(handle) -> int:

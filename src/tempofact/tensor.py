@@ -9,8 +9,14 @@ A (banks), B (intervals), C (days) satisfies
 
 where ``kr`` is the columnwise Kronecker (Khatri-Rao) product.  These
 identities are exact and are enforced by the test suite.  No code here
-unfolds a tensor: the ALS sweep forms each product ``X_(n) (.. kr ..)`` one
-bank slab at a time.
+unfolds a tensor.
+
+:class:`DenseTensor3` is the one place outside ``io`` that reads a tensor's
+values.  It offers the products the fit and the core consistency need, each
+one ``np.matmul`` per bank slab ``X[i]`` (T x D): :meth:`DenseTensor3.mode3`
+(``X x_3 M``), :meth:`DenseTensor3.mode3_days` (the same over some days)
+and :meth:`DenseTensor3.slab_sum` (``sum_i S_i X[i]``), with ``||X||^2``
+and the total mass.
 """
 
 from __future__ import annotations
@@ -67,6 +73,24 @@ class DenseTensor3:
         """``||X||_F^2``, computed on first use and kept: a pool's forked
         workers inherit it, so no restart reads the tensor for it."""
         return float(np.vdot(self.values, self.values))
+
+    @property
+    def mass(self) -> float:
+        """Sum of all entries."""
+        return float(self.values.sum())
+
+    def mode3(self, m: np.ndarray) -> np.ndarray:
+        """``X x_3 M`` for a D x k matrix ``m``: the N x T x k array whose
+        entry (i, j, r) is ``sum_d X[i, j, d] M[d, r]``."""
+        return np.matmul(self.values, m)
+
+    def mode3_days(self, days: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """:meth:`mode3` over the day columns ``days`` only; ``m`` is len(days) x k."""
+        return np.matmul(self.values[:, :, days], m)
+
+    def slab_sum(self, s: np.ndarray) -> np.ndarray:
+        """``sum_i S_i X[i]`` (k x D) for an N x k x T stack ``s``."""
+        return np.matmul(s, self.values).sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -66,15 +66,16 @@ def _oracle_fit(x, cfg, seed):
     restart, product = _restart(x.dims, float(np.sum(x.values**2)), cfg, seed), None
     try:
         while True:
-            request = restart.send(product)
-            if isinstance(request, tuple):  # days and M, for X[:, :, days] @ M
-                days, m = request
+            op, *operands = restart.send(product)
+            if op is DenseTensor3.mode3_days:  # days and M, for X[:, :, days] @ M
+                days, m = operands
                 product = (x3[days].T @ m).reshape(n, t, -1, order="F")
-            elif request.ndim == 2:  # C, for X x_3 C
-                product = (x3.T @ request).reshape(n, t, -1, order="F")
+            elif op is DenseTensor3.mode3:  # C, for X x_3 C
+                product = (x3.T @ operands[0]).reshape(n, t, -1, order="F")
             else:  # slab i is (B * A[i])^T; as rows j N + i it is khatri_rao(B, A)
-                kr = request.transpose(2, 0, 1).reshape(n * t, -1)
-                product = x3 @ kr
+                assert op is DenseTensor3.slab_sum
+                kr = operands[0].transpose(2, 0, 1).reshape(n * t, -1)
+                product = kr.T @ x3.T
     except StopIteration as done:
         return done.value
 
@@ -94,20 +95,16 @@ def test_restart_answered_by_the_unfolded_oracle_matches_fit_once(monkeypatch):
 
 
 def _answered_requests(x, cfg, seed):
-    """Drive one restart with direct slab products; yield each request with
-    the generator, which is suspended at that request."""
-    values = x.values
+    """Drive one restart with the tensor's own products; yield each request
+    ``(op, *operands)`` with the generator, which is suspended at that
+    request."""
     restart, product = _restart(x.dims, x.norm2, cfg, seed), None
     try:
         while True:
             request = restart.send(product)
             yield request, restart
-            if isinstance(request, tuple):
-                product = np.matmul(values[:, :, request[0]], request[1])
-            elif request.ndim == 2:
-                product = np.matmul(values, request)
-            else:
-                product = np.matmul(request, values).sum(axis=0).T
+            op, *operands = request
+            product = op(x, *operands)
     except StopIteration:
         return
 
@@ -133,9 +130,9 @@ def test_derived_first_pass_matches_the_direct_pass():
                 want = np.matmul(x.values, state["C"])
                 assert np.abs(state["y"] - want).max() <= 1e-12 * np.abs(want).max()
                 checked += 1
-            corrected = isinstance(request, tuple)
+            corrected = request[0] is DenseTensor3.mode3_days
             if corrected:
-                days, m = request
+                _, days, m = request
                 assert m.shape == (len(days), cfg.rank) and (m <= 0.0).all()
                 corrections += 1
                 clipped += len(days) > 0
@@ -146,14 +143,16 @@ def test_restart_never_recomputes_a_first_pass_after_a_rejected_candidate():
     # Sweep 1 asks for X x_3 C; from sweep 2 on every first pass is a
     # candidate's, used as is or corrected, so a restart of S >= 2 sweeps
     # makes 2 S + 1 full passes.
+    full, days, slabs = DenseTensor3.mode3, DenseTensor3.mode3_days, DenseTensor3.slab_sum
     rejected = 0
     for x, cfg, seed in _random_fits(35, 40):
-        kinds = [("days" if isinstance(request, tuple) else request.ndim)
-                 for request, _ in _answered_requests(x, cfg, seed)]
-        rejected += kinds.count("days")
-        assert all(after != 2 for before, after in zip(kinds, kinds[1:]) if before == "days")
-        sweeps = kinds.count(3)
-        assert len(kinds) - kinds.count("days") == (2 * sweeps + 1 if sweeps > 1 else 2)
+        kinds = [request[0] for request, _ in _answered_requests(x, cfg, seed)]
+        assert set(kinds) <= {full, days, slabs}
+        rejected += kinds.count(days)
+        assert all(after is not full for before, after in zip(kinds, kinds[1:])
+                   if before is days)
+        sweeps = kinds.count(slabs)
+        assert len(kinds) - kinds.count(days) == (2 * sweeps + 1 if sweeps > 1 else 2)
     assert rejected > 20
 
 

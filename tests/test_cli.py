@@ -752,6 +752,45 @@ def test_ingest_of_the_hand_ledger_writes_pinned_bytes(tmp_path):
     }
 
 
+@pytest.mark.parametrize("command,when,other", [
+    ("ingest", "after", _HAND_LEDGER.splitlines(keepends=True)[0]),  # the header alone
+    # analyze refuses a ledger in which no member bank trades.
+    ("analyze", "before", _HAND_LEDGER.replace("lender,ON,1,0\n", "lender,ON,0,0\n", 1)),
+], ids=["ingest", "analyze"])
+def test_ledger_replaced_around_the_parse_keeps_the_digest_of_the_bytes_parsed(
+        tmp_path, monkeypatch, command, when, other):
+    # ingest hashed the ledger in a read after the parse, and analyze in one
+    # before it: a file moved over the ledger between the two reads made the
+    # manifest describe bytes that were not parsed.
+    from tempofact import cli
+
+    ledger = _hand_pipeline(tmp_path)
+    (tmp_path / "ingest/bank_facts.json").unlink()  # so that analyze parses the ledger
+    replacement = tmp_path / "other.csv"
+    replacement.write_text(other)
+    parsed = hashlib.sha256((replacement if when == "before" else ledger).read_bytes())
+    real = cli.load_transactions
+
+    def replacing(source):
+        if when == "before":
+            os.replace(replacement, ledger)
+        loaded = real(source)
+        if when == "after":
+            os.replace(replacement, ledger)
+        return loaded
+
+    monkeypatch.setattr(cli, "load_transactions", replacing)
+    if command == "ingest":
+        argv = ["ingest", ledger, "--delta", 120, "--out", tmp_path / "o"]
+    else:
+        argv = ["analyze", tmp_path / "fit/fit.json", "--index", tmp_path / "ingest/index.json",
+                "--ledger", ledger, "--percentile", 50, "--out", tmp_path / "o"]
+    assert _run(*argv) == 0
+    manifest = json.loads((tmp_path / "o/manifest.json").read_text())
+    assert not replacement.exists()
+    assert manifest["inputs"]["ledger"]["sha256"] == parsed.hexdigest()
+
+
 def test_analyze_ignores_bank_facts_of_other_banks(tmp_path):
     ledger = _hand_pipeline(tmp_path)
     stored_facts = tmp_path / "ingest/bank_facts.json"

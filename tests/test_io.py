@@ -105,6 +105,21 @@ def test_tensor_binary_round_trip_empty(tmp_path):
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_write_tensor_makes_no_copy_of_the_values(tmp_path):
+    import tracemalloc
+
+    x = DenseTensor3(np.random.default_rng(82).random((20, 50, 1000)))
+    path = tmp_path / "t.bin"
+    tracemalloc.start()
+    try:
+        tfio.write_tensor(path, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.values.nbytes / 16, (peak, x.values.nbytes)
+    assert path.read_bytes().endswith(x.values.astype("<f8").tobytes())
+
+
 def test_fit_result_round_trip(tmp_path):
     rng = np.random.default_rng(84)
     x = reconstruct(random_kruskal(rng, (5, 4, 6), 2))

@@ -113,26 +113,39 @@ def test_object_fill_is_found():
 
 
 def _tensor_reads(tree: ast.Module) -> list:
-    """Lines outside ``fit_once`` that name ``matmul`` or the tensor's array
-    (``.values``, or a name or parameter ``values``): in ``als`` only the
-    driver makes tensor passes, and a restart gets each product from it."""
-    driver = {id(node) for top in tree.body
-              if isinstance(top, ast.FunctionDef) and top.name == "fit_once"
-              for node in ast.walk(top)}
+    """Lines that read an attribute ``values``, as in ``x.values``: only
+    ``tensor`` and ``io`` read a tensor's array.  A call ``d.values()``, as
+    on a dict, is not a read."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and node.attr == "values" and id(node) not in called)
+
+
+def _named(tree: ast.Module, *words) -> list:
+    """Lines that name one of ``words`` (an attribute, a name, a parameter or
+    an import): ``als`` names neither ``matmul`` nor ``values``, since every
+    tensor pass is a request that ``DenseTensor3`` answers."""
     names = {ast.Attribute: "attr", ast.Name: "id", ast.arg: "arg", ast.alias: "name"}
-    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in driver
-                  and getattr(node, names.get(type(node), ""), None) in ("matmul", "values"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if getattr(node, names.get(type(node), ""), None) in words)
 
 
 def test_only_fit_once_reads_the_tensor_in_als():
-    tree = ast.parse((SRC / "als.py").read_text(encoding="utf-8"))
-    assert _tensor_reads(tree) == []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name not in ("tensor.py", "io.py"):
+            assert _tensor_reads(tree) == [], path.name
+        if path.name == "als.py":
+            assert _named(tree, "matmul", "values") == []
 
 
 def test_tensor_read_outside_fit_once_is_found():
-    tree = ast.parse("def fit_once(x):\n    values = x.values\n    return np.matmul(values, c)\n"
-                     "def _restart(dims, values):\n    y = yield c\n    z = np.matmul(y, c)\n"
-                     "    w = np.einsum('ijk,kr->ijr', values, c)\n"
-                     "def helper(x, c):\n    return x.values @ c\n"
-                     "from numpy import matmul\n")
-    assert _tensor_reads(tree) == [4, 6, 7, 9, 10]
+    tree = ast.parse("def fit_once(x):\n    return np.matmul(x.values, c)\n"
+                     "total = tensor.values.sum()\n"
+                     "names = list(d.values())\n"
+                     "for v in bank.values(): pass\n"
+                     "values = other.values\n"
+                     "from numpy import matmul\n"
+                     "def _restart(dims, values):\n    y = yield c\n")
+    assert _tensor_reads(tree) == [2, 3, 6]
+    assert _named(tree, "matmul", "values") == [2, 2, 3, 4, 5, 6, 6, 7, 8]

@@ -46,6 +46,32 @@ def test_factor_form_identity(mode):
     assert gap / np.linalg.norm(x.values) < 1e-12
 
 
+@pytest.mark.parametrize("shape,k,days", [
+    # One restart's R = 3, then two stacked (k = 2R), as lockstep restarts send.
+    ((7, 5, 9), 3, "some"), ((7, 5, 9), 6, "some"), ((7, 5, 9), 6, "none"),
+    ((1, 5, 9), 2, "all"), ((7, 1, 9), 2, "some"), ((7, 5, 1), 2, "none"), ((4, 3, 6), 8, "all"),
+])
+def test_seam_products_match_matricize_oracle(shape, k, days):
+    # mode3, mode3_days and slab_sum against the mode-3 unfolding, which is
+    # D x NT with column i + N j.
+    rng = np.random.default_rng(41 + k)
+    n, t, d = shape
+    x = DenseTensor3(rng.random(shape))
+    x3 = matricize(x, 3)
+    m = rng.random((d, k))
+    s = rng.random((n, k, t))
+    picked = {"some": np.flatnonzero(rng.random(d) < 0.5), "none": np.arange(0),
+              "all": np.arange(d)}[days]
+    m_days = rng.random((len(picked), k))
+    for got, want in (
+        (x.mode3(m), (x3.T @ m).reshape(n, t, k, order="F")),
+        (x.mode3_days(picked, m_days), (x3[picked].T @ m_days).reshape(n, t, k, order="F")),
+        (x.slab_sum(s), (x3 @ s.transpose(2, 0, 1).reshape(n * t, k)).T),
+    ):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_khatri_rao_identity_case():
     out = khatri_rao(np.eye(2), np.eye(2))
     assert out.shape == (4, 2)
