@@ -68,11 +68,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _input(path) -> tuple:
-    """``(path, sha256)`` of an input file, hashed once per command."""
-    return path, _sha256(Path(path))
-
-
 def _publish(out: Path, command: str, config: dict, inputs: dict, seed,
              started: float, writers: dict) -> None:
     """Write each output of ``writers`` (name -> function of a path), then the
@@ -341,14 +336,15 @@ def _cmd_corcondia(args):
 def _ledger_facts(ledger, index, index_dir: Path, inputs: dict) -> analysis.BankFacts:
     """The facts ingest wrote beside the index if they describe this ledger
     and these banks, else the facts of the parsed ledger.  Records the files
-    used in ``inputs``, the ledger with the digest of the bytes parsed when
-    it is parsed."""
-    inputs["ledger"] = _input(ledger)
+    used in ``inputs``: the ledger is hashed without being parsed only to
+    check stored facts, and when they apply that digest is recorded."""
     stored = index_dir / "bank_facts.json"
     if stored.exists():
-        facts, recorded_sha256 = tfio.read_bank_facts(stored)
-        if recorded_sha256 == inputs["ledger"][1] and facts.bank_ids == index.bank_ids:
-            inputs["bank_facts"] = _input(stored)
+        ledger_sha256 = _sha256(Path(ledger))
+        facts, recorded_sha256, facts_sha256 = tfio.read_bank_facts(stored)
+        if recorded_sha256 == ledger_sha256 and facts.bank_ids == index.bank_ids:
+            inputs["ledger"] = ledger, ledger_sha256
+            inputs["bank_facts"] = stored, facts_sha256
             return facts
     loaded = load_transactions(ledger)
     inputs["ledger"] = ledger, loaded.sha256
@@ -362,15 +358,16 @@ def _day_rows(index, *blocks) -> list:
 
 
 def _cmd_analyze(args):
-    fit = tfio.fit_result_from_dict(tfio.load_json(args.fit))
-    index = tfio.read_index(args.index)
+    fit_doc, fit_sha256 = tfio.load_json(args.fit)
+    fit = tfio.fit_result_from_dict(fit_doc)
+    index, index_sha256 = tfio.read_index(args.index)
     n, t, d = fit.factors.dims
     if (len(index.bank_ids), index.intervals, len(index.day_dates)) != (n, t, d):
         raise UsageError(
             f"index describes {len(index.bank_ids)} banks x {index.intervals} intervals "
             f"x {len(index.day_dates)} days but the fit has {n}x{t}x{d}"
         )
-    inputs = {"fit": _input(args.fit), "index": _input(args.index)}
+    inputs = {"fit": (args.fit, fit_sha256), "index": (args.index, index_sha256)}
     facts = None
     if args.ledger is not None:
         facts = _ledger_facts(args.ledger, index, Path(args.index).parent, inputs)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
 from itertools import chain, islice
@@ -181,12 +181,12 @@ class RowIssue:
 
 @dataclass
 class LoadResult:
-    """A parsed ledger: its valid trades, its rejected rows and, when it was
-    read from a path, the SHA-256 of the bytes parsed."""
+    """A parsed ledger: its valid trades, its rejected rows and the SHA-256
+    of the bytes parsed."""
 
     records: Ledger
-    issues: list = field(default_factory=list)
-    sha256: str | None = None
+    issues: list
+    sha256: str
 
 
 class _HashingReader(io.RawIOBase):
@@ -230,26 +230,25 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def load_transactions(source) -> LoadResult:
-    """Parse a ledger CSV; malformed rows become issues, never silent drops.
+def load_transactions(path) -> LoadResult:
+    """Parse the ledger CSV at ``path``; malformed rows become issues, never
+    silent drops.
 
-    ``source`` is a path or an open text stream.  A path's bytes are hashed
-    as they are decoded, so the result's ``sha256`` describes the bytes
-    parsed.  A missing or wrong header, text that is not UTF-8 and a field
-    over the ``csv`` field size limit raise :class:`LedgerFormatError`;
-    unreadable paths raise OSError.
+    The file is read once, and its bytes are hashed as they are decoded, so
+    the result's ``sha256`` describes the bytes parsed.  A missing or wrong
+    header, text that is not UTF-8 and a field over the ``csv`` field size
+    limit raise :class:`LedgerFormatError`; an unreadable path raises OSError.
     """
-    if hasattr(source, "read"):
-        return _parse_stream(source)
-    with open(source, "rb") as raw:
+    with open(path, "rb") as raw:
         hashing = _HashingReader(raw)
-        result = _parse_stream(io.TextIOWrapper(hashing, encoding="utf-8", newline=""))
-    result.sha256 = hashing.sha256.hexdigest()
-    return result
+        records, issues = _parse_stream(io.TextIOWrapper(hashing, encoding="utf-8", newline=""))
+    return LoadResult(records, issues, hashing.sha256.hexdigest())
 
 
-def _parse_stream(handle) -> LoadResult:
-    """Read the header with ``csv.reader``, then the rows in chunks of lines.
+def _parse_stream(handle):
+    """``(ledger, issues)`` of a text stream that does not translate line
+    breaks: the header read with ``csv.reader``, then the rows in chunks of
+    lines.
 
     Chunks of unquoted lines are split at their commas; from the first chunk
     that :func:`_unquoted_records` refuses on, ``csv.reader`` reads that chunk
@@ -286,22 +285,19 @@ def _parse_stream(handle) -> LoadResult:
         raise LedgerFormatError(f"not UTF-8 text: {err.reason}") from None
     except csv.Error as err:
         raise LedgerFormatError(f"line {before + reader.line_num}: {err}") from None
-    return LoadResult(_concat(parts), issues)
+    return _concat(parts), issues
 
 
 def _unquoted_records(chunk: list):
     """The lines of ``chunk`` without their line breaks, or None when only
     ``csv.reader`` reads them right.
 
-    That is when the chunk holds a quote character, a line break inside a
-    line (from a stream not opened with ``newline=""``) or a line longer
-    than the ``csv`` field size limit, which may hold a field over it.
-    Any other line is one row, its fields split at its commas.
+    That is when the chunk holds a quote character or a line longer than
+    the ``csv`` field size limit, which may hold a field over it.  Any other
+    line is one row, its fields split at its commas.
     """
     records = [line.rstrip("\r\n") for line in chunk]
-    text = "".join(records)
-    if ('"' in text or "\r" in text or "\n" in text
-            or max(map(len, records)) > csv.field_size_limit()):
+    if '"' in "".join(records) or max(map(len, records)) > csv.field_size_limit():
         return None
     return records
 

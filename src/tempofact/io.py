@@ -150,9 +150,11 @@ def dump_json(path, obj) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def load_json(path) -> dict:
+def load_json(path):
+    """``(document, sha256)`` of a UTF-8 JSON file, decoded from one read."""
+    raw = Path(path).read_bytes()
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise FileFormatError(f"{path}: not a JSON document ({err})") from None
 
@@ -334,9 +336,10 @@ def index_to_dict(index: TensorIndex) -> dict:
     }
 
 
-def read_index(path) -> TensorIndex:
-    """The ``index.json`` at ``path``; its window must be the one binning uses."""
-    data = load_json(path)
+def read_index(path):
+    """``(index, sha256)`` of the ``index.json`` at ``path``; its window must be
+    the one binning uses."""
+    data, sha256 = load_json(path)
     with _decoding(f"tensor index {path}"):
         window = _field(data, "window", [str])
         index = TensorIndex(
@@ -347,7 +350,7 @@ def read_index(path) -> TensorIndex:
         expected = index_to_dict(index)["window"]
         if window != expected:
             raise ValueError(f"window must be {expected}, got {window}")
-        return index
+    return index, sha256
 
 
 def write_bank_facts(path, facts: BankFacts, ledger_sha256: str) -> None:
@@ -363,8 +366,9 @@ def write_bank_facts(path, facts: BankFacts, ledger_sha256: str) -> None:
 
 
 def read_bank_facts(path):
-    """``(facts, ledger_sha256)`` from a ``bank_facts.json`` that ingest wrote."""
-    data = load_json(path)
+    """``(facts, ledger_sha256, sha256)`` from a ``bank_facts.json`` that ingest
+    wrote, ``sha256`` being the digest of the file's bytes."""
+    data, sha256 = load_json(path)
     with _decoding(f"bank facts {path}"):
         _document(data, "bank_facts", BANK_FACTS_SCHEMA_VERSION)
         ledger_sha256 = _field(data, "ledger_sha256", str)
@@ -379,4 +383,4 @@ def read_bank_facts(path):
             np.array(_field(data, "domestic", [bool]), dtype=bool),
             tuple(_field(data, "flag_conflicts", [str])),
         )
-    return facts, ledger_sha256
+    return facts, ledger_sha256, sha256

@@ -115,7 +115,7 @@ def test_criterion_1_synthetic_rank_selection(scan_jobs1):
 
 
 def test_criterion_2_synthetic_pattern_recovery(market_dir, fit_jobs1):
-    fit = tfio.fit_result_from_dict(tfio.load_json(fit_jobs1 / "fit.json"))
+    fit = tfio.fit_result_from_dict(tfio.load_json(fit_jobs1 / "fit.json")[0])
     truth = json.loads((market_dir / "ground_truth.json").read_text())
     profiles = np.asarray(truth["fitness_profiles"])     # (3, T)
     schedules = np.asarray(truth["participation"])       # (3, D)

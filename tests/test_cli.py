@@ -47,7 +47,7 @@ def test_synth_writes_manifest_and_index(tmp_path):
     assert manifest["config"]["seed"] == 1
     for name in manifest["outputs"]:
         assert (tmp_path / name).exists()
-    index = tfio.read_index(tmp_path / "index.json")
+    index, _ = tfio.read_index(tmp_path / "index.json")
     assert len(index.bank_ids) == 9
     assert index.delta == 60
 
@@ -104,7 +104,7 @@ def test_ingest_sample_ledger(tmp_path):
     assert report["overnight_kept"] == 18
     assert report["banks"] == 6
     assert report["days"] == 3
-    index = tfio.read_index(tmp_path / "index.json")
+    index, _ = tfio.read_index(tmp_path / "index.json")
     assert index.bank_ids == ("DE001", "FR001", "IT001", "IT002", "IT003", "UK001")
 
 
@@ -125,7 +125,7 @@ def test_ingest_empty_ledger_warns_but_succeeds(tmp_path, capsys):
     code = _run("ingest", ledger, "--out", tmp_path / "out")
     assert code == 0
     assert "empty" in capsys.readouterr().err.lower()
-    facts, ledger_sha256 = tfio.read_bank_facts(tmp_path / "out/bank_facts.json")
+    facts, ledger_sha256, _ = tfio.read_bank_facts(tmp_path / "out/bank_facts.json")
     assert ledger_sha256 == hashlib.sha256(ledger.read_bytes()).hexdigest()
     assert facts.bank_ids == () and facts.conflicts == ()
     assert facts.role_counts.shape == (0, 4) and facts.domestic.shape == (0,)
@@ -174,7 +174,7 @@ def test_fit_exact_rank_one(tmp_path, capsys):
     code = _run("fit", tensor_path, "--rank", 1, "--restarts", 3, "--seed", 2,
                 "--out", tmp_path / "fit")
     assert code == 0
-    fit = tfio.fit_result_from_dict(tfio.load_json(tmp_path / "fit/fit.json"))
+    fit = tfio.fit_result_from_dict(tfio.load_json(tmp_path / "fit/fit.json")[0])
     assert fit.rel_error < 1e-8
     restarts = json.loads((tmp_path / "fit/restarts.json").read_text())
     assert len(restarts) == 3
@@ -711,7 +711,7 @@ def _analyze_ledger(tmp_path, ledger, name):
 def test_analyze_stored_and_parsed_bank_facts_give_the_same_bytes(tmp_path):
     ledger = _hand_pipeline(tmp_path)
     stored_facts = tmp_path / "ingest/bank_facts.json"
-    facts, _ = tfio.read_bank_facts(stored_facts)
+    facts, _, _ = tfio.read_bank_facts(stored_facts)
     # Out-of-window trades between index banks count; ZZZ's trade and the
     # 1W, TN and rejected rows do not.
     assert facts.role_counts.tolist() == [[0, 0, 2, 1], [1, 0, 2, 1], [1, 1, 0, 1],
@@ -789,6 +789,81 @@ def test_ledger_replaced_around_the_parse_keeps_the_digest_of_the_bytes_parsed(
     manifest = json.loads((tmp_path / "o/manifest.json").read_text())
     assert not replacement.exists()
     assert manifest["inputs"]["ledger"]["sha256"] == parsed.hexdigest()
+
+
+@pytest.mark.parametrize("reader,name,key", [
+    ("load_json", "fit/fit.json", "fit"),
+    ("read_index", "ingest/index.json", "index"),
+    ("read_bank_facts", "ingest/bank_facts.json", "bank_facts"),
+])
+def test_analyze_input_replaced_after_its_read_keeps_the_digest_of_the_bytes_parsed(
+        tmp_path, monkeypatch, reader, name, key):
+    # analyze hashed fit.json, index.json and bank_facts.json in reads of
+    # their own after parsing them: a file moved over an input between the
+    # two reads made the manifest describe bytes that were not parsed.
+    ledger = _hand_pipeline(tmp_path)
+    target = tmp_path / name
+    parsed = hashlib.sha256(target.read_bytes()).hexdigest()
+    replacement = tmp_path / "other.json"
+    replacement.write_bytes(target.read_bytes() + b"\n")
+    real = getattr(tfio, reader)
+
+    def replacing(path):
+        result = real(path)
+        if Path(path) == target:
+            os.replace(replacement, target)
+        return result
+
+    monkeypatch.setattr(tfio, reader, replacing)
+    _, _, inputs = _analyze_ledger(tmp_path, ledger, "rep")
+    assert not replacement.exists()
+    assert inputs[key]["sha256"] == parsed
+
+
+def _opens(paths, *argv) -> dict:
+    """Run a command and return how many times it opened each of ``paths``."""
+    counts, real = {}, open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            counts[os.fspath(file)] = counts.get(os.fspath(file), 0) + 1
+        return real(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", counted), mock.patch("io.open", counted):
+        assert _run(*argv) == 0
+    return {Path(p).name: counts.get(str(p), 0) for p in paths}
+
+
+def test_each_input_is_opened_once(tmp_path):
+    # analyze opened fit.json, index.json and bank_facts.json once to parse
+    # them and once to hash them, and a ledger it parsed once more to hash it.
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(_HAND_LEDGER)
+    ing, fit = tmp_path / "ingest", tmp_path / "fit"
+    assert _opens([ledger], "ingest", ledger, "--delta", 120, "--out", ing) == {"ledger.csv": 1}
+    tensor = ing / "tensor.bin"
+    assert _opens([tensor], "fit", tensor, "--rank", 1, "--restarts", 2,
+                  "--out", fit) == {"tensor.bin": 1}
+    assert _opens([tensor], "corcondia", tensor, "--rmax", 1, "--restarts", 2,
+                  "--out", tmp_path / "scan") == {"tensor.bin": 1}
+
+    def analyze(index, ledger, fit_json=fit / "fit.json", **expected):
+        inputs = [fit_json, index, index.parent / "bank_facts.json", ledger]
+        opens = _opens(inputs, "analyze", fit_json, "--index", index, "--ledger", ledger,
+                       "--percentile", 50, "--out", tmp_path / "rep")
+        assert opens == {"fit.json": 1, "index.json": 1, "bank_facts.json": 1,
+                         "ledger.csv": 1, **expected}
+
+    analyze(ing / "index.json", ledger)
+    ledger.write_text(_HAND_LEDGER.replace("lender,ON,1,0\n", "lender,ON,0,0\n", 1))
+    analyze(ing / "index.json", ledger, **{"ledger.csv": 2})  # stale facts: hashed, then parsed
+    synth = tmp_path / "synth"
+    assert _run("synth", "--banks", 12, "--intervals", 5, "--days", 30, "--seed", 3,
+                "--ledger", "--out", synth) == 0
+    assert _run("fit", synth / "tensor.bin", "--rank", 2, "--restarts", 2,
+                "--out", tmp_path / "synth-fit") == 0
+    analyze(synth / "index.json", synth / "ledger.csv", tmp_path / "synth-fit/fit.json",
+            **{"bank_facts.json": 0})
 
 
 def test_analyze_ignores_bank_facts_of_other_banks(tmp_path):

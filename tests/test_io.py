@@ -126,7 +126,9 @@ def test_fit_result_round_trip(tmp_path):
     fit = fit_once(x, FitConfig(rank=2, restarts=1, max_sweeps=50), seed=3)
     path = tmp_path / "fit.json"
     tfio.dump_json(path, tfio.fit_result_to_dict(fit))
-    back = tfio.fit_result_from_dict(tfio.load_json(path))
+    doc, sha256 = tfio.load_json(path)
+    assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    back = tfio.fit_result_from_dict(doc)
     assert back.rel_error == fit.rel_error
     assert back.objective_trace == fit.objective_trace
     assert back.sweeps_used == fit.sweeps_used
@@ -302,7 +304,8 @@ def test_read_index_returns_or_raises_file_format_error(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "fuzz-index.json"
     path.write_bytes(raw)
     with contextlib.suppress(tfio.FileFormatError):
-        index = tfio.read_index(path)
+        index, sha256 = tfio.read_index(path)
+        assert sha256 == hashlib.sha256(raw).hexdigest()
         doc = json.loads(raw)
         assert doc["bank_ids"] == list(index.bank_ids)
         assert all(type(b) is str for b in index.bank_ids)
@@ -349,7 +352,8 @@ def test_read_bank_facts_returns_or_raises_file_format_error(tmp_path_factory, r
     path = tmp_path_factory.getbasetemp() / "fuzz-bank-facts.json"
     path.write_bytes(raw)
     with contextlib.suppress(tfio.FileFormatError):
-        facts, ledger_sha256 = tfio.read_bank_facts(path)
+        facts, ledger_sha256, sha256 = tfio.read_bank_facts(path)
+        assert sha256 == hashlib.sha256(raw).hexdigest()
         doc = json.loads(raw)
         assert ledger_sha256 == doc["ledger_sha256"] and type(ledger_sha256) is str
         assert facts.bank_ids == tuple(doc["bank_ids"])
@@ -366,7 +370,7 @@ def test_valid_fuzz_seeds_are_accepted(tmp_path):
     assert tfio.fit_result_from_dict(copy.deepcopy(_VALID_FIT)).seed == 4
     path = tmp_path / "index.json"
     path.write_text(json.dumps(_VALID_INDEX))
-    assert tfio.read_index(path).delta == 30
+    assert tfio.read_index(path)[0].delta == 30
     path.write_bytes(_facts_doc())
-    facts, ledger_sha256 = tfio.read_bank_facts(path)
+    facts, ledger_sha256, _ = tfio.read_bank_facts(path)
     assert facts.bank_ids == ("DE001", "IT001") and ledger_sha256 == "ab" * 32

@@ -149,3 +149,39 @@ def test_tensor_read_outside_fit_once_is_found():
                      "def _restart(dims, values):\n    y = yield c\n")
     assert _tensor_reads(tree) == [2, 3, 6]
     assert _named(tree, "matmul", "values") == [2, 2, 3, 4, 5, 6, 6, 7, 8]
+
+
+def _file_reads(tree: ast.Module) -> list:
+    """``(line, function)`` of each call named ``open``, ``read_bytes`` or
+    ``read_text``, with the innermost function around it ("" at module level):
+    only ``io``, ``ingest`` and ``cli._sha256`` read files, so that an input's
+    digest comes from the read that parses it."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("open", "read_bytes", "read_text"):
+                    found.append((child.lineno, function))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_io_ingest_and_cli_sha256_read_files():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in ("io.py", "ingest.py"):
+            functions = {f for _, f in _file_reads(ast.parse(path.read_text(encoding="utf-8")))}
+            assert functions == ({"_sha256"} if path.name == "cli.py" else set()), path.name
+
+
+def test_file_read_is_found():
+    tree = ast.parse("def _sha256(p):\n    with open(p, 'rb') as h:\n        return h.read()\n"
+                     "doc = Path(p).read_text()\n"
+                     "class A:\n    def load(self):\n        return self.path.read_bytes()\n"
+                     "def outer():\n    def inner():\n        return io.open(p)\n    return inner\n"
+                     "names = list(d.values())\nopened = handle.opened\n")
+    assert _file_reads(tree) == [(2, "_sha256"), (4, ""), (7, "load"), (10, "inner")]
