@@ -29,6 +29,7 @@ from tempofact import __version__, analysis, io as tfio
 from tempofact.als import FitConfig, FitError, FitResult, best_restart, fit_restarts
 from tempofact.corcondia import rank_scan
 from tempofact.ingest import (
+    WINDOW_MINUTES,
     LedgerFormatError,
     build_tensor,
     check_delta,
@@ -51,13 +52,9 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _sha256(path: Path) -> str:
@@ -106,7 +103,7 @@ def _publish(out: Path, command: str, config: dict, inputs: dict, seed,
 def _float_tuple(text: str, n: int, what: str, convert=float):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != n:
-        raise UsageError(f"{what} needs {n} comma-separated values, got {text!r}")
+        raise ValueError(f"{what} needs {n} comma-separated values, got {text!r}")
     return tuple(convert(p) for p in parts)
 
 
@@ -168,32 +165,22 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    handler = {
-        "synth": _cmd_synth,
-        "ingest": _cmd_ingest,
-        "fit": _cmd_fit,
-        "corcondia": _cmd_corcondia,
-        "analyze": _cmd_analyze,
-    }[args.command]
-    try:
+        handler = {
+            "synth": _cmd_synth,
+            "ingest": _cmd_ingest,
+            "fit": _cmd_fit,
+            "corcondia": _cmd_corcondia,
+            "analyze": _cmd_analyze,
+        }[args.command]
         started = _time.perf_counter()
         config, inputs, seed, writers, message = handler(args)
         _publish(Path(args.out), args.command, config, inputs, seed, started, writers)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (tfio.FileFormatError, LedgerFormatError) as err:
+    except (tfio.FileFormatError, LedgerFormatError, OSError) as err:  # two ValueErrors
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
     except FitError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -214,17 +201,20 @@ def _cmd_synth(args):
         rescale=not args.raw_pdf,
         seed=args.seed,
     )
+    index = market_index(cfg)
     writers = {}
     if args.ledger:
+        if index is None:  # refused before the market is simulated
+            raise ValueError(f"cannot place {cfg.intervals} intervals on a "
+                             f"{WINDOW_MINUTES}-minute trading window")
         tensor, truth, log = generate_with_log(cfg)
-        ledger = log_to_records(log, cfg)
+        ledger = log_to_records(log, index)
         writers["ledger.csv"] = lambda p: save_transactions(p, ledger)
     else:
         tensor, truth = generate(cfg)
     truth_doc = tfio.ground_truth_to_dict(truth, cfg)
     writers["tensor.bin"] = lambda p: tfio.write_tensor(p, tensor)
     writers["ground_truth.json"] = lambda p: tfio.dump_json(p, truth_doc)
-    index = market_index(cfg)
     if index is not None:
         writers["index.json"] = lambda p: tfio.dump_json(p, tfio.index_to_dict(index))
     return truth_doc["config"], {}, cfg.seed, writers, (
@@ -267,7 +257,7 @@ def _cmd_ingest(args):
 
 def _fit_config(args, rank: int) -> FitConfig:
     if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     return FitConfig(
         rank=rank,
         max_sweeps=args.max_sweeps,
@@ -314,7 +304,7 @@ def _cfg_dict(cfg: FitConfig, jobs: int) -> dict:
 
 def _cmd_corcondia(args):
     if args.rmax < 1:
-        raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
+        raise ValueError(f"--rmax must be >= 1, got {args.rmax}")
     cfg = _fit_config(args, rank=1)
     tensor, digest = tfio.read_tensor(args.tensor)
     report = rank_scan(tensor, args.rmax, args.lcc, cfg, jobs=args.jobs)
@@ -328,7 +318,7 @@ def _cmd_corcondia(args):
     lines = []
     for rec in report.records:
         mean = "failed" if rec.cc_mean is None else f"{rec.cc_mean:.2f}"
-        lines.append(f"R={rec.rank}: mean cc {mean} ({rec.n_failed} failed runs)")
+        lines.append(f"R={rec.rank}: mean cc {mean} ({len(rec.failures)} failed runs)")
     lines.append(f"selected rank: {report.selected_rank if report.selected_rank else 'none'}")
     return config, {"tensor": (args.tensor, digest)}, cfg.seed, writers, "\n".join(lines)
 
@@ -363,7 +353,7 @@ def _cmd_analyze(args):
     index, index_sha256 = tfio.read_index(args.index)
     n, t, d = fit.factors.dims
     if (len(index.bank_ids), index.intervals, len(index.day_dates)) != (n, t, d):
-        raise UsageError(
+        raise ValueError(
             f"index describes {len(index.bank_ids)} banks x {index.intervals} intervals "
             f"x {len(index.day_dates)} days but the fit has {n}x{t}x{d}"
         )
@@ -400,32 +390,32 @@ def _cmd_analyze(args):
     bundle = {
         "format": "analysis",
         "version": 1,
-        "component_order": [int(v) for v in order],
-        "morning_window_intervals": [int(j) for j in window],
+        "component_order": order,
+        "morning_window_intervals": window,
         "percentile": args.percentile,
         "smooth_window": args.smooth_window,
         "affiliation": {c: [index.bank_ids[i] for i in m] for c, m in zip(names, members)},
-        "jaccard": [[float(v) for v in row] for row in jac],
+        "jaccard": jac,
         "roles": None,
         "nationality": None,
     }
 
     if facts is not None:
-        p_domestic = float(facts.domestic.mean())
+        p_domestic = float(facts.domestic.mean())  # nationality_test works in Python floats
         roles, nationality = {}, {}
         for c, m in zip(names, members):
             stats = analysis.attribute_frequencies(facts, m)
             roles[c] = {
-                "mean": [float(v) for v in stats.mean],
-                "ci95": [[float(a), float(b)] for a, b in stats.ci95],
-                "n_banks": int(stats.bank_indices.size),
+                "mean": stats.mean,
+                "ci95": stats.ci95,
+                "n_banks": stats.bank_indices.size,
                 "excluded": [index.bank_ids[i] for i in stats.excluded],
             }
             band = analysis.nationality_test(m, facts.domestic, p_domestic)
             nationality[c] = {
                 "n_members": band.n_members,
                 "observed_share": band.observed_share,
-                "band": list(band.band),
+                "band": band.band,
                 "outside": band.outside,
             }
         reports += [
@@ -434,11 +424,11 @@ def _cmd_analyze(args):
               for role, mean, ci in zip(analysis.ROLES, s["mean"], s["ci95"])]),
             ("nationality.csv", ["component", "n_members", "observed_share", "band_lo",
                                  "band_hi", "outside", "p"],
-             [[c, s["n_members"], s["observed_share"], *s["band"], str(s["outside"]).lower(),
+             [[c, s["n_members"], s["observed_share"], *s["band"], s["outside"],
                p_domestic] for c, s in nationality.items()]),
         ]
         bundle["roles"] = roles
-        bundle["nationality"] = {"p": p_domestic, "flag_conflicts": list(facts.conflicts),
+        bundle["nationality"] = {"p": p_domestic, "flag_conflicts": facts.conflicts,
                                  "components": nationality}
 
     writers = {name: lambda p, h=header, r=rows: tfio.write_csv(p, h, r)

@@ -89,7 +89,8 @@ def core_consistency(core: np.ndarray) -> float:
 class RankScanRecord:
     """Per-rank scan outcome; ``None`` entries mark failed restarts.
 
-    ``failures`` holds a ``(restart index, reason)`` pair per failed restart.
+    ``failures`` holds a ``(restart index, reason)`` pair per failed restart,
+    so ``len(failures)`` is the number of failed restarts.
     """
 
     rank: int
@@ -97,7 +98,6 @@ class RankScanRecord:
     rel_errors: tuple
     cc_mean: float | None
     cc_ci95: tuple | None
-    n_failed: int
     failures: tuple = ()
 
 
@@ -152,10 +152,7 @@ def rank_scan(
         if ok:
             mean, half = (float(v) for v in mean_ci95(ok))
             ci = (mean - half, mean + half)
-        records.append(
-            RankScanRecord(rank, tuple(ccs), tuple(rels), mean, ci, len(failures),
-                           tuple(failures))
-        )
+        records.append(RankScanRecord(rank, tuple(ccs), tuple(rels), mean, ci, tuple(failures)))
     passing = [rec.rank for rec in records if rec.cc_mean is not None and rec.cc_mean > l_cc]
     selected = max(passing) if passing else None
     return RankScanReport(tuple(records), selected, float(l_cc), cfg.restarts, cfg.seed)

@@ -128,7 +128,8 @@ def read_tensor(path):
 
 
 def _sanitize(obj):
-    """Make a structure JSON-safe: numpy scalars to Python, NaN to None."""
+    """Make a structure JSON-safe: arrays and tuples to lists, numpy scalars
+    to Python, NaN to None.  The one conversion every JSON writer relies on."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -146,6 +147,8 @@ def _sanitize(obj):
 
 
 def dump_json(path, obj) -> None:
+    """Write ``obj`` as canonical JSON.  Writers pass numpy arrays, numpy
+    scalars and tuples as they are: :func:`_sanitize` converts them."""
     text = json.dumps(_sanitize(obj), indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
@@ -204,27 +207,19 @@ def _decoding(what: str):
         raise FileFormatError(f"malformed {what} ({type(err).__name__}: {err})") from None
 
 
-def _matrix_rows(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in m]
-
-
 def fit_result_to_dict(fit: FitResult) -> dict:
     k = fit.factors
     return {
         "format": "fit_result",
         "version": FIT_SCHEMA_VERSION,
-        "dims": list(k.dims),
+        "dims": k.dims,
         "rank": k.rank,
-        "factors": {
-            "bank": _matrix_rows(k.A),
-            "intraday": _matrix_rows(k.B),
-            "interday": _matrix_rows(k.C),
-        },
-        "weights": [float(w) for w in k.weights],
+        "factors": {"bank": k.A, "intraday": k.B, "interday": k.C},
+        "weights": k.weights,
         "rel_error": fit.rel_error,
         "sweeps_used": fit.sweeps_used,
         "converged": fit.converged,
-        "objective_trace": list(fit.objective_trace),
+        "objective_trace": fit.objective_trace,
         "seed": fit.seed,
     }
 
@@ -284,11 +279,11 @@ def rank_scan_to_dict(report: RankScanReport) -> dict:
 def _rank_record_to_dict(rec: RankScanRecord) -> dict:
     out = {
         "rank": rec.rank,
-        "cc_values": list(rec.cc_values),
-        "rel_errors": list(rec.rel_errors),
+        "cc_values": rec.cc_values,
+        "rel_errors": rec.rel_errors,
         "cc_mean": rec.cc_mean,
-        "cc_ci95": list(rec.cc_ci95) if rec.cc_ci95 is not None else None,
-        "n_failed": rec.n_failed,
+        "cc_ci95": rec.cc_ci95,
+        "n_failed": len(rec.failures),
     }
     if rec.failures:
         out["failures"] = [{"restart": k, "reason": reason} for k, reason in rec.failures]
@@ -296,6 +291,10 @@ def _rank_record_to_dict(rec: RankScanRecord) -> dict:
 
 
 def _csv_cell(value) -> str:
+    """A CSV cell: booleans as ``true``/``false``, strings and integers as
+    they print, None and NaN empty, any other number as its float ``repr``."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, (str, int)):
         return str(value)
     if value is None or (isinstance(value, float) and math.isnan(value)):
@@ -304,7 +303,7 @@ def _csv_cell(value) -> str:
 
 
 def write_csv(path, header: list, rows) -> None:
-    """Write a plot-ready CSV: floats as ``repr``, None and NaN as empty cells."""
+    """Write a plot-ready CSV, each cell by :func:`_csv_cell`."""
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(c) for c in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -320,16 +319,16 @@ def ground_truth_to_dict(truth: GroundTruth, cfg: SyntheticConfig) -> dict:
     return {
         "format": "ground_truth",
         "version": 1,
-        "groups": [int(g) for g in truth.groups],
-        "fitness_profiles": _matrix_rows(truth.fitness_profiles),
-        "participation": _matrix_rows(truth.participation),
+        "groups": truth.groups,
+        "fitness_profiles": truth.fitness_profiles,
+        "participation": truth.participation,
         "config": dataclasses.asdict(cfg),
     }
 
 
 def index_to_dict(index: TensorIndex) -> dict:
     return {
-        "bank_ids": list(index.bank_ids),
+        "bank_ids": index.bank_ids,
         "day_dates": [d.isoformat() for d in index.day_dates],
         "delta_minutes": index.delta,
         "window": [index.interval_label(0), index.interval_label(index.intervals)],
@@ -358,10 +357,10 @@ def write_bank_facts(path, facts: BankFacts, ledger_sha256: str) -> None:
         "format": "bank_facts",
         "version": BANK_FACTS_SCHEMA_VERSION,
         "ledger_sha256": ledger_sha256,
-        "bank_ids": list(facts.bank_ids),
+        "bank_ids": facts.bank_ids,
         "role_counts": facts.role_counts,
         "domestic": facts.domestic,
-        "flag_conflicts": list(facts.conflicts),
+        "flag_conflicts": facts.conflicts,
     })
 
 

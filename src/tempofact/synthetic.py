@@ -221,32 +221,28 @@ def market_index(cfg: SyntheticConfig) -> TensorIndex | None:
     )
 
 
-def log_to_records(log, cfg: SyntheticConfig) -> Ledger:
+def log_to_records(log, index: TensorIndex) -> Ledger:
     """Express simulated trades in the transaction-log schema.
 
     Each trade is stamped at the midpoint of its interval on its day, both
-    read off :func:`market_index` (so the interval count must divide the
-    trading window); the lower-index bank is written as the proposing
-    lender, volumes are 1.0 and all banks are flagged domestic.  Intended
-    for pipeline testing: binning these records at the matching resolution
-    rebuilds the generated tensor.  The columns share their objects: trades
-    with the same stamp hold one datetime, each bank one label, and all
-    trades one ``"lender"`` and one ``"ON"`` string (``np.full`` with
-    ``dtype=object`` would store a new string per trade).
+    read off ``index``, the market's :func:`market_index`; the lower-index
+    bank is written as the proposing lender, volumes are 1.0 and all banks
+    are flagged domestic.  Intended for pipeline testing: binning these
+    records at the matching resolution rebuilds the generated tensor.  The
+    columns share their objects: trades with the same stamp hold one
+    datetime, each bank one label, and all trades one ``"lender"`` and one
+    ``"ON"`` string (``np.full`` with ``dtype=object`` would store a new
+    string per trade).
     """
-    index = market_index(cfg)
-    if index is None:
-        raise ValueError(
-            f"cannot place {cfg.intervals} intervals on a {WINDOW_MINUTES}-minute trading window"
-        )
-    starts = [time.fromisoformat(index.interval_label(j)) for j in range(cfg.intervals)]
+    intervals = index.intervals
+    starts = [time.fromisoformat(index.interval_label(j)) for j in range(intervals)]
     half = timedelta(minutes=index.delta / 2)
     log = np.asarray(log, dtype=np.intp).reshape(-1, 4)
     day, interval, i, j = log.T
-    slots, slot_of = np.unique(day * cfg.intervals + interval, return_inverse=True)
+    slots, slot_of = np.unique(day * intervals + interval, return_inverse=True)
     stamps = np.empty(slots.size, dtype=object)
     for k, slot in enumerate(slots.tolist()):
-        d, t = divmod(slot, cfg.intervals)
+        d, t = divmod(slot, intervals)
         stamps[k] = datetime.combine(index.day_dates[d], starts[t]) + half
     labels = np.array(index.bank_ids, dtype=object)
     n = len(log)

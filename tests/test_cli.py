@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempofact import ingest, io as tfio
+from tempofact.als import FitError
 from tempofact.cli import main
 from tempofact.tensor import DenseTensor3, KruskalTensor, reconstruct
 
@@ -319,6 +320,42 @@ def test_corcondia_rejects_rmax_zero(tmp_path):
 def test_usage_error_exit_code():
     assert main(["fit"]) == 1          # missing required arguments
     assert main(["synth", "--days", "not-a-number", "--out", "x"]) == 1
+
+
+@pytest.mark.parametrize("where", ["handler", "writer"])
+@pytest.mark.parametrize("error, code, prefix", [
+    (ValueError("a bad value"), 1, "error"),
+    (tfio.FileFormatError("a malformed file"), 2, "i/o error"),
+    (ingest.LedgerFormatError("a malformed ledger"), 2, "i/o error"),
+    (OSError("a failed read"), 2, "i/o error"),
+    (FitError("every restart failed"), 3, "numerical failure"),
+])
+def test_exit_code_table(tmp_path, capsys, monkeypatch, where, error, code, prefix):
+    # Each error class maps to one exit code and one stderr line, whether the
+    # command raises it or one of its writers does while the outputs are staged.
+    from tempofact import cli
+
+    def fail(*args):
+        raise error
+
+    def handler(args):
+        if where == "handler":
+            fail()
+        return {}, {}, None, {"out.json": fail}, "never printed"
+
+    monkeypatch.setattr(cli, "_cmd_fit", handler)
+    out = tmp_path / "o"
+    assert _run("fit", tmp_path / "t.bin", "--rank", 1, "--out", out) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}: {error}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # no --out, no stage left behind
+
+
+def test_missing_argument_is_one_usage_line(capsys):
+    assert main(["fit"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def _small_pipeline(tmp_path, with_ledger=True):
@@ -647,6 +684,27 @@ def test_analyze_index_with_another_window_exits_io(tmp_path, capsys):
 def test_synth_unplaceable_ledger_creates_no_out(tmp_path):
     out = tmp_path / "o"
     assert _run("synth", "--intervals", 7, "--days", 3, "--ledger", "--out", out) == 1
+    assert not out.exists()
+
+
+def test_synth_ledger_refuses_an_unplaceable_interval_count_before_simulating(
+        tmp_path, capsys, monkeypatch):
+    from tempofact import cli
+    from tempofact.synthetic import SyntheticConfig, market_index
+
+    assert market_index(SyntheticConfig(n_banks=4, intervals=7, days=2,
+                                        group_sizes=(2, 1, 1), seed=1)) is None
+
+    def never(cfg):
+        raise AssertionError("simulated a market whose ledger cannot be written")
+
+    monkeypatch.setattr(cli, "generate_with_log", never)
+    out = tmp_path / "o"
+    assert _run("synth", "--banks", 4, "--intervals", 7, "--days", 2, "--group-sizes", "2,1,1",
+                "--seed", 1, "--ledger", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot place 7 intervals on a 600-minute trading window\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -170,7 +170,7 @@ def test_rank_scan_on_exact_rank_two_tensor():
             lo, hi = rec.cc_ci95
             assert lo <= rec.cc_mean <= hi
         assert len(rec.cc_values) == 5
-        assert rec.n_failed == sum(1 for c in rec.cc_values if c is None)
+        assert len(rec.failures) == sum(1 for c in rec.cc_values if c is None)
 
 
 def test_rank_scan_boundary_rank_one():

@@ -144,10 +144,15 @@ def test_rank_scan_serialization(tmp_path):
     rng = np.random.default_rng(85)
     x = reconstruct(random_kruskal(rng, (6, 5, 7), 1))
     report = rank_scan(x, 2, 85.0, FitConfig(rank=1, restarts=2, seed=4))
-    data = tfio.rank_scan_to_dict(report)
+    json_path = tmp_path / "scan.json"
+    tfio.dump_json(json_path, tfio.rank_scan_to_dict(report))
+    data = json.loads(json_path.read_text())
     assert data["selected_rank"] == report.selected_rank
     assert len(data["ranks"]) == 2
-    assert data["ranks"][0]["cc_values"] == list(report.records[0].cc_values)
+    for written, rec in zip(data["ranks"], report.records):
+        assert written["cc_values"] == list(rec.cc_values)
+        assert written["rel_errors"] == list(rec.rel_errors)
+        assert written["n_failed"] == len(rec.failures)
 
     csv_path = tmp_path / "scan.csv"
     tfio.write_rank_scan_csv(csv_path, report)
@@ -161,8 +166,9 @@ def test_rank_scan_serialization(tmp_path):
 
 def test_rank_scan_csv_leaves_failed_rank_empty(tmp_path):
     records = (
-        RankScanRecord(1, (99.5, 100.0), (0.1, 0.1), 99.75, (96.5, 103.0), 0),
-        RankScanRecord(2, (None, None), (None, None), None, None, 2),
+        RankScanRecord(1, (99.5, 100.0), (0.1, 0.1), 99.75, (96.5, 103.0)),
+        RankScanRecord(2, (None, None), (None, None), None, None,
+                       ((0, "sweep 3: stalled"), (1, "sweep 5: stalled"))),
     )
     path = tmp_path / "scan.csv"
     tfio.write_rank_scan_csv(path, RankScanReport(records, 1, 85.0, 2, 0))
@@ -171,10 +177,11 @@ def test_rank_scan_csv_leaves_failed_rank_empty(tmp_path):
 
 def test_write_csv_cell_rules(tmp_path):
     path = tmp_path / "x.csv"
-    rows = [["a", 3, 0.1, np.float64(1 / 3), None, float("nan"), np.float64("nan"), True]]
-    tfio.write_csv(path, ["s", "i", "f", "g", "none", "nan", "npnan", "b"], rows)
+    rows = [["a", 3, 0.1, np.float64(1 / 3), None, float("nan"), np.float64("nan"), True,
+             np.False_]]
+    tfio.write_csv(path, ["s", "i", "f", "g", "none", "nan", "npnan", "b", "npb"], rows)
     lines = path.read_text().split("\n")
-    assert lines[1] == f"a,3,0.1,{1 / 3!r},,,,True"
+    assert lines[1] == f"a,3,0.1,{1 / 3!r},,,,true,false"
     assert lines[2:] == [""]  # one trailing newline
 
 
@@ -185,6 +192,20 @@ def test_dump_json_serializes_nan_as_null(tmp_path):
     assert data["a"] is None
     assert data["b"] == [1.0, None]
     assert data["c"] == 2.0
+    # Arrays, numpy scalars and tuples dump to the bytes of their plain-Python form.
+    pairs = [
+        (np.array([[0.1, -2.5], [1 / 3, 1e300]]), [[0.1, -2.5], [1 / 3, 1e300]]),
+        (np.array([3, -4, 2**40], dtype=np.int64), [3, -4, 2**40]),
+        (np.bool_(True), True),
+        ((1, 2.5, "x", None), [1, 2.5, "x", None]),
+        (-0.0, -0.0),
+        (np.float64(-0.0), -0.0),
+    ]
+    for value, plain in pairs:
+        tfio.dump_json(tmp_path / "numpy.json", {"v": value})
+        tfio.dump_json(tmp_path / "plain.json", {"v": plain})
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert b"-0.0" in (tmp_path / "numpy.json").read_bytes()
 
 
 def test_ground_truth_dict_shape(tmp_path):

@@ -149,7 +149,7 @@ def test_log_reproduces_tensor_exactly(intervals):
     assert 2 * len(log) == tensor.values.sum()
 
     market = market_index(cfg)
-    records = log_to_records(log, cfg)
+    records = log_to_records(log, market)
     built, index, excluded = build_tensor(filter_overnight(records), delta=market.delta)
     assert not excluded
     # The binned index holds the banks and days that traded; place its slabs
@@ -209,18 +209,10 @@ def test_config_validation():
         participation(SyntheticConfig(), -1)
 
 
-def test_log_export_requires_divisible_window():
-    cfg = SyntheticConfig(n_banks=4, intervals=7, days=2, group_sizes=(2, 1, 1), seed=1)
-    assert market_index(cfg) is None
-    _, _, log = generate_with_log(cfg)
-    with pytest.raises(ValueError, match="cannot place 7 intervals on a 600-minute trading window"):
-        log_to_records(log, cfg)
-
-
 def test_ledger_export_matches_per_trade_writer(tmp_path):
     cfg = SyntheticConfig(n_banks=12, intervals=10, days=9, seed=5)
     _, _, log = generate_with_log(cfg)
-    save_transactions(tmp_path / "ledger.csv", log_to_records(log, cfg))
+    save_transactions(tmp_path / "ledger.csv", log_to_records(log, market_index(cfg)))
 
     delta_s = 600 * 60 // cfg.intervals
     with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as handle:
@@ -244,7 +236,7 @@ def test_exported_columns_share_their_objects():
     # stamps do; a new string per trade costs tens of MB on a large ledger.
     cfg = SyntheticConfig(n_banks=12, intervals=10, days=9, seed=5)
     _, _, log = generate_with_log(cfg)
-    records = log_to_records(log, cfg)
+    records = log_to_records(log, market_index(cfg))
     assert len(records) > 100
     for column, text in ((records.proposer, "lender"), (records.maturity, "ON")):
         assert len({id(v) for v in column.tolist()}) == 1

@@ -15,7 +15,7 @@ import numpy as np
 from tempofact import als, cli, io as tfio
 from tempofact.corcondia import rank_scan
 from tempofact.ingest import load_transactions, save_transactions
-from tempofact.synthetic import SyntheticConfig, generate_with_log, log_to_records
+from tempofact.synthetic import SyntheticConfig, generate_with_log, log_to_records, market_index
 from tempofact.tensor import DenseTensor3
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -87,8 +87,9 @@ def test_ledger_counters_read_real_results(tmp_path, monkeypatch):
     layers = _layers(monkeypatch)
     cfg = SyntheticConfig(n_banks=9, intervals=10, days=6, seed=4)
     _, _, log = generate_with_log(cfg)
-    ledger = log_to_records(log, cfg)
-    assert layers._count_trades((log, cfg), {}, ledger, None) == {"trades": len(log)}
+    index = market_index(cfg)
+    ledger = log_to_records(log, index)
+    assert layers._count_trades((log, index), {}, ledger, None) == {"trades": len(log)}
 
     path = tmp_path / "ledger.csv"
     save_transactions(path, ledger)
