@@ -16,7 +16,11 @@ This is the dimension-tree MTTKRP of Phan, Tichavsky & Cichocki (IEEE TSP
 one product over the whole ``(N*T) x D`` view: with R columns a GEMM packs
 its large operand into a buffer and then reads it only once, so a skinny
 whole-tensor product pays for two trips through memory, while a slab is
-packed while it is still in cache.
+packed while it is still in cache.  The C product and the correction below
+walk the tensor's block grid of consecutive bank slabs
+(:mod:`tempofact.tensor`), so beyond its result no pass holds more than one
+block's partials or gathered columns, whatever the bank count; the block
+size changes no bit of any product, so no fit depends on it.
 
 A restart is the generator :func:`_restart`, which holds the factors, beta
 and the trace but never the tensor.  Each request it yields names its

@@ -220,16 +220,28 @@ def mean_ci95(values):
 
 
 def binomial_quantile(q: float, n: int, p: float) -> int:
-    """Smallest k with P(Binomial(n, p) <= k) >= q, by direct p.m.f. summation."""
+    """Smallest k with P(Binomial(n, p) <= k) >= q, by direct p.m.f. summation.
+
+    A term ``C(n, k) p^k (1 - p)^(n - k)`` whose coefficient passes the
+    largest float (from about n = 1,030) is taken from its logarithm; every
+    other term keeps its plain product, so wherever the plain sum alone
+    returns, the result is the same.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    cdf = 0.0
+    if p in (0.0, 1.0):  # a point mass, and the logarithms need 0 < p < 1
+        return 0 if p == 0.0 else n
+    cdf, coeff = 0.0, 1  # coeff is C(n, k), exact
     for k in range(n + 1):
-        cdf += math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+        try:
+            cdf += coeff * p**k * (1.0 - p) ** (n - k)
+        except OverflowError:  # the int coefficient does not convert to float
+            cdf += math.exp(math.log(coeff) + k * math.log(p) + (n - k) * math.log1p(-p))
         if cdf >= q:
             return k
+        coeff = coeff * (n - k) // (k + 1)
     return n
 
 

@@ -51,7 +51,11 @@ def tucker_core(x: DenseTensor3, k: KruskalTensor) -> np.ndarray:
     of each (weight-folded) factor, which solves the core least squares
     problem without materializing any Kronecker product.  The day mode is
     contracted first, one product per bank slab, so the tensor is read
-    once; the bank and interval contractions then act on N x T x R.  Raises
+    once; the bank and interval contractions then act on N x T x R.  That
+    pass is :meth:`~tempofact.tensor.DenseTensor3.mode3`, one stacked
+    ``np.matmul`` whose only allocation is its result, so it does not walk
+    the block grid that the fit's other products do, and the block size
+    changes none of its bits.  Raises
     :class:`DegenerateFactorError` when a factor's condition number exceeds
     1e12 (a zeroed component at an over-specified rank does this); a factor
     with more columns than rows has condition number inf.

@@ -291,11 +291,12 @@ def _rank_record_to_dict(rec: RankScanRecord) -> dict:
 
 
 def _csv_cell(value) -> str:
-    """A CSV cell: booleans as ``true``/``false``, strings and integers as
-    they print, None and NaN empty, any other number as its float ``repr``."""
+    """A CSV cell: booleans as ``true``/``false``, strings and integers
+    (numpy's included) as they print, None and NaN empty, any other number
+    as its float ``repr``."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (str, int)):
+    if isinstance(value, (str, int, np.integer)):
         return str(value)
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""

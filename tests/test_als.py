@@ -355,20 +355,50 @@ def test_two_pass_products_match_unfolded_oracle(monkeypatch, shape, rank):
 
 
 def test_sweep_never_copies_the_tensor():
-    # The slab products must take the read-only tensor as it is; a strided
-    # operand that numpy had to copy would allocate the whole tensor again.
-    # Two sweeps make all three kinds of pass, the candidate's included.
+    # The slab products must take the read-only tensor as it is, and hold one
+    # block of banks' partials at a time: a strided operand that numpy had to
+    # copy would allocate the whole tensor again, and the whole stack's
+    # partials are N x R x D.  Two sweeps make all three kinds of pass, the
+    # candidate's included.
     import tracemalloc
 
+    import tempofact.tensor as tensor_mod
+
     rng = np.random.default_rng(33)
-    x = random_tensor(rng, (40, 10, 300))
+    block, rank = tensor_mod._BLOCK_BANKS, 3
+    x = random_tensor(rng, (8 * block, 4, 600))
     tracemalloc.start()
     try:
-        fit_once(x, FitConfig(rank=3, max_sweeps=2), seed=0)
+        fit_once(x, FitConfig(rank=rank, max_sweeps=2), seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < x.values.nbytes, (peak, x.values.nbytes)
+    partials = block * rank * x.dims[2] * 8
+    assert peak < 3 * partials < x.values.nbytes / 2, (peak, partials)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1000])
+def test_fit_does_not_depend_on_the_block_size(monkeypatch, block):
+    import tempofact.tensor as tensor_mod
+
+    rng = np.random.default_rng(34)
+    x = random_tensor(rng, (2 * tensor_mod._BLOCK_BANKS + 3, 6, 40))
+    cfg = FitConfig(rank=3, max_sweeps=30, rel_tol=1e-300)
+    calls = []
+    real_mode3_days = DenseTensor3.mode3_days
+
+    def counted(self, days, m):
+        calls.append(len(days))
+        return real_mode3_days(self, days, m)
+
+    monkeypatch.setattr(DenseTensor3, "mode3_days", counted)
+    want = fit_once(x, cfg, seed=0)
+    assert calls  # a rejected candidate's correction ran
+    monkeypatch.setattr(tensor_mod, "_BLOCK_BANKS", block)
+    got = fit_once(x, cfg, seed=0)
+    assert np.array(got.objective_trace).tobytes() == np.array(want.objective_trace).tobytes()
+    for name in ("A", "B", "C", "weights"):
+        assert getattr(got.factors, name).tobytes() == getattr(want.factors, name).tobytes()
 
 
 def test_fit_restarts_rejects_nonpositive_jobs():

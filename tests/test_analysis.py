@@ -1,3 +1,4 @@
+import math
 from datetime import date
 
 import numpy as np
@@ -229,6 +230,51 @@ def test_binomial_quantile_matches_scipy():
         p = float(rng.random())
         q = float(rng.uniform(0.01, 0.99))
         assert binomial_quantile(q, n, p) == int(binom.ppf(q, n, p))
+
+
+def _plain_binomial_quantile(q, n, p):
+    """The p.m.f. sum in plain floats, which overflows from about n = 1,030."""
+    cdf = 0.0
+    for k in range(n + 1):
+        cdf += math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+        if cdf >= q:
+            return k
+    return n
+
+
+def _exact_binomial_quantile(q, n, p):
+    """The p.m.f. sum in integers, with the floats q and p as the rationals
+    they are: term k is C(n, k) a^k (b - a)^(n - k) for p = a / b."""
+    a, b = p.as_integer_ratio()
+    qa, qb = q.as_integer_ratio()
+    term, total, bound = (b - a) ** n, 0, qa * b**n
+    for k in range(n + 1):
+        total += term
+        if qb * total >= bound:  # cdf >= q
+            return k
+        term = term * (n - k) * a // ((k + 1) * (b - a))
+    return n
+
+
+def test_binomial_quantile_keeps_the_plain_sum_where_it_runs():
+    # p = 0.5 and q = 0.5 sit on exact ties, where any other rounding of the
+    # sum could pick the neighbouring k.
+    for n in (*range(1, 30), *range(30, 1001, 97), 1000):
+        for p in (0.0, 0.01, 0.2, 1 / 3, 0.5, 194 / 289, 0.97, 1.0):
+            for q in (0.05, 0.5, 0.95):
+                assert binomial_quantile(q, n, p) == _plain_binomial_quantile(q, n, p), (q, n, p)
+
+
+def test_binomial_quantile_past_the_float_range():
+    # Each p has a short binary fraction, so the exact sums stay small.
+    for n in (1100, 5000):
+        with pytest.raises(OverflowError):
+            _plain_binomial_quantile(0.95, n, 0.5)
+        for p in (1 / 64, 5 / 16, 0.5, 43 / 64, 31 / 32):
+            for q in (0.05, 0.5, 0.95):
+                assert binomial_quantile(q, n, p) == _exact_binomial_quantile(q, n, p), (q, n, p)
+    assert binomial_quantile(0.95, 5000, 1.0) == 5000
+    assert binomial_quantile(0.05, 5000, 0.0) == 0
 
 
 def test_nationality_band_endpoints():

@@ -389,6 +389,22 @@ def test_analyze_full_bundle(tmp_path):
     assert len(shares) == 31  # header + 30 days
 
 
+def test_analyze_ledger_of_over_a_thousand_banks(tmp_path):
+    # A component of 1,070 members: C(n, k) passes the largest float from
+    # about n = 1,030, which the binomial band once summed as a float.
+    synth_dir, ingest_dir, fit_dir = (tmp_path / name for name in ("synth", "ingest", "fit"))
+    assert _run("synth", "--banks", 1100, "--days", 8, "--peak-fitness", 0.03, "--ledger",
+                "--seed", 3, "--out", synth_dir) == 0
+    assert _run("ingest", synth_dir / "ledger.csv", "--delta", 30, "--out", ingest_dir) == 0
+    assert _run("fit", ingest_dir / "tensor.bin", "--rank", 2, "--restarts", 2,
+                "--out", fit_dir) == 0
+    rep = tmp_path / "rep"
+    assert _run("analyze", fit_dir / "fit.json", "--index", ingest_dir / "index.json",
+                "--ledger", synth_dir / "ledger.csv", "--percentile", 0, "--out", rep) == 0
+    rows = (rep / "nationality.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in rows[1:]] == ["1070", "1070"]
+
+
 def test_analyze_without_ledger_skips_role_outputs(tmp_path):
     synth_dir, fit_dir = _small_pipeline(tmp_path, with_ledger=False)
     rep = tmp_path / "rep"

@@ -178,10 +178,11 @@ def test_rank_scan_csv_leaves_failed_rank_empty(tmp_path):
 def test_write_csv_cell_rules(tmp_path):
     path = tmp_path / "x.csv"
     rows = [["a", 3, 0.1, np.float64(1 / 3), None, float("nan"), np.float64("nan"), True,
-             np.False_]]
-    tfio.write_csv(path, ["s", "i", "f", "g", "none", "nan", "npnan", "b", "npb"], rows)
+             np.False_, np.int64(-3), np.int32(7)]]
+    tfio.write_csv(path, ["s", "i", "f", "g", "none", "nan", "npnan", "b", "npb", "i64", "i32"],
+                   rows)
     lines = path.read_text().split("\n")
-    assert lines[1] == f"a,3,0.1,{1 / 3!r},,,,true,false"
+    assert lines[1] == f"a,3,0.1,{1 / 3!r},,,,true,false,-3,7"
     assert lines[2:] == [""]  # one trailing newline
 
 

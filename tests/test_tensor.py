@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tempofact.tensor as tensor_mod
 from tempofact.tensor import (
     DenseTensor3,
     KruskalTensor,
@@ -10,6 +11,8 @@ from tempofact.tensor import (
     reconstruct,
 )
 from util import matricize, random_kruskal, triple_sum_tensor
+
+_BLOCK = tensor_mod._BLOCK_BANKS
 
 
 def test_matricize_degenerate_dims():
@@ -50,10 +53,15 @@ def test_factor_form_identity(mode):
     # One restart's R = 3, then two stacked (k = 2R), as lockstep restarts send.
     ((7, 5, 9), 3, "some"), ((7, 5, 9), 6, "some"), ((7, 5, 9), 6, "none"),
     ((1, 5, 9), 2, "all"), ((7, 1, 9), 2, "some"), ((7, 5, 1), 2, "none"), ((4, 3, 6), 8, "all"),
+    # The edges of the block grid: no bank, one bank, one block less one,
+    # one block, one block and one, two blocks and three.
+    ((0, 5, 9), 3, "some"), ((1, 5, 9), 3, "some"), ((_BLOCK - 1, 4, 9), 3, "some"),
+    ((_BLOCK, 4, 9), 3, "all"), ((_BLOCK + 1, 4, 9), 3, "some"), ((2 * _BLOCK + 3, 4, 9), 6, "some"),
 ])
 def test_seam_products_match_matricize_oracle(shape, k, days):
     # mode3, mode3_days and slab_sum against the mode-3 unfolding, which is
-    # D x NT with column i + N j.
+    # D x NT with column i + N j, and bit for bit against one np.matmul over
+    # the whole stack of slabs.
     rng = np.random.default_rng(41 + k)
     n, t, d = shape
     x = DenseTensor3(rng.random(shape))
@@ -63,13 +71,54 @@ def test_seam_products_match_matricize_oracle(shape, k, days):
     picked = {"some": np.flatnonzero(rng.random(d) < 0.5), "none": np.arange(0),
               "all": np.arange(d)}[days]
     m_days = rng.random((len(picked), k))
-    for got, want in (
-        (x.mode3(m), (x3.T @ m).reshape(n, t, k, order="F")),
-        (x.mode3_days(picked, m_days), (x3[picked].T @ m_days).reshape(n, t, k, order="F")),
-        (x.slab_sum(s), (x3 @ s.transpose(2, 0, 1).reshape(n * t, k)).T),
+    for got, want, whole in (
+        (x.mode3(m), (x3.T @ m).reshape(n, t, k, order="F"), np.matmul(x.values, m)),
+        (x.mode3_days(picked, m_days), (x3[picked].T @ m_days).reshape(n, t, k, order="F"),
+         np.matmul(x.values[:, :, picked], m_days)),
+        (x.slab_sum(s), (x3 @ s.transpose(2, 0, 1).reshape(n * t, k)).T,
+         np.matmul(s, x.values).sum(axis=0)),
     ):
-        assert got.shape == want.shape
+        assert got.shape == want.shape == whole.shape
+        assert got.tobytes() == whole.tobytes()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1000])
+def test_slab_sum_does_not_depend_on_the_block_size(monkeypatch, block):
+    # k = D = 1 included: there numpy sums the whole stack pairwise, while
+    # the running sum stays one slab at a time.
+    rng = np.random.default_rng(44)
+    n = 2 * _BLOCK + 3
+    for k, d in ((1, 1), (3, 7)):
+        x, s = DenseTensor3(rng.random((n, 4, d))), rng.random((n, k, 4))
+        want = x.slab_sum(s)
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor_mod, "_BLOCK_BANKS", block)
+            assert x.slab_sum(s).tobytes() == want.tobytes()
+
+
+def test_block_products_allocate_nothing_per_bank():
+    # Beyond their results, slab_sum and mode3_days (every day picked) hold
+    # one block's partials or gathered columns, whatever the bank count: the
+    # whole-stack forms hold N x k x D and N x T x D.
+    def temporaries(n):
+        rng = np.random.default_rng(43)
+        x = DenseTensor3(rng.random((n, 4, 300)))
+        s, m, days = rng.random((n, 3, 4)), rng.random((300, 3)), np.arange(300)
+        extra = []
+        for product in (lambda: x.slab_sum(s), lambda: x.mode3_days(days, m)):
+            tracemalloc.start()
+            try:
+                out = product()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.nbytes)
+        return extra
+
+    few, many = temporaries(4 * _BLOCK), temporaries(16 * _BLOCK)
+    for small, large in zip(few, many):
+        assert large <= small + 1024, (few, many)
 
 
 def test_khatri_rao_identity_case():
