@@ -71,7 +71,7 @@ candidate is kept only when it lowers it.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,10 +255,11 @@ def fit_restarts(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> list:
 
     Returns one entry per restart, in restart order: a FitResult, or the
     FitError that ended that restart (its message says why).  The list is
-    identical for any ``jobs`` value.  The pool has ``min(jobs, restarts)``
-    workers, since a forked pool starts all of them at once, and one worker
-    means no pool.  The tensor reaches each worker process once, through the
-    pool initializer, and each task carries only its seed.
+    identical for any ``jobs`` value.  The restarts run on ``min(jobs,
+    restarts)`` threads of this process, which share the one tensor; its
+    products release the GIL inside ``np.matmul``.  One thread means no pool:
+    the restarts run on the calling thread.  Any other exception propagates,
+    and the restarts that have not started are cancelled.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -266,10 +267,11 @@ def fit_restarts(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> list:
     workers = min(jobs, len(seeds))
     if workers == 1:
         return [_try_fit(x, cfg, s) for s in seeds]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(x,)
-    ) as pool:
-        return list(pool.map(_worker_fit, [cfg] * len(seeds), seeds))
+    # cached_property takes no lock, so compute ||X||^2 before the threads
+    # start; otherwise each of them could make its own pass over the tensor.
+    x.norm2
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_try_fit, [x] * len(seeds), [cfg] * len(seeds), seeds))
 
 
 def _try_fit(x: DenseTensor3, cfg: FitConfig, seed: int):
@@ -277,19 +279,6 @@ def _try_fit(x: DenseTensor3, cfg: FitConfig, seed: int):
         return fit_once(x, cfg, seed)
     except FitError as err:
         return err
-
-
-# Set by the pool initializer inside each worker process, never in the parent.
-_worker_tensor: DenseTensor3 | None = None
-
-
-def _init_worker(x: DenseTensor3) -> None:
-    global _worker_tensor
-    _worker_tensor = x
-
-
-def _worker_fit(cfg: FitConfig, seed: int):
-    return _try_fit(_worker_tensor, cfg, seed)
 
 
 def best_restart(results: list) -> FitResult:

@@ -98,8 +98,8 @@ class DenseTensor3:
 
     @cached_property
     def norm2(self) -> float:
-        """``||X||_F^2``, computed on first use and kept: a pool's forked
-        workers inherit it, so no restart reads the tensor for it."""
+        """``||X||_F^2``, computed on first use and kept, so no restart reads
+        the tensor for it."""
         return float(np.vdot(self.values, self.values))
 
     @property

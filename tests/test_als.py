@@ -1,3 +1,6 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -157,15 +160,25 @@ def test_restart_never_recomputes_a_first_pass_after_a_rejected_candidate():
 
 
 def test_restarts_share_one_squared_norm(monkeypatch):
-    # ||X||^2 is a pass over the tensor: the tensor takes it once, not each restart.
+    # ||X||^2 is a pass over the tensor: the tensor takes it once, not each
+    # restart or restart thread.  cached_property takes no lock from Python
+    # 3.12 on, and the sleep widens the window in which two threads would race.
     calls = []
     real_vdot = np.vdot
-    monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(a.size) or real_vdot(a, b))
-    x = random_tensor(np.random.default_rng(36), (5, 4, 6))
+
+    def vdot(a, b):
+        calls.append(a.size)
+        time.sleep(0.01)
+        return real_vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", vdot)
     cfg = FitConfig(rank=2, max_sweeps=5, restarts=3)
-    for _ in range(2):
-        assert all(isinstance(r, FitResult) for r in fit_restarts(x, cfg))
-    assert calls == [x.values.size]
+    for jobs in (1, 2):
+        calls.clear()
+        x = random_tensor(np.random.default_rng(36), (5, 4, 6))
+        for _ in range(2):
+            assert all(isinstance(r, FitResult) for r in fit_restarts(x, cfg, jobs))
+        assert calls == [x.values.size], jobs
 
 
 @pytest.mark.parametrize("k", [-60, -30, 30])
@@ -523,41 +536,54 @@ def test_failed_restart_carries_its_error(monkeypatch):
 
 
 def test_pool_has_no_more_workers_than_restarts(monkeypatch):
-    # A forked pool starts all its workers up front, so surplus workers are
-    # idle copies of the parent.
+    # Surplus threads would sit idle; one thread runs the restarts on the
+    # calling thread, with no pool.
     import tempofact.als as als_mod
 
     pools = []
 
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
             pools.append(max_workers)
-            initializer(*initargs)
+            super().__init__(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(als_mod, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(als_mod, "_worker_tensor", None)
+    monkeypatch.setattr(als_mod, "ThreadPoolExecutor", RecordingPool)
     x = random_tensor(np.random.default_rng(27), (5, 4, 6))
     cfg = FitConfig(rank=2, max_sweeps=8, seed=3)
-    for restarts, want in ((2, [2]), (1, [])):
+    for restarts, jobs, want in ((2, 4, [2]), (3, 2, [2]), (1, 4, []), (3, 1, [])):
         cfg = replace(cfg, restarts=restarts)
         pools.clear()
-        pooled = fit_restarts(x, cfg, jobs=4)
+        pooled = fit_restarts(x, cfg, jobs=jobs)
         assert pools == want
-        serial = fit_restarts(x, cfg, jobs=1)
+        serial = [fit_once(x, cfg, cfg.seed + k) for k in range(restarts)]
         assert [r.seed for r in pooled] == [r.seed for r in serial]
         for a, b in zip(pooled, serial):
-            assert a.objective_trace == b.objective_trace
+            assert (a.objective_trace, a.rel_error, a.sweeps_used, a.converged) == \
+                (b.objective_trace, b.rel_error, b.sweeps_used, b.converged)
             for mat in ("A", "B", "C", "weights"):
                 assert np.array_equal(getattr(a.factors, mat), getattr(b.factors, mat))
+
+
+def test_restart_error_other_than_fit_error_cancels_the_restarts_not_started(monkeypatch):
+    import tempofact.als as als_mod
+
+    real_fit_once = als_mod.fit_once
+    started = []
+
+    def first_raises(x, cfg, seed):
+        started.append(seed)
+        if seed == cfg.seed:
+            raise ZeroDivisionError("forced")
+        time.sleep(0.01)
+        return real_fit_once(x, cfg, seed)
+
+    monkeypatch.setattr(als_mod, "fit_once", first_raises)
+    x = random_tensor(np.random.default_rng(28), (5, 4, 6))
+    before = set(threading.enumerate())
+    with pytest.raises(ZeroDivisionError, match="forced"):
+        fit_restarts(x, FitConfig(rank=2, max_sweeps=8, restarts=20), jobs=2)
+    assert 0 in started and len(started) < 20
+    assert set(threading.enumerate()) == before
 
 
 def _step_sizes(monkeypatch, candidate_wins: bool):

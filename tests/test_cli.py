@@ -557,21 +557,27 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
         for command, options in commands.items():
-            out = tmp_path / f"{command}-{threads}"
-            subprocess.run([sys.executable, "-m", "tempofact.cli", command,
-                            str(synth / "tensor.bin"), *options, "--restarts", "3",
-                            "--seed", "1", "--out", str(out)],
-                           env=env, capture_output=True, check=True)
-            manifest = json.loads((out / "manifest.json").read_text())
-            outputs.setdefault(command, []).append(manifest["outputs"])
-    for command, (one, two) in outputs.items():
-        assert one == two, command
+            # Two restart threads call OpenBLAS at once under --jobs 2.
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{command}-{threads}-{jobs}"
+                subprocess.run([sys.executable, "-m", "tempofact.cli", command,
+                                str(synth / "tensor.bin"), *options, "--restarts", "3",
+                                "--seed", "1", "--jobs", jobs, "--out", str(out)],
+                               env=env, capture_output=True, check=True)
+                manifest = json.loads((out / "manifest.json").read_text())
+                outputs.setdefault(command, []).append(manifest["outputs"])
+    for command, runs in outputs.items():
+        assert len(runs) == 4 and all(run == runs[0] for run in runs), command
 
 
 def test_cli_import_does_not_load_scipy_stats():
     loaded = _loaded_modules("tempofact.cli", "scipy")
     assert "scipy.stats" not in loaded
     assert "scipy.linalg" not in loaded
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    assert _loaded_modules("tempofact.cli", "multiprocessing") == set()
 
 
 def test_nnls_module_loads_no_scipy():

@@ -78,8 +78,9 @@ def test_tensor_binary_rejects_every_cut_header_and_trailing_bytes(tmp_path):
 def test_read_tensor_hashes_the_bytes_it_reads_and_leaves_no_thread(tmp_path, monkeypatch,
                                                                      chunk):
     # Small chunks make the hashing loop run many times, one that does not
-    # divide the payload leaves a short last chunk.  A pool forks after the
-    # read, so the hasher thread must be gone when read_tensor returns or raises.
+    # divide the payload leaves a short last chunk.  The hasher thread must be
+    # gone when read_tensor returns or raises, or it would outlive the read
+    # beside the fit's restart threads.
     monkeypatch.setattr(tfio, "_CHUNK_BYTES", chunk)
     x = random_tensor(np.random.default_rng(85), (5, 7, 11))
     path = tmp_path / "t.bin"

@@ -75,10 +75,14 @@ def test_each_restart_is_one_fit_once_call(monkeypatch):
     cfg = als.FitConfig(rank=2, max_sweeps=4, restarts=3, seed=10)
     als.fit_restarts(x, cfg, jobs=1)
     assert calls == [(2, 10), (2, 11), (2, 12)]
+    # Pool threads look the name up too: one call per restart, in any order.
     calls.clear()
-    rank_scan(x, r_max=2, l_cc=85.0, cfg=cfg)
-    assert len(calls) == 2 * cfg.restarts
-    assert sorted(calls) == [(r, s) for r in (1, 2) for s in (10, 11, 12)]
+    als.fit_restarts(x, cfg, jobs=2)
+    assert sorted(calls) == [(2, 10), (2, 11), (2, 12)]
+    for jobs in (1, 2):
+        calls.clear()
+        rank_scan(x, r_max=2, l_cc=85.0, cfg=cfg, jobs=jobs)
+        assert sorted(calls) == [(r, s) for r in (1, 2) for s in (10, 11, 12)]
 
 
 def test_ledger_counters_read_real_results(tmp_path, monkeypatch):
