@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tempofact.nnls import NnlsProblem, solve_nnls
+from tempofact.nnls import solve_nnls
 from tempofact.tensor import DenseTensor3, KruskalTensor, khatri_rao
 
 _INIT_MODES = ("random-uniform", "random-scaled")
@@ -137,7 +137,7 @@ def _update_factor(
     # In proj's units, whatever the tensor's.  W = 0 solves a zero proj
     # exactly, so the smallest positive tolerance serves there.
     tol = 1e-8 * float(np.abs(proj).max()) or np.finfo(float).smallest_subnormal
-    sol = solve_nnls(NnlsProblem(gram, proj.T), tol=tol, passive=passive)
+    sol = solve_nnls(gram, proj.T, tol=tol, passive=passive)
     if not sol.converged:
         raise FitError(
             f"NNLS update stalled (kkt residual {sol.kkt_residual:.3e} after "

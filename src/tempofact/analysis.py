@@ -18,16 +18,19 @@ from scipy.special import stdtrit
 from tempofact.ingest import Ledger, TensorIndex
 from tempofact.tensor import KruskalTensor
 
+# Length of the morning window that orders the components, in minutes.
+_MORNING_MINUTES = 120
+
 #: Transaction roles, crossing trade side with which side posted the quote.
 #: The aggressor accepted a posted quote; the quoter posted it.
 ROLES = ("aggressor_lender", "quoter_borrower", "aggressor_borrower", "quoter_lender")
 
 
-def morning_window(delta: int, minutes: int = 120) -> np.ndarray:
-    """Interval indices covering the first ``minutes`` of the trading day."""
+def morning_window(delta: int) -> np.ndarray:
+    """Interval indices covering the trading day's first ``_MORNING_MINUTES`` minutes."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    return np.arange(math.ceil(minutes / delta))
+    return np.arange(math.ceil(_MORNING_MINUTES / delta))
 
 
 def order_components(k: KruskalTensor, window) -> np.ndarray:
@@ -64,11 +67,11 @@ def _percentile_threshold(values: np.ndarray, percentile: float) -> float:
     return float(np.sort(values)[rank])
 
 
-def affiliate_banks(k: KruskalTensor, percentile: float = 90.0) -> list:
+def affiliate_banks(k: KruskalTensor, percentile: float) -> list:
     """Banks loading at or above the per-component percentile threshold.
 
     With distinct loadings this is the top ``(100 - percentile)%`` of banks
-    (29 of 289 at the default); ties at the threshold are all included.
+    (29 of 289 at 90); ties at the threshold are all included.
     """
     if not 0.0 <= percentile <= 100.0:
         raise ValueError("percentile must lie in [0, 100]")

@@ -533,7 +533,7 @@ def build_tensor(ledger: Ledger, delta: int):
     return DenseTensor3(values, "amount_meur"), index, excluded
 
 
-def moving_average(series, window: int = 20) -> np.ndarray:
+def moving_average(series, window: int) -> np.ndarray:
     """Trailing mean over the most recent ``min(window, available)`` points."""
     if window < 1:
         raise ValueError("window must be >= 1")

@@ -13,7 +13,8 @@ columns by passive pattern (Van Benthem & Keenan, J. Chemometrics 2004),
 pads each distinct pattern's system to R x R (the passive block of
 ``gram``, the identity on inactive variables), tests those few systems for
 positive definiteness and inverts them, one batched ``numpy.linalg`` call
-each, then applies every inverse to all columns of its pattern in one
+each (a system counts as positive definite only if both calls accept it),
+then applies every inverse to all columns of its pattern in one
 gather-and-product.  The product runs entry by entry in a fixed order, and
 a pattern whose system is not positive definite is solved column by column
 with a ridge, so a column's passive-set solution depends only on
@@ -51,33 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class NnlsProblem:
-    """Normal-equation form of a batched NNLS problem.
-
-    ``gram`` must be symmetric positive semidefinite.  When a passive-set
-    system turns out not to be positive definite (zero factor columns do
-    this transiently during ALS), the solver adds the ridge
-    ``1e-12 * trace(gram) / R`` to its diagonal.
-    """
-
-    gram: np.ndarray
-    crossterm: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gram, dtype=np.float64)
-        c = np.asarray(self.crossterm, dtype=np.float64)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"gram must be square, got shape {g.shape}")
-        if c.ndim != 2 or c.shape[0] != g.shape[0]:
-            raise ValueError(
-                f"crossterm shape {c.shape} inconsistent with gram shape {g.shape}"
-            )
-        if g.size and float(np.abs(g - g.T).max()) > 1e-12 * float(np.abs(g).max()):
-            raise ValueError("gram matrix is not symmetric")
-        object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "crossterm", c)
+# Exchange rounds a column may take, per variable.
+_ROUNDS_PER_VARIABLE = 5
 
 
 @dataclass(frozen=True)
@@ -102,32 +78,42 @@ def kkt_residual(gram: np.ndarray, crossterm: np.ndarray, W: np.ndarray) -> floa
 
 
 def solve_nnls(
-    problem: NnlsProblem,
+    gram: np.ndarray,
+    crossterm: np.ndarray,
     tol: float = 1e-8,
-    max_iter: int | None = None,
     passive: np.ndarray | None = None,
 ) -> NnlsSolution:
-    """Solve every column of ``problem`` to KKT tolerance ``tol``.
+    """Solve every column of ``crossterm`` to KKT tolerance ``tol``.
+
+    ``gram`` (R x R) must be symmetric positive semidefinite and
+    ``crossterm`` is R x m.  When a passive-set system turns out not to be
+    positive definite (zero factor columns do this transiently during ALS),
+    or Cholesky accepts it but LU finds it singular, that column is solved
+    with the ridge ``1e-12 * trace(gram) / R`` added to its diagonal.
 
     ``passive`` is an optional m x R boolean initial passive set, laid out
     like W (for instance the ``W > 0`` pattern of a previous solution); the
-    default starts every column from the empty set.  ``max_iter`` bounds
-    the number of exchange rounds any single column may take (default
-    ``5 * R``); the solve of the initial set is not an exchange round.
-    Columns that exhaust the budget are clamped to their best iterate and
-    the solution is flagged unconverged; the reported KKT residual always
-    describes the returned W.
+    default starts every column from the empty set.  A column may take
+    ``_ROUNDS_PER_VARIABLE * R`` exchange rounds; the solve of the initial
+    set is not one.  Columns that exhaust the budget are clamped to their
+    best iterate and the solution is flagged unconverged; the reported KKT
+    residual always describes the returned W.
     """
+    gram = np.asarray(gram, dtype=np.float64)
+    ct = np.asarray(crossterm, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValueError(f"gram must be square, got shape {gram.shape}")
+    if ct.ndim != 2 or ct.shape[0] != gram.shape[0]:
+        raise ValueError(f"crossterm shape {ct.shape} inconsistent with gram shape {gram.shape}")
+    if gram.size and float(np.abs(gram - gram.T).max()) > 1e-12 * float(np.abs(gram).max()):
+        raise ValueError("gram matrix is not symmetric")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    gram, ct = problem.gram, problem.crossterm
     r, m = ct.shape
     if passive is not None:
         passive = np.asarray(passive, dtype=bool)
         if passive.shape != (m, r):
             raise ValueError(f"passive set shape {passive.shape} must be {(m, r)}")
-    if max_iter is None:
-        max_iter = 5 * r
     if r == 0 or m == 0:
         return NnlsSolution(np.zeros((m, r)), 0.0, 0, True)
 
@@ -152,7 +138,7 @@ def solve_nnls(
         infeas = (X < -eps_x) | (Y < -eps)
         n_inf = infeas.sum(axis=0)
         infeasible = n_inf > 0
-        active = infeasible & (col_iters < max_iter)
+        active = infeasible & (col_iters < _ROUNDS_PER_VARIABLE * r)
         if not active.any():
             break
         cols = np.nonzero(active)[0]
@@ -220,8 +206,10 @@ def _solve_passive(gram: np.ndarray, ct: np.ndarray, passive: np.ndarray):
 
 
 def _positive_definite(system: np.ndarray) -> bool:
+    """Whether Cholesky factors ``system`` and LU inverts it (near roundoff, only one may)."""
     try:
         np.linalg.cholesky(system)
+        np.linalg.inv(system)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -32,7 +32,7 @@ from tempofact.analysis import (
 from tempofact.cli import main
 from tempofact.corcondia import core_consistency, tucker_core
 from tempofact.ingest import TensorIndex, build_tensor, filter_overnight, load_transactions
-from tempofact.nnls import NnlsProblem, solve_nnls
+from tempofact.nnls import solve_nnls
 from tempofact.tensor import (
     KruskalTensor,
     khatri_rao,
@@ -153,7 +153,7 @@ def test_criterion_4_nnls_against_enumeration_oracle():
         h = rng.standard_normal((r + 2, r))
         gram = h.T @ h
         ct = h.T @ rng.standard_normal((r + 2, 1))
-        sol = solve_nnls(NnlsProblem(gram, ct))
+        sol = solve_nnls(gram, ct)
         assert sol.converged
         assert sol.kkt_residual <= 1e-8
         got = nnls_objective(gram, ct[:, 0], sol.W[0])

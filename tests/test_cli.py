@@ -182,6 +182,16 @@ def test_fit_exact_rank_one(tmp_path, capsys):
     assert {r["seed"] for r in restarts} == {2, 3, 4}
 
 
+def test_fit_over_ranked_on_a_tiny_tensor_exits_zero(tmp_path, capsys):
+    # Restart 0's first update meets a Gram that Cholesky factors and LU
+    # finds singular; the solver must take the ridge, not end the command.
+    tensor_path = tmp_path / "t.bin"
+    tfio.write_tensor(tensor_path, DenseTensor3(np.random.default_rng(0).random((2, 2, 2))))
+    code = _run("fit", tensor_path, "--rank", 5, "--restarts", 3, "--out", tmp_path / "fit")
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "fit/fit.json").is_file()
+
+
 def test_fit_refuses_a_tensor_whose_squared_norm_overflows(tmp_path, capsys):
     # Each entry is finite, but the misfit's 2 ||X||^2 is not: the fit would
     # warn and fail every restart, or clamp its misfit to 0 and stop.

@@ -11,12 +11,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from tempofact import als, cli, io as tfio
-from tempofact.corcondia import rank_scan
+from tempofact import als, cli, io as tfio, nnls
+from tempofact.corcondia import DegenerateFactorError, rank_scan, tucker_core
 from tempofact.ingest import load_transactions, save_transactions
 from tempofact.synthetic import SyntheticConfig, generate_with_log, log_to_records, market_index
-from tempofact.tensor import DenseTensor3
+from tempofact.tensor import DenseTensor3, KruskalTensor
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -104,6 +105,47 @@ def test_ledger_counters_read_real_results(tmp_path, monkeypatch):
     assert len(loaded.records) == len(log) > 0
     assert layers._count_load((path,), {}, loaded, None) == {"bytes_read": size,
                                                               "rows": len(log)}
+
+
+def test_fit_counters_read_real_results(tmp_path, monkeypatch):
+    # As for the ledger: a solver, fit or reader whose result the counters
+    # cannot read would only show as zero ``nnls.rounds``, ``als.sweeps`` or
+    # ``io.bytes_read`` in a traced benchmark pass.
+    layers = _layers(monkeypatch)
+    rng = np.random.default_rng(8)
+    h = rng.standard_normal((6, 4))
+    args = (h.T @ h, h.T @ rng.standard_normal((6, 9)))
+    sol = als.solve_nnls(*args)
+    assert sol.converged and sol.iterations > 0
+    assert layers._count_nnls(args, {}, sol, None) == {"rounds": sol.iterations,
+                                                       "unconverged": 0}
+    with monkeypatch.context() as patch:
+        patch.setattr(nnls, "_ROUNDS_PER_VARIABLE", 0)
+        stalled = als.solve_nnls(*args)
+    assert layers._count_nnls(args, {}, stalled, None) == {"rounds": 0, "unconverged": 1}
+
+    x = DenseTensor3(rng.random((6, 4, 8)))
+    cfg = als.FitConfig(rank=2, max_sweeps=5)
+    fit = als.fit_once(x, cfg, seed=0)
+    assert layers._count_fit((x, cfg, 0), {}, fit, None) == {"sweeps": fit.sweeps_used,
+                                                             "failed": 0}
+    err = als.FitError("sweep 7: NNLS update stalled (kkt residual 1e-3 after 20 "
+                       "exchange rounds)")
+    assert layers._count_fit((x, cfg, 0), {}, None, err) == {"sweeps": 7, "failed": 1}
+
+    degenerate = KruskalTensor(np.ones((6, 2)), rng.random((4, 2)), rng.random((8, 2)))
+    with pytest.raises(DegenerateFactorError) as caught:
+        tucker_core(x, degenerate)
+    assert layers._count_core((x, degenerate), {}, None, caught.value) == {"degenerate": 1}
+    core = tucker_core(x, fit.factors)
+    assert layers._count_core((x, fit.factors), {}, core, None) == {"degenerate": 0}
+
+    path = tmp_path / "t.bin"
+    tfio.write_tensor(path, x)
+    result = tfio.read_tensor(path)
+    assert result[0].values.shape == (6, 4, 8)
+    assert layers._count_read((path,), {}, result, None) == {"bytes_read":
+                                                             path.stat().st_size}
 
 
 def test_cli_writes_through_the_traced_io_names(tmp_path, monkeypatch):
