@@ -267,9 +267,6 @@ def fit_restarts(x: DenseTensor3, cfg: FitConfig, jobs: int = 1) -> list:
     workers = min(jobs, len(seeds))
     if workers == 1:
         return [_try_fit(x, cfg, s) for s in seeds]
-    # cached_property takes no lock, so compute ||X||^2 before the threads
-    # start; otherwise each of them could make its own pass over the tensor.
-    x.norm2
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_try_fit, [x] * len(seeds), [cfg] * len(seeds), seeds))
 

@@ -114,18 +114,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth",
                        help="generate a synthetic market tensor with ground truth")
-    p.add_argument("--banks", type=int, default=120)
-    p.add_argument("--intervals", type=int, default=20)
-    p.add_argument("--days", type=int, default=1000)
+    p.add_argument("--banks", type=int, default=SyntheticConfig.n_banks)
+    p.add_argument("--intervals", type=int, default=SyntheticConfig.intervals)
+    p.add_argument("--days", type=int, default=SyntheticConfig.days)
     p.add_argument("--group-sizes", type=str, default=None,
                    help="three comma-separated sizes summing to --banks")
     p.add_argument("--sigma", type=float, default=None, help="fitness spread (default T/4)")
     p.add_argument("--mus", type=str, default=None,
                    help="three comma-separated profile means (default 0,T/2,T)")
-    p.add_argument("--peak-fitness", type=float, default=0.8)
+    p.add_argument("--peak-fitness", type=float, default=SyntheticConfig.peak_fitness)
     p.add_argument("--raw-pdf", action="store_true",
                    help="use raw density values instead of peak rescaling")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     p.add_argument("--ledger", action="store_true", help="also write the trade log CSV")
 
     p = sub.add_parser("ingest",
@@ -141,11 +141,11 @@ def _build_parser() -> _Parser:
         else:
             p.add_argument("--rmax", type=int, required=True)
             p.add_argument("--lcc", type=float, default=85.0)
-        p.add_argument("--restarts", type=int, default=20)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-sweeps", type=int, default=500)
-        p.add_argument("--rel-tol", type=float, default=1e-8)
-        p.add_argument("--init", type=str, default="random-scaled",
+        p.add_argument("--restarts", type=int, default=FitConfig.restarts)
+        p.add_argument("--seed", type=int, default=FitConfig.seed)
+        p.add_argument("--max-sweeps", type=int, default=FitConfig.max_sweeps)
+        p.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol)
+        p.add_argument("--init", type=str, default=FitConfig.init,
                        choices=("random-scaled", "random-uniform"))
         p.add_argument("--jobs", type=int, default=1)
 

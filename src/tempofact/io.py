@@ -119,9 +119,6 @@ def read_tensor(path):
             tensor = DenseTensor3(values.reshape(n, t, d), tag.decode("utf-8"))
         except ValueError as err:  # a tag that is not UTF-8, or values DenseTensor3 refuses
             raise FileFormatError(f"{path}: {err}") from None
-        if not 2.0 * tensor.norm2 < math.inf:  # the fit's misfit needs 2 ||X||^2
-            raise FileFormatError(
-                f"{path}: twice the sum of squared entries exceeds float64's range")
         for done in hashed:
             done.result()
     return tensor, digest.hexdigest()

@@ -119,9 +119,10 @@ def solve_nnls(
 
     # Pivot-feasibility thresholds of each column: well above roundoff, far
     # below signal, and a function of that column's own right-hand side.
-    # ``eps`` is in crossterm units and tests the gradient Y; the primal X is
-    # in W units, a factor ``max|gram|`` smaller, and is tested against
-    # ``eps_x``.  A zero Gram has no W units: X is then tested against eps.
+    # ``eps`` tests the gradient Y (crossterm units) but takes the larger of
+    # the Gram's and the column's scales; the primal X is in W units, a
+    # factor ``max|gram|`` smaller, and is tested against ``eps_x``.  A zero
+    # Gram has no W units: X is then tested against eps.
     g_scale = float(np.abs(gram).max())
     eps = 1e-12 * np.maximum(g_scale, np.abs(ct).max(axis=0))
     eps_x = eps / g_scale if g_scale > 0.0 else eps

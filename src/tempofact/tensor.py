@@ -15,8 +15,8 @@ unfolds a tensor.
 values.  It offers the products the fit and the core consistency need, each
 one ``np.matmul`` per bank slab ``X[i]`` (T x D): :meth:`DenseTensor3.mode3`
 (``X x_3 M``), :meth:`DenseTensor3.mode3_days` (the same over some days)
-and :meth:`DenseTensor3.slab_sum` (``sum_i S_i X[i]``), with ``||X||^2``
-and the total mass.
+and :meth:`DenseTensor3.slab_sum` (``sum_i S_i X[i]``), with the total mass;
+``||X||^2`` is taken and range-checked once, when the tensor is built.
 
 No product allocates memory in proportion to the bank count N beyond its
 result.  :meth:`~DenseTensor3.slab_sum` and :meth:`~DenseTensor3.mode3_days`
@@ -34,7 +34,6 @@ numpy sums a single entry (k = D = 1) pairwise instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -75,32 +74,36 @@ class DenseTensor3:
     """Nonnegative banks x intervals x days activity tensor.
 
     ``values`` is a read-only view of a contiguous float64 array, so
-    instances can be shared freely across workers; contiguous float64 input
-    is neither copied nor frozen.  The ``semantics`` tag records what an
-    entry means ("amount_meur" for traded volume, "count" for trade counts)
-    and travels with the exchange format.
+    instances can be shared freely across restart threads; contiguous
+    float64 input is neither copied nor frozen.  ``norm2`` (``||X||_F^2``)
+    is taken and range-checked when the tensor is built: the fit's misfit
+    needs ``2 ||X||^2`` finite, and a ``||X||^2`` underflowing to 0 with an
+    entry positive would score any fit as perfect.  The ``semantics`` tag
+    records what an entry means ("amount_meur" for traded volume, "count"
+    for trade counts) and travels with the exchange format.
     """
 
     values: np.ndarray
     semantics: str = "amount_meur"
+    norm2: float = field(init=False)
 
     def __post_init__(self) -> None:
         v = np.ascontiguousarray(self.values, dtype=np.float64).view()
         if v.ndim != 3:
             raise ValueError(f"expected a 3-way array, got ndim={v.ndim}")
         _check_entries(v, "tensor entries must be finite", "tensor entries must be nonnegative")
+        norm2 = float(np.vdot(v, v))
+        if not 2.0 * norm2 < np.inf:
+            raise ValueError("twice the sum of squared entries exceeds float64's range")
+        if norm2 == 0.0 and v.any():
+            raise ValueError("the sum of squared entries underflows to 0")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "norm2", norm2)
         v.setflags(write=False)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(self.values.shape)  # type: ignore[return-value]
-
-    @cached_property
-    def norm2(self) -> float:
-        """``||X||_F^2``, computed on first use and kept, so no restart reads
-        the tensor for it."""
-        return float(np.vdot(self.values, self.values))
 
     @property
     def mass(self) -> float:

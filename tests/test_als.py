@@ -16,6 +16,7 @@ from tempofact.als import (
     fit_once,
     fit_restarts,
 )
+from tempofact.corcondia import rank_scan
 from tempofact.synthetic import SyntheticConfig, generate
 from tempofact.tensor import (
     DenseTensor3,
@@ -160,9 +161,9 @@ def test_restart_never_recomputes_a_first_pass_after_a_rejected_candidate():
 
 
 def test_restarts_share_one_squared_norm(monkeypatch):
-    # ||X||^2 is a pass over the tensor: the tensor takes it once, not each
-    # restart or restart thread.  cached_property takes no lock from Python
-    # 3.12 on, and the sleep widens the window in which two threads would race.
+    # ||X||^2 is a pass over the tensor, so the tensor takes it once, when it
+    # is built, and no restart, restart thread or scanned rank takes it again.
+    # The sleep widens the window in which threads taking it lazily would race.
     calls = []
     real_vdot = np.vdot
 
@@ -176,12 +177,18 @@ def test_restarts_share_one_squared_norm(monkeypatch):
     for jobs in (1, 2):
         calls.clear()
         x = random_tensor(np.random.default_rng(36), (5, 4, 6))
+        assert calls == [x.values.size]
         for _ in range(2):
             assert all(isinstance(r, FitResult) for r in fit_restarts(x, cfg, jobs))
         assert calls == [x.values.size], jobs
+    calls.clear()
+    x = random_tensor(np.random.default_rng(36), (5, 4, 6))
+    assert calls == [x.values.size]
+    rank_scan(x, 2, 85.0, cfg, jobs=2)
+    assert calls == [x.values.size]
 
 
-@pytest.mark.parametrize("k", [-60, -30, 30])
+@pytest.mark.parametrize("k", [-60, -30, 30, 60])
 def test_fit_does_not_depend_on_the_tensor_units(k):
     # Scaling by 2^k is exact, so only the cube root in the scaled start
     # differs: every threshold must scale with the data, none may have a floor.

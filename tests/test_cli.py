@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -163,6 +164,19 @@ def test_ingest_rejects_infinite_amount_as_row_issue(tmp_path, amount):
     assert tfio.read_tensor(tmp_path / "out/tensor.bin")[0].values.sum() == 15.0
 
 
+def test_ingest_refuses_a_tensor_whose_squared_norm_overflows(tmp_path, capsys):
+    # The binned tensor is refused when built, not written for fit to refuse.
+    ledger = tmp_path / "big.csv"
+    ledger.write_text(
+        "timestamp,lender_id,borrower_id,amount_mEUR,proposer,maturity,"
+        "lender_domestic,borrower_domestic\n"
+        "2008-09-15T09:10,AAA,BBB,1e155,lender,ON,true,false\n"
+    )
+    assert _run("ingest", ledger, "--out", tmp_path / "out") == 1
+    assert "exceeds float64's range" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _write_rank_one_tensor(path):
     rng = np.random.default_rng(5)
     k = KruskalTensor(rng.random((6, 1)), rng.random((5, 1)), rng.random((7, 1)))
@@ -192,13 +206,22 @@ def test_fit_over_ranked_on_a_tiny_tensor_exits_zero(tmp_path, capsys):
     assert (tmp_path / "fit/fit.json").is_file()
 
 
+def _write_raw_tensor(path, values):
+    """A TENSOR3 file packed field by field, so it can hold values that
+    DenseTensor3 refuses."""
+    tag = b"amount_meur"
+    path.write_bytes(tfio.TENSOR_MAGIC + struct.pack("<II", tfio.TENSOR_FORMAT_VERSION, len(tag))
+                     + tag + struct.pack("<QQQ", *values.shape)
+                     + struct.pack(f"<{values.size}d", *values.ravel()))
+
+
 def test_fit_refuses_a_tensor_whose_squared_norm_overflows(tmp_path, capsys):
     # Each entry is finite, but the misfit's 2 ||X||^2 is not: the fit would
     # warn and fail every restart, or clamp its misfit to 0 and stop.
     values = np.ones((2, 2, 2))
     for big, code in ((2e153, 0), (6.7e154, 2)):
         values[0, 0, 0] = big
-        tfio.write_tensor(tmp_path / "t.bin", DenseTensor3(values))
+        _write_raw_tensor(tmp_path / "t.bin", values)
         out = tmp_path / f"out{code}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -206,6 +229,17 @@ def test_fit_refuses_a_tensor_whose_squared_norm_overflows(tmp_path, capsys):
                         "--out", out) == code
         assert out.exists() == (code == 0)
     assert "exceeds float64's range" in capsys.readouterr().err
+
+
+def test_fit_refuses_a_tensor_whose_squared_norm_underflows(tmp_path, capsys):
+    # Every entry is positive, but ||X||^2 is 0 in float64, so every restart
+    # would report a relative error of 0.
+    _write_raw_tensor(tmp_path / "t.bin", np.random.default_rng(5).random((6, 5, 7)) * 1e-300)
+    out = tmp_path / "out"
+    assert _run("fit", tmp_path / "t.bin", "--rank", 3, "--restarts", 4, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "underflows" in err
+    assert not out.exists()
 
 
 def test_fit_missing_tensor(tmp_path):

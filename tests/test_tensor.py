@@ -177,6 +177,18 @@ def test_dense_tensor_rejects_bad_values():
         DenseTensor3(np.zeros((2, 2)))
 
 
+def test_dense_tensor_refuses_a_squared_norm_out_of_range():
+    # The fit's misfit needs 2 ||X||^2 finite, and a ||X||^2 that underflows
+    # to 0 would score every restart of a nonzero tensor as a perfect fit.
+    with pytest.raises(ValueError, match="underflows"):
+        DenseTensor3(np.random.default_rng(5).random((6, 5, 7)) * 1e-300)
+    big = np.ones((2, 2, 2))
+    big[0, 0, 0] = 6.7e154
+    with pytest.raises(ValueError, match="float64's range"):
+        DenseTensor3(big)
+    assert DenseTensor3(np.zeros((2, 3, 4))).norm2 == 0.0
+
+
 def test_dense_tensor_checks_values_without_a_mask():
     # A finiteness mask of the tensor would be a bool array of a.nbytes / 8.
     a = np.ones((20, 50, 100))
