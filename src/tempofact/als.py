@@ -79,7 +79,8 @@ import numpy as np
 from tempofact.nnls import solve_nnls
 from tempofact.tensor import DenseTensor3, KruskalTensor, khatri_rao
 
-_INIT_MODES = ("random-uniform", "random-scaled")
+#: The ways to draw a restart's initial factors (``FitConfig.init``).
+INIT_MODES = ("random-scaled", "random-uniform")
 
 
 class FitError(RuntimeError):
@@ -108,8 +109,8 @@ class FitConfig:
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.init not in _INIT_MODES:
-            raise ValueError(f"init must be one of {_INIT_MODES}, got {self.init!r}")
+        if self.init not in INIT_MODES:
+            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
 
 @dataclass(frozen=True)

@@ -148,12 +148,20 @@ def bank_facts(ledger: Ledger, index: TensorIndex) -> BankFacts:
     side of its trades is flagged domestic and some side is not.
     """
     labels, lender, borrower = ledger.bank_codes
-    pos = {bank: i for i, bank in enumerate(index.bank_ids)}
-    at = np.array([pos.get(bank, -1) for bank in labels], dtype=np.intp)
-    kept = (at[lender] >= 0) & (at[borrower] >= 0)
-    lender, borrower = at[lender[kept]], at[borrower[kept]]
-    by_borrower = ledger.proposer[kept] == "borrower"
-    lender_flag, borrower_flag = ledger.lender_domestic[kept], ledger.borrower_domestic[kept]
+    proposer, lender_flag, borrower_flag = (
+        ledger.proposer, ledger.lender_domestic, ledger.borrower_domestic)
+    # The label codes are index positions already when the labels are the
+    # index banks; otherwise map them, and drop the trades with a side that
+    # is no index bank.
+    if labels != index.bank_ids:
+        pos = {bank: i for i, bank in enumerate(index.bank_ids)}
+        at = np.array([pos.get(bank, -1) for bank in labels], dtype=np.intp)
+        lender, borrower = at[lender], at[borrower]
+        kept = (lender >= 0) & (borrower >= 0)
+        if not kept.all():
+            lender, borrower, proposer = lender[kept], borrower[kept], proposer[kept]
+            lender_flag, borrower_flag = lender_flag[kept], borrower_flag[kept]
+    by_borrower = proposer == "borrower"
     n, m = len(index.bank_ids), lender.size
     # Codes bank * 4 + role, in ROLES order: the lender aggresses when the
     # borrower quoted, the borrower aggresses when the lender quoted.

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from tempofact import __version__, analysis, io as tfio
-from tempofact.als import FitConfig, FitError, FitResult, best_restart, fit_restarts
+from tempofact.als import INIT_MODES, FitConfig, FitError, FitResult, best_restart, fit_restarts
 from tempofact.corcondia import rank_scan
 from tempofact.ingest import (
     WINDOW_MINUTES,
@@ -145,8 +145,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=FitConfig.seed)
         p.add_argument("--max-sweeps", type=int, default=FitConfig.max_sweeps)
         p.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol)
-        p.add_argument("--init", type=str, default=FitConfig.init,
-                       choices=("random-scaled", "random-uniform"))
+        p.add_argument("--init", type=str, default=FitConfig.init, choices=INIT_MODES)
         p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("analyze",

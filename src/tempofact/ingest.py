@@ -68,11 +68,11 @@ _FALSE_WORDS = frozenset({"false", "0", "f", "no", "n"})
 # Lines read and rows parsed or written per batch, chosen for memory: a
 # batch's lines, their split cells and its parsed columns are all alive at
 # once, and the allocator keeps the space they took after they are freed.
-# On a 212,327-trade ledger (11.5 MB, 2-core host, median of five runs) the
-# ingest command peaked at 150 MB RSS with 65,536 lines, 104 MB with 8,192,
-# 97 MB with 2,048 and 103 MB with 512, where the per-batch arrays add up;
-# the load (0.46-0.83 s) and save (0.24-0.29 s) medians moved only within
-# the host's noise across all of those sizes.
+# On a 209,428-trade ledger (11.5 MB, 2-core host, median of five runs) the
+# ingest command peaked at 150.0 MiB RSS with 65,536 lines, 95.8 with
+# 16,384, 85.1 with 8,192, 77.9 with 2,048 and 85.2 with 512, where the
+# per-batch arrays add up.  The load took 0.68 s at 65,536 lines and
+# 0.45-0.49 s at the other sizes; the save took 0.21-0.26 s at every size.
 _CHUNK_ROWS = 2048
 
 
@@ -138,8 +138,10 @@ _FIELDS = tuple(f.name for f in fields(Ledger))
 
 
 def _concat(parts: list) -> Ledger:
-    """One ledger of ``parts``, which it empties; each field's parts are freed
-    once joined, so the parts and the whole are never both held."""
+    """One ledger of ``parts``, which it empties; each field's parts are
+    dropped once that field is joined.  The parts' small heap blocks are
+    not returned to the system when freed, so the process's RSS still grows
+    by most of the joined columns' size."""
     if not parts:
         return Ledger(*([] for _ in _FIELDS))
     columns = [[getattr(p, name) for p in parts] for name in _FIELDS]
@@ -499,9 +501,14 @@ def build_tensor(ledger: Ledger, delta: int):
     stamps, stamp_of = _distinct(ledger.timestamp)
     seconds = np.fromiter(map(_second_of_day, stamps), np.intp, len(stamps))
     stamp_inside = (seconds >= _WINDOW_OPEN_S) & (seconds <= _WINDOW_CLOSE_S)
-    inside = stamp_inside[stamp_of]
-    excluded = [(ts, f"timestamp {ts.time()} outside 08:00-18:00 window")
-                for ts in ledger.timestamp[~inside].tolist()]
+    labels, lender, borrower = ledger.bank_codes
+    amount, excluded = ledger.amount, []
+    if not stamp_inside.all():
+        inside = stamp_inside[stamp_of]
+        excluded = [(ts, f"timestamp {ts.time()} outside 08:00-18:00 window")
+                    for ts in ledger.timestamp[~inside].tolist()]
+        lender, borrower = lender[inside], borrower[inside]
+        stamp_of, amount = stamp_of[inside], amount[inside]
 
     # The days of the in-window stamps, and each stamp's (interval, day) cell.
     ordinal = np.fromiter(map(datetime.toordinal, stamps), np.intp, len(stamps))
@@ -510,23 +517,26 @@ def build_tensor(ledger: Ledger, delta: int):
     t_count = WINDOW_MINUTES // delta
     cols = np.minimum((seconds - _WINDOW_OPEN_S) // (delta * 60), t_count - 1)
     stamp_cell = cols * len(days) + np.searchsorted(day_ordinals, ordinal)
+    cell = stamp_cell[stamp_of]  # per in-window trade
+    del stamp_of
 
-    # The banks trading inside the window, in label order, and per in-window
-    # trade its lender's and its borrower's flat cell, in two rows.
-    labels, lender, borrower = ledger.bank_codes
-    sides = np.stack([lender, borrower])[:, inside]
+    # The banks trading inside the window, in label order, and each label's
+    # row in the tensor.
     trading = np.zeros(len(labels), dtype=bool)
-    trading[sides] = True
+    trading[lender] = True
+    trading[borrower] = True
     banks = tuple(labels[k] for k in np.flatnonzero(trading).tolist())
-    flat = (np.cumsum(trading) - 1)[sides]
-    del sides  # hold one 2 x trades array at a time
-    flat *= t_count * len(days)
-    flat += stamp_cell[stamp_of[inside]]
-    # One bincount over the lender entries, then the borrower entries, adds
-    # every cell's amounts in the same order as a per-record loop would.
-    amount = ledger.amount[inside]
-    values = np.bincount(flat.ravel(), weights=np.concatenate([amount, amount]),
-                         minlength=len(banks) * t_count * len(days))
+    row = np.cumsum(trading) - 1
+    # Each cell adds, from zero, its lender entries' amounts in ledger order
+    # and then its borrower entries': the order of a per-record loop over the
+    # lenders and then the borrowers.
+    values = np.zeros(len(banks) * t_count * len(days))
+    for side in (lender, borrower):
+        flat = row[side]
+        flat *= t_count * len(days)
+        flat += cell
+        np.add.at(values, flat, amount)
+        del flat  # hold one side's cells at a time
     values = values.reshape(len(banks), t_count, len(days))
 
     index = TensorIndex(banks, days, delta)

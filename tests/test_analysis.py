@@ -379,6 +379,36 @@ def test_role_counts_match_classify_role():
                           counts[members] / counts[members].sum(axis=1, keepdims=True))
 
 
+def _reference_facts(records, index):
+    """``(role_counts, domestic, conflicts)`` of the index trades, row by row."""
+    counts = np.zeros((len(index.bank_ids), len(ROLES)), dtype=np.int64)
+    seen, conflicts = {}, set()
+    for r in _index_trades(records, index):
+        for side, flag in zip(r[1:3], r[6:8]):  # the lender, then the borrower
+            counts[index.bank_ids.index(side), ROLES.index(classify_role(r, side))] += 1
+            if side not in seen:
+                seen[side] = flag
+            elif seen[side] != flag:
+                conflicts.add(side)
+    return counts, [seen.get(b, False) for b in index.bank_ids], tuple(sorted(conflicts))
+
+
+@pytest.mark.parametrize("banks", [
+    [f"K{i}" for i in range(6)],  # the ledger's labels, as ingest indexes them
+    [f"K{i}" for i in range(7)],  # K6 never trades
+], ids=["ledger-labels", "extra-bank"])
+def test_bank_facts_match_row_reference_without_dropped_trades(banks):
+    # _FACTS_INDEX's tests cover an index that drops trades.
+    rng = np.random.default_rng(31)
+    records = ledger_of(_random_trades(rng, [f"K{i}" for i in range(6)], 60))
+    assert records.bank_codes[0] == tuple(f"K{i}" for i in range(6))
+    index = _toy_index(banks)
+    counts, domestic, conflicts = _reference_facts(records, index)
+    facts = bank_facts(records, index)
+    assert np.array_equal(facts.role_counts, counts) and counts.sum() == 2 * 60
+    assert facts.domestic.tolist() == domestic and facts.conflicts == conflicts
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 20])
 def test_mean_ci95_matches_scipy_interval(n):
     rng = np.random.default_rng(n)

@@ -402,6 +402,29 @@ def test_missing_argument_is_one_usage_line(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+def test_unknown_init_mode_is_one_usage_line(tmp_path, capsys):
+    assert _run("fit", tmp_path / "tensor.bin", "--rank", 2, "--init", "bogus",
+                "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == ("error: argument --init: invalid choice: 'bogus' "
+                                       "(choose from 'random-scaled', 'random-uniform')\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_random_uniform_init_writes_the_same_outputs_for_any_jobs(tmp_path):
+    synth = tmp_path / "synth"
+    assert _run("synth", "--banks", 12, "--intervals", 5, "--days", 30,
+                "--seed", 3, "--out", synth) == 0
+    runs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"fit-{jobs}"
+        assert _run("fit", synth / "tensor.bin", "--rank", 2, "--restarts", 3, "--seed", 1,
+                    "--init", "random-uniform", "--jobs", jobs, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["init"] == "random-uniform"
+        runs.append({name: (out / name).read_bytes() for name in manifest["outputs"]})
+    assert runs[0] == runs[1]
+
+
 def _small_pipeline(tmp_path, with_ledger=True):
     synth_dir = tmp_path / "synth"
     argv = ["synth", "--banks", "12", "--intervals", "5", "--days", "30",

@@ -653,11 +653,28 @@ def test_ingest_path_holds_little_beside_the_ledger(tmp_path, monkeypatch):
     assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
 
 
+def test_build_tensor_holds_little_beside_the_bank_codes():
+    # Binning 50,000 in-window trades, with the ledger's bank codes already
+    # derived, as ingest derives them before it bins.  Binning one side at a
+    # time over views of the ledger's columns peaked at 17 bytes per trade
+    # beside the tensor; stacking both sides, copying them and the amounts
+    # and binning both at once peaked at 66.
+    n = 50_000
+    ledger = _large_ledger(n)
+    ledger.bank_codes
+    (tensor, _, excluded), peak = _traced_peak(lambda: build_tensor(ledger, 30))
+    assert tensor.values.sum() == 2 * np.arange(1, n + 1).sum() / 8.0 and not excluded
+    per_trade = (peak - tensor.values.nbytes) / n
+    assert per_trade < 32, per_trade
+
+
 def test_bank_facts_hold_little_beside_the_bank_codes():
     # The facts of 50,000 trades between 100 index banks, with the ledger's
     # bank codes already derived, as binning leaves them in ingest.  Counting
-    # in index positions over the kept trades peaked at 1.8 MB; interleaving
-    # both sides and padding per-label tables peaked at 4.4 MB.
+    # over the ledger's own columns, when its labels are the index banks,
+    # peaked at 0.86 MB; mapping and copying the kept trades whatever the
+    # index peaked at 1.8 MB, and interleaving both sides and padding
+    # per-label tables at 4.4 MB.
     from tempofact.analysis import bank_facts
 
     ledger = _large_ledger(50_000)
@@ -665,4 +682,4 @@ def test_bank_facts_hold_little_beside_the_bank_codes():
     index = TensorIndex(tuple(f"B{k:03d}" for k in range(100)), (date(2008, 9, 15),), 30)
     facts, peak = _traced_peak(lambda: bank_facts(ledger, index))
     assert facts.role_counts.sum() == 2 * 50_000
-    assert peak < 3_000_000, peak
+    assert peak < 1_200_000, peak
